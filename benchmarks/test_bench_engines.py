@@ -5,8 +5,8 @@
    projection feasible in Python).
 2. The degree-ordered triangle survey vs networkx's enumeration and the
    O(n³) brute oracle.
-3. Serial vs multiprocessing YGM backends carrying the same distributed
-   projection (communication-pattern fidelity; on a single core the mp
+3. Serial vs multiprocessing YGM backends carrying the same projection
+   plan through a ``YgmExecutor`` (communication-pattern fidelity; on a single core the mp
    backend pays process overhead — the point is identical results, not
    speedup).
 """
@@ -64,29 +64,15 @@ class TestTriangleEngines:
 
 
 class TestYgmBackends:
-    def test_bench_distributed_projection_serial(self, benchmark, medium_btm):
-        from repro.projection import project_distributed
+    @pytest.mark.parametrize("backend", ["serial", "mp"])
+    def test_bench_ygm_projection(self, benchmark, medium_btm, backend):
+        from repro.exec import YgmExecutor
         from repro.ygm import YgmWorld
 
         def run():
-            with YgmWorld(2) as world:
-                return project_distributed(
-                    medium_btm, TimeWindow(0, 60), world
-                )
-
-        result = benchmark.pedantic(run, rounds=1, iterations=1)
-        assert result.ci.edges.to_dict() == project(
-            medium_btm, TimeWindow(0, 60)
-        ).ci.edges.to_dict()
-
-    def test_bench_distributed_projection_mp(self, benchmark, medium_btm):
-        from repro.projection import project_distributed
-        from repro.ygm import YgmWorld
-
-        def run():
-            with YgmWorld(2, backend="mp") as world:
-                return project_distributed(
-                    medium_btm, TimeWindow(0, 60), world
+            with YgmWorld(2, backend=backend) as world:
+                return project(
+                    medium_btm, TimeWindow(0, 60), executor=YgmExecutor(world)
                 )
 
         result = benchmark.pedantic(run, rounds=1, iterations=1)

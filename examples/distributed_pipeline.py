@@ -3,10 +3,11 @@
 
 The paper runs its framework on LLNL clusters through YGM's asynchronous
 distributed containers.  This example runs the identical distributed
-programs on this library's YGM clone — projection with pages scattered
-across ranks, TriPoll-style triangle surveying with wedge queries shipped
-to adjacency owners, and label-propagation connected components — and
-cross-checks every stage against the single-process engines.
+plans on this library's YGM clone by handing the engines a
+``YgmExecutor`` — projection with pages scattered across ranks,
+TriPoll-style triangle surveying with wedge ranges closed against the
+replicated join table, and label-propagation connected components — and
+cross-checks every stage against the same plans run in-process.
 
 Both backends are exercised: the deterministic in-process ``serial``
 backend and the ``mp`` backend with real worker processes (same results;
@@ -23,15 +24,15 @@ from repro import (
     TimeWindow,
     YgmWorld,
     project,
-    project_distributed,
     survey_triangles,
-    survey_triangles_distributed,
 )
 from repro.datagen import BackgroundConfig, GptStyleBotnetConfig
+from repro.exec import YgmExecutor
 from repro.graph.components import (
     components_as_lists,
     distributed_components,
 )
+from repro.tripoll import survey_triangles_plan
 from repro.util.timers import Timer
 
 
@@ -65,8 +66,9 @@ def main() -> None:
     for backend in ("serial", "mp"):
         print(f"\n--- YGM backend: {backend} (4 ranks) ---")
         with YgmWorld(4, backend=backend) as world:
+            executor = YgmExecutor(world)
             with Timer() as t1:
-                dist_proj = project_distributed(btm, window, world)
+                dist_proj = project(btm, window, executor=executor)
             assert dist_proj.ci.edges.to_dict() == ref_edges
             assert np.array_equal(
                 dist_proj.ci.page_counts, ref_proj.ci.page_counts
@@ -79,8 +81,8 @@ def main() -> None:
 
             thresholded = dist_proj.ci.threshold(10).edges
             with Timer() as t2:
-                dist_tri = survey_triangles_distributed(
-                    dist_proj.ci.edges, world, min_edge_weight=10
+                dist_tri = survey_triangles_plan(
+                    dist_proj.ci.edges, executor, min_edge_weight=10
                 )
             assert dist_tri.as_tuples() == ref_tri.as_tuples()
             print(

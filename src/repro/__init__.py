@@ -42,13 +42,11 @@ from repro.projection import (
     TimeWindow,
     project,
     project_bucketed,
-    project_distributed,
     CommonInteractionGraph,
 )
 from repro.tripoll import (
     TriangleSet,
     survey_triangles,
-    survey_triangles_distributed,
     t_scores,
 )
 from repro.hypergraph import (
@@ -81,11 +79,9 @@ __all__ = [
     "TimeWindow",
     "project",
     "project_bucketed",
-    "project_distributed",
     "CommonInteractionGraph",
     "TriangleSet",
     "survey_triangles",
-    "survey_triangles_distributed",
     "t_scores",
     "UserPageIncidence",
     "evaluate_triplets",

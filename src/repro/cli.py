@@ -12,13 +12,13 @@ Six subcommands cover the workflow the paper describes:
   fuses the per-layer CI graphs into one multi-layer score;
 - ``figures`` — regenerate the paper's metric-relationship figures
   (C vs T, w_xyz vs min w') for a corpus and window;
-- ``verify`` — run a seeded corpus through every projection and triangle
-  engine — all thin wrappers over the shared :mod:`repro.kernels` layer
-  (see ``docs/architecture.md``) — diff the outputs against the
-  reference oracle, and check the paper's invariants (the engine-parity
-  guarantee, made executable);
-  ``verify --chaos`` instead injects a seeded fault into a distributed
-  run and checks the fail-typed → checkpoint-resume → exact-parity
+- ``verify`` — run a seeded corpus through the three step plans on
+  every executor (serial, parallel, YGM) — all thin orchestration over
+  the shared :mod:`repro.kernels` layer (see ``docs/architecture.md``)
+  — diff the outputs against the reference oracles, and check the
+  paper's invariants (the engine-parity guarantee, made executable);
+  ``verify --chaos`` instead injects a seeded fault into a run on the
+  YGM executor and checks the fail-typed → checkpoint-resume → exact-parity
   contract; ``verify --online`` drives a seeded append/advance
   interleaving through the online engine and diffs every query surface
   against from-scratch batch runs; ``verify --sharded`` streams the
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip counterexample shrinking on divergence")
     ver.add_argument("--chaos", action="store_true",
                      help="fault-injected parity instead: draw a seeded "
-                     "fault plan, run the distributed pipeline under it, "
+                     "fault plan, run the pipeline on a YGM world under it, "
                      "require a typed failure, resume from the checkpoint, "
                      "and diff against the serial oracle")
     ver.add_argument("--chaos-backend", choices=["mp", "serial"],
@@ -427,6 +427,20 @@ def _parse_layer_weights(spec: str | None) -> tuple[tuple[str, float], ...]:
     return tuple(pairs)
 
 
+def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+    """The one place ``detect``'s flags become a :class:`PipelineConfig`."""
+    return PipelineConfig(
+        window=TimeWindow(args.delta1, args.delta2),
+        min_triangle_weight=args.cutoff,
+        author_filter=AuthorFilter.none() if args.no_filter else AuthorFilter(),
+        compute_hypergraph=not args.no_hypergraph,
+        time_bucket_width=args.buckets,
+        executor=args.executor,
+        n_workers=args.workers,
+        layer_weights=_parse_layer_weights(args.layer_weights),
+    )
+
+
 def _cmd_detect_layers(args: argparse.Namespace, out) -> int:
     """``detect --layers``: one framework pass per layer, plus fusion."""
     from repro.actions import available_layers
@@ -438,17 +452,7 @@ def _cmd_detect_layers(args: argparse.Namespace, out) -> int:
         if spec.lower() == "all"
         else [n.strip() for n in spec.split(",") if n.strip()]
     )
-    config = PipelineConfig(
-        window=TimeWindow(args.delta1, args.delta2),
-        min_triangle_weight=args.cutoff,
-        author_filter=AuthorFilter.none() if args.no_filter else AuthorFilter(),
-        compute_hypergraph=not args.no_hypergraph,
-        time_bucket_width=args.buckets,
-        executor=args.executor,
-        n_workers=args.workers,
-        layer_weights=_parse_layer_weights(args.layer_weights),
-    )
-    pipeline = MultiLayerPipeline(config, layers=names)
+    pipeline = MultiLayerPipeline(_pipeline_config(args), layers=names)
     result = pipeline.run_ndjson(
         args.input,
         errors="skip" if args.skip_malformed else "raise",
@@ -488,16 +492,7 @@ def _cmd_detect(args: argparse.Namespace, out) -> int:
     if args.layers:
         return _cmd_detect_layers(args, out)
     btm = _load_btm(args, out)
-    config = PipelineConfig(
-        window=TimeWindow(args.delta1, args.delta2),
-        min_triangle_weight=args.cutoff,
-        author_filter=AuthorFilter.none() if args.no_filter else AuthorFilter(),
-        compute_hypergraph=not args.no_hypergraph,
-        time_bucket_width=args.buckets,
-        executor=args.executor,
-        n_workers=args.workers,
-    )
-    result = CoordinationPipeline(config).run(btm)
+    result = CoordinationPipeline(_pipeline_config(args)).run(btm)
     print(result.summary(), file=out)
 
     truth = _load_truth(args.truth) if args.truth else None
@@ -670,13 +665,13 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     )
     print(report.describe(), file=out)
 
-    if args.executor == "parallel":
-        from repro.exec import ParallelExecutor
-
-        with ParallelExecutor(args.workers or None) as ex:
-            proj = project(btm, window, executor=ex)
-    else:
-        proj = project(btm, window)
+    executor = CoordinationPipeline(
+        PipelineConfig(executor=args.executor, n_workers=args.workers)
+    ).build_executor()
+    try:
+        proj = project(btm, window, executor=executor)
+    finally:
+        executor.close()
     triangles = survey_triangles(proj.ci.edges, min_edge_weight=args.cutoff)
     try:
         ran = check_projection_invariants(

@@ -1,12 +1,17 @@
 """Executors: run one :class:`~repro.exec.plan.Plan` locally or over YGM.
 
-Both executors honor the same contract — map every shard through the
+Every executor honors the same contract — map every shard through the
 plan's map kernel, order the partials by shard index, then run the
 optional reduce kernel driver-side — so an engine written against
 ``executor.run(plan, shards, context)`` is backend-agnostic by
-construction.  That symmetry is what the cross-engine parity harness
-leans on: serial vs distributed runs differ only in *where* map shards
-execute, never in *what* executes.
+construction.  That symmetry is what the parity harness leans on: runs
+differ only in *where* map shards execute, never in *what* executes.
+
+What *does* depend on where shards run lives here too, so engines and
+the pipeline hold no per-backend code: ``shard_count(n_items,
+items_per_second)`` sizes a plan's shard list, ``close()`` releases what
+the executor owns, and :class:`YgmExecutor` retries a failed run on a
+fresh world.
 
 :class:`YgmExecutor` scatters ``(index, shard)`` items into a
 :class:`~repro.ygm.containers.bag.DistBag` and maps them with
@@ -19,14 +24,26 @@ worker — so it resolves even on worker processes forked before
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+import time
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.exec.plan import Plan, resolve_kernel
+from repro.ygm.errors import YgmError
+
+if TYPE_CHECKING:
+    from repro.ygm.world import YgmWorld
 
 __all__ = ["SerialExecutor", "YgmExecutor", "finish_reduce"]
 
+#: Shards per YGM rank: >1 so uneven pages, skewed wedges and ragged
+#: triplet ranges still balance; fixed (not cost-adaptive) so the message
+#: stream seeded fault plans key on does not depend on the input size.
+_SHARDS_PER_RANK = 4
 
-def _map_item(ctx, item, kernel_ref: str, context) -> tuple[int, Any]:
+
+def _map_item(
+    ctx: Any, item: tuple[int, Any], kernel_ref: str, context: Any
+) -> tuple[int, Any]:
     """Per-item map shim run on whichever rank holds the bag item.
 
     ``item`` is ``(index, shard)``; the index rides along so the driver
@@ -36,7 +53,7 @@ def _map_item(ctx, item, kernel_ref: str, context) -> tuple[int, Any]:
     return index, resolve_kernel(kernel_ref)(shard, context)
 
 
-def finish_reduce(plan: Plan, partials: list[Any], context) -> Any:
+def finish_reduce(plan: Plan, partials: list[Any], context: Any) -> Any:
     """The shared gather/reduce tail every executor ends a run with.
 
     ``partials`` must already be ordered by shard index; the reduce
@@ -53,27 +70,82 @@ def finish_reduce(plan: Plan, partials: list[Any], context) -> Any:
 class SerialExecutor:
     """Run a plan in-process, one shard at a time, in shard order."""
 
+    def shard_count(self, n_items: int, items_per_second: float) -> int:
+        """Always one shard: splitting in-process work only adds merges."""
+        return 1
+
     def run(self, plan: Plan, shards: Sequence[Any], context: Any = None) -> Any:
         """Map every shard through the plan, then reduce driver-side."""
         kernel = plan.map_stage.resolve()
         partials = [kernel(shard, context) for shard in shards]
         return finish_reduce(plan, partials, context)
 
+    def close(self) -> None:
+        """Nothing to release."""
+
 
 class YgmExecutor:
     """Run a plan's map stage across the ranks of a YGM world.
 
-    The world is borrowed, not owned: the caller controls its lifetime
-    (and its backend/fault plan), so one world can execute many plans —
-    the pipeline's distributed path runs projection, survey, and
-    validation plans through a single world.
+    Pass exactly one of:
+
+    world:
+        A borrowed :class:`~repro.ygm.world.YgmWorld`: the caller
+        controls its lifetime (and backend/fault plan), so one world can
+        execute many plans — a pipeline run sends all three through it.
+        A typed failure propagates; :meth:`close` leaves it alone.
+    world_factory:
+        ``factory(attempt) -> YgmWorld``, called with ``0`` for the
+        initial world and ``k`` for the *k*-th retry of a run; the
+        executor owns these worlds and :meth:`close` shuts the current
+        one down.  With ``max_retries > 0``, a run failing with a typed
+        :class:`~repro.ygm.errors.YgmError` (worker death, barrier
+        timeout, handler error) tears the failed world down, sleeps
+        ``retry_backoff * 2**k`` seconds and re-attempts the *same*
+        shards on a fresh world — they live in the driver, so one plan
+        run is the only work at risk.  :attr:`retries` counts them.
     """
 
-    def __init__(self, world) -> None:
+    def __init__(
+        self,
+        world: YgmWorld | None = None,
+        *,
+        world_factory: Callable[[int], YgmWorld] | None = None,
+        max_retries: int = 0,
+        retry_backoff: float = 0.1,
+    ) -> None:
+        if world is None and world_factory is not None:
+            world = world_factory(0)
+        elif world is None or world_factory is not None:
+            raise ValueError("pass exactly one of `world` or `world_factory`")
+        self._factory = world_factory
         self.world = world
+        self.max_retries = max_retries
+        self.retry_backoff = retry_backoff
+        self.retries = 0
+
+    def shard_count(self, n_items: int, items_per_second: float) -> int:
+        """A fixed number of shards per rank, whatever the input size."""
+        return int(self.world.n_ranks) * _SHARDS_PER_RANK
 
     def run(self, plan: Plan, shards: Sequence[Any], context: Any = None) -> Any:
         """Scatter shards over ranks, map remotely, reduce driver-side."""
+        for k in range(self.max_retries):
+            try:
+                return self._run_once(plan, shards, context)
+            except YgmError:
+                if self._factory is None:  # borrowed world: not ours to replace
+                    raise
+                # The failed world may hold dead workers or undrained
+                # queues: tear it down (best effort, bounded) and back
+                # off before the fresh attempt.
+                _safe_shutdown(self.world)
+                self.retries += 1
+                time.sleep(self.retry_backoff * (2**k))
+                self.world = self._factory(k + 1)
+        return self._run_once(plan, shards, context)
+
+    def _run_once(self, plan: Plan, shards: Sequence[Any], context: Any) -> Any:
         from repro.ygm.containers.bag import DistBag
 
         bag = DistBag(self.world)
@@ -90,3 +162,16 @@ class YgmExecutor:
         gathered.sort(key=lambda pair: pair[0])
         partials = [partial for _index, partial in gathered]
         return finish_reduce(plan, partials, context)
+
+    def close(self) -> None:
+        """Shut down the current world if this executor built it."""
+        if self._factory is not None:
+            _safe_shutdown(self.world)
+
+
+def _safe_shutdown(world: YgmWorld) -> None:
+    """Shut a (possibly already failed) world down without raising."""
+    try:
+        world.shutdown()
+    except Exception:  # pragma: no cover - shutdown is already best-effort
+        pass

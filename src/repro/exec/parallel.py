@@ -62,6 +62,7 @@ from typing import Any, Sequence
 
 from repro.exec.executors import finish_reduce
 from repro.exec.plan import Plan, resolve_kernel
+from repro.exec.plans import adaptive_shard_count
 from repro.exec.shm import (
     OutputWriter,
     SegmentCache,
@@ -204,6 +205,10 @@ class ParallelExecutor:
         self._live_job = None
         self._job_id = 0
         self._out_prefix = output_prefix()
+
+    def shard_count(self, n_items: int, items_per_second: float) -> int:
+        """Cost-adaptive: ~100 ms of work per shard, ≥ 1 per worker."""
+        return adaptive_shard_count(n_items, self.n_workers, items_per_second)
 
     # -- pool lifecycle -----------------------------------------------------
     @property

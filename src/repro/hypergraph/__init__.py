@@ -31,7 +31,6 @@ from repro.hypergraph.kgroups import (
     evaluate_group,
     group_hyperedge_weight,
 )
-from repro.hypergraph.distributed import evaluate_triplets_distributed
 
 __all__ = [
     "UserPageIncidence",
@@ -44,5 +43,4 @@ __all__ = [
     "GroupMetrics",
     "evaluate_group",
     "group_hyperedge_weight",
-    "evaluate_triplets_distributed",
 ]

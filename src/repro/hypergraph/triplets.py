@@ -2,10 +2,12 @@
 
 Thin orchestration over the kernel layer: ``hyperedge_weight`` wraps
 :func:`repro.kernels.intersect3_sorted` for one triplet;
-``evaluate_triplets`` runs :data:`repro.exec.plans.VALIDATION_PLAN` on a
-:class:`~repro.exec.SerialExecutor`, evaluating *every* triangle
-surviving Step 2 in one vectorized :func:`repro.kernels.hyperedge_count`
-pass, and packages the paper's Step 3 output: ``w_xyz``,
+``evaluate_triplets`` runs :data:`repro.exec.plans.VALIDATION_PLAN` on
+whichever executor it is handed (in-process by default; a
+:class:`~repro.exec.YgmExecutor` is §2.4's "dividing up authors to be
+checked among several compute nodes"), evaluating *every* triangle
+surviving Step 2 with the vectorized :func:`repro.kernels.hyperedge_count`
+kernel, and packages the paper's Step 3 output: ``w_xyz``,
 ``p_x + p_y + p_z``, and ``C(x, y, z)``.  ``all_triplets_brute``
 enumerates *every* triplet with a nonzero hyperedge weight directly from
 the incidence — the exponential direct approach the paper's pruning
@@ -23,7 +25,6 @@ from repro.exec.executors import SerialExecutor
 from repro.exec.plans import (
     VALIDATION_PLAN,
     VALIDATION_TRIPLETS_PER_SECOND,
-    adaptive_shard_count,
     triplet_range_shards,
 )
 from repro.hypergraph.incidence import UserPageIncidence
@@ -113,10 +114,10 @@ def evaluate_triplets(
 
     *executor* runs :data:`~repro.exec.plans.VALIDATION_PLAN` (defaults
     to an in-process :class:`~repro.exec.SerialExecutor`); *n_shards*
-    cuts the triplet list into that many range shards (defaults to
-    adaptive sizing — ~100 ms of work per shard, at least one per
-    worker, 1 for serial).  The count concatenation is shard-ordered,
-    so every executor returns identical metrics.
+    cuts the triplet list into that many range shards (defaults to the
+    executor's own sizing, ``executor.shard_count``).  The count
+    concatenation is shard-ordered, so every executor returns identical
+    metrics.
 
     Examples
     --------
@@ -135,10 +136,8 @@ def evaluate_triplets(
     if executor is None:
         executor = SerialExecutor()
     if n_shards is None:
-        n_shards = adaptive_shard_count(
-            triangles.n_triangles,
-            getattr(executor, "n_workers", 1),
-            VALIDATION_TRIPLETS_PER_SECOND,
+        n_shards = executor.shard_count(
+            triangles.n_triangles, VALIDATION_TRIPLETS_PER_SECOND
         )
     shards = triplet_range_shards(
         triangles.a, triangles.b, triangles.c, max(1, n_shards)

@@ -38,29 +38,12 @@ class PipelineConfig:
     time_bucket_width:
         When set, Step 1 runs the paper's bucketed projection with this
         sub-window width instead of one direct pass.
-    max_stage_retries:
-        Distributed-run resilience: how many times a stage that failed
-        with a typed runtime error (worker death, barrier timeout,
-        handler error) is retried on a *fresh* backend before the run
-        gives up.  0 (default) fails fast.  Retries require a
-        ``world_factory`` and a checkpoint directory (so a retried stage
-        is the only work at risk) — see
-        :meth:`~repro.pipeline.framework.CoordinationPipeline.run_distributed`.
-    retry_backoff:
-        Base seconds slept before retry attempt *k* (doubling per
-        attempt): ``retry_backoff * 2**k``.
-    barrier_deadline:
-        Optional liveness deadline (seconds) applied to worlds the
-        pipeline constructs itself via ``world_factory`` fallbacks; also a
-        documented hint for callers building their own worlds.
     executor:
-        Plan executor for the in-process pipeline: ``"serial"`` (default)
-        runs shards on the calling thread; ``"parallel"`` runs all three
-        plans through one persistent
+        Plan executor ``run`` builds when it is not handed one:
+        ``"serial"`` (default) runs shards on the calling thread;
+        ``"parallel"`` runs all three plans through one persistent
         :class:`~repro.exec.ParallelExecutor` worker pool (results are
-        bit-identical either way).  Ignored by
-        :meth:`~repro.pipeline.framework.CoordinationPipeline.run_distributed`,
-        which always uses the YGM backend.
+        bit-identical either way).
     n_workers:
         Pool size for ``executor="parallel"``; 0 means ``os.cpu_count()``.
     layers:
@@ -93,9 +76,6 @@ class PipelineConfig:
     wedge_batch: int = 4_000_000
     compute_hypergraph: bool = True
     time_bucket_width: int | None = None
-    max_stage_retries: int = 0
-    retry_backoff: float = 0.1
-    barrier_deadline: float | None = None
     executor: str = "serial"
     n_workers: int = 0
     layers: tuple[str, ...] = ()

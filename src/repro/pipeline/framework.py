@@ -10,28 +10,28 @@
 3. **Validate** — compute ``w_xyz`` and ``C(x, y, z)`` on the hypergraph
    incidence for every surviving triangle.
 
-Both entry points optionally checkpoint the expensive artifacts (CI graph,
-thresholded edges, triangle survey) to a directory after each stage and can
-``resume_from=`` such a directory, re-running only the stages that had not
-completed — so a mid-run worker death costs one stage, not the run.
-:meth:`CoordinationPipeline.run_distributed` additionally supports a
-bounded, backed-off retry policy over the distributed stages: given a
-``world_factory`` and a checkpoint directory, a stage that fails with a
-typed YGM runtime error is re-attempted on a *fresh* backend
-(``config.max_stage_retries`` times) instead of aborting the run.
+There is one run path.  Each step is a plan from :mod:`repro.exec.plans`
+(thin orchestration over the shared :mod:`repro.kernels` layer) run on
+one executor: by default the serial or parallel executor the config
+names, built and closed by ``run``; or a caller-owned one passed as
+``executor=`` — a shared :class:`~repro.exec.ParallelExecutor`, or a
+:class:`~repro.exec.YgmExecutor` to run all three steps across YGM ranks
+(the paper's cluster setting).  Executors differ only in *where* shards
+run, so results are bit-identical by construction (see
+``docs/architecture.md``); anything that depends on the backend — shard
+sizing, retrying a failed run on a fresh world — lives behind the
+executor, not here.
 
-Every stage engine — serial or distributed — is thin orchestration over
-the shared :mod:`repro.kernels` layer, dispatched through the execution
-plans in :mod:`repro.exec.plans`.  The serial and distributed paths run
-the *same* plan on different executors, so their results are
-bit-identical by construction (see ``docs/architecture.md``).
+``run`` optionally checkpoints the expensive artifacts (CI graph,
+thresholded edges, triangle survey) to a directory after each stage and
+can ``resume_from=`` such a directory, re-running only the stages that
+had not completed — so a mid-run worker death costs one stage, not the
+run.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable
-
+from repro.exec.executors import SerialExecutor
 from repro.exec.parallel import ParallelExecutor
 from repro.graph.bipartite import BipartiteTemporalMultigraph
 from repro.graph.csr import CSRGraph
@@ -42,16 +42,10 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.results import ComponentReport, PipelineResult
 from repro.projection.buckets import project_bucketed
 from repro.projection.ci_graph import CommonInteractionGraph
-from repro.projection.distributed import project_distributed
 from repro.projection.project import project
-from repro.tripoll.engine import (
-    survey_triangles_distributed,
-    survey_triangles_plan,
-)
+from repro.tripoll.engine import survey_triangles_plan
 from repro.tripoll.metrics import t_scores as compute_t_scores
-from repro.tripoll.survey import survey_triangles
 from repro.util.timers import StageTimings
-from repro.ygm.errors import YgmError
 
 __all__ = ["CoordinationPipeline", "component_reports"]
 
@@ -74,11 +68,11 @@ class CoordinationPipeline:
     def __init__(self, config: PipelineConfig | None = None) -> None:
         self.config = config if config is not None else PipelineConfig()
 
-    def _plan_executor(self) -> ParallelExecutor | None:
-        """Build the configured plan executor (``None`` means serial)."""
+    def build_executor(self) -> SerialExecutor | ParallelExecutor:
+        """Build the executor the config names (the caller closes it)."""
         cfg = self.config
         if cfg.executor == "serial":
-            return None
+            return SerialExecutor()
         if cfg.executor == "parallel":
             return ParallelExecutor(cfg.n_workers or None)
         raise ValueError(
@@ -86,32 +80,11 @@ class CoordinationPipeline:
             "'parallel')"
         )
 
-    # -- checkpoint plumbing -------------------------------------------------
-    def _open_checkpoint(
-        self, checkpoint_dir: str | None, resume_from: str | None
-    ) -> PipelineCheckpoint | None:
-        """Open (and validate) the checkpoint for this invocation.
-
-        ``resume_from`` loads an existing manifest (raising
-        :class:`~repro.pipeline.checkpoint.CheckpointMismatchError` on a
-        config mismatch) and continues writing into the same directory;
-        ``checkpoint_dir`` starts a fresh manifest (any stale stage flags
-        are cleared).
-        """
-        if resume_from is not None:
-            cp = PipelineCheckpoint(resume_from)
-            cp.resume(self.config)
-            return cp
-        if checkpoint_dir is not None:
-            cp = PipelineCheckpoint(checkpoint_dir)
-            cp.begin(self.config)
-            return cp
-        return None
-
     def run(
         self,
         btm: BipartiteTemporalMultigraph,
         *,
+        executor=None,
         checkpoint_dir: str | None = None,
         resume_from: str | None = None,
     ) -> PipelineResult:
@@ -121,22 +94,37 @@ class CoordinationPipeline:
         ----------
         btm:
             The input bipartite temporal multigraph.
+        executor:
+            The plan executor all three steps run on.  ``None`` builds
+            the one the config names (:meth:`build_executor`) and closes
+            it afterwards; a passed executor is used as given and stays
+            the caller's to close.
         checkpoint_dir:
             When set, persist each expensive stage artifact here as it
-            completes (starting a fresh manifest).
+            completes (starting a fresh manifest: any stale stage flags
+            are cleared).
         resume_from:
             A directory previously populated by ``checkpoint_dir=``; stages
             whose artifacts are present are loaded instead of recomputed
             (and any remaining stages keep checkpointing into it).
+            Checkpoints are executor-agnostic; one written under a
+            different config raises
+            :class:`~repro.pipeline.checkpoint.CheckpointMismatchError`.
         """
         cfg = self.config
-        cp = self._open_checkpoint(checkpoint_dir, resume_from)
+        cp = None
+        if resume_from is not None:
+            cp = PipelineCheckpoint(resume_from)
+            cp.resume(cfg)
+        elif checkpoint_dir is not None:
+            cp = PipelineCheckpoint(checkpoint_dir)
+            cp.begin(cfg)
         timings = StageTimings()
         resumed: list[str] = []
-        # One pool serves all three plans when executor="parallel"; the
-        # bucketed projection is a single-process memory workaround and
-        # stays serial.
-        plan_executor = self._plan_executor()
+        owned = executor is None
+        if owned:
+            executor = self.build_executor()
+        retries_before = getattr(executor, "retries", 0)
 
         try:
             with timings.stage("step0.filter"):
@@ -155,13 +143,14 @@ class CoordinationPipeline:
                             cfg.window,
                             bucket_width=cfg.time_bucket_width,
                             pair_batch=cfg.pair_batch,
+                            executor=executor,
                         )
                     else:
                         proj = project(
                             filtered,
                             cfg.window,
                             pair_batch=cfg.pair_batch,
-                            executor=plan_executor,
+                            executor=executor,
                         )
                 ci = proj.ci
                 timings.merge(proj.timings)
@@ -170,7 +159,15 @@ class CoordinationPipeline:
                     cp.save_ci(ci)
                     cp.save_stats(proj_stats)
 
-            ci_thr = self._threshold_stage(ci, cp, timings, resumed)
+            if cp is not None and cp.has("ci_thr"):
+                with timings.stage("step2.threshold[resumed]"):
+                    ci_thr = cp.load_thresholded(ci)
+                resumed.append("step2.threshold")
+            else:
+                with timings.stage("step2.threshold"):
+                    ci_thr = ci.threshold(cfg.min_triangle_weight)
+                if cp is not None:
+                    cp.save_thresholded(ci_thr)
 
             if cp is not None and cp.has("triangles"):
                 with timings.stage("step2.survey[resumed]"):
@@ -182,217 +179,29 @@ class CoordinationPipeline:
                     # keeps the surveyed triangles and the reported
                     # ``ci_thresholded`` artifact structurally inseparable, and
                     # sorted_canonical makes the output element-for-element
-                    # comparable with :meth:`run_distributed` (and any other
-                    # engine).
-                    if plan_executor is not None:
-                        # n_shards=None: adaptive sizing from the wedge
-                        # count (~100 ms of work per shard).
-                        triangles = survey_triangles_plan(
-                            ci_thr.edges,
-                            plan_executor,
-                        ).sorted_canonical()
-                    else:
-                        triangles = survey_triangles(
-                            ci_thr.edges,
-                            wedge_batch=cfg.wedge_batch,
-                        ).sorted_canonical()
+                    # comparable across executors and shard counts.
+                    triangles = survey_triangles_plan(
+                        ci_thr.edges, executor, wedge_batch=cfg.wedge_batch
+                    ).sorted_canonical()
                     t_vals = compute_t_scores(triangles, ci.page_counts)
                 if cp is not None:
                     cp.save_triangles(triangles, t_vals)
 
-            return self._finish(
-                cfg, filter_report, ci, ci_thr, triangles, t_vals,
-                filtered, proj_stats, timings, resumed, stage_retries=0,
-                plan_executor=plan_executor,
-            )
-        finally:
-            if plan_executor is not None:
-                plan_executor.close()
+            with timings.stage("step2.components"):
+                components = component_reports(ci_thr, cfg.min_component_size)
 
-    def run_distributed(
-        self,
-        btm: BipartiteTemporalMultigraph,
-        world=None,
-        *,
-        world_factory: Callable[[int], object] | None = None,
-        checkpoint_dir: str | None = None,
-        resume_from: str | None = None,
-    ) -> PipelineResult:
-        """Execute all three steps on the YGM runtime.
-
-        Step 1 scatters pages across ranks
-        (:func:`~repro.projection.distributed.project_distributed`); Step 2
-        ships wedge queries between adjacency owners
-        (:func:`~repro.tripoll.engine.survey_triangles_distributed`);
-        Step 3 chains per-triplet page-set intersections through the
-        authors' owner ranks
-        (:func:`~repro.hypergraph.distributed.evaluate_triplets_distributed`)
-        — the paper's "dividing up authors to be checked among several
-        compute nodes" (§2.4).  Results equal :meth:`run` exactly
-        (asserted in tests on both backends); bucketed projection is a
-        single-process memory workaround and is ignored here.
-
-        Parameters
-        ----------
-        world:
-            A caller-owned :class:`~repro.ygm.YgmWorld` (the caller shuts
-            it down).  Mutually exclusive with ``world_factory``.
-        world_factory:
-            ``factory(attempt) -> YgmWorld`` — called with ``0`` for the
-            initial world and ``k`` for the *k*-th retry.  Worlds it
-            produces are owned (and shut down) by the pipeline.  Required
-            for the retry policy: with ``config.max_stage_retries > 0``
-            *and* a checkpoint directory, a distributed stage failing with
-            a typed YGM error (:class:`~repro.ygm.errors.WorkerDiedError`,
-            :class:`~repro.ygm.errors.BarrierTimeoutError`,
-            :class:`~repro.ygm.errors.HandlerError`) is re-attempted on a
-            fresh backend after ``retry_backoff * 2**k`` seconds.
-        checkpoint_dir / resume_from:
-            As in :meth:`run`.
-        """
-        cfg = self.config
-        if (world is None) == (world_factory is None):
-            raise ValueError(
-                "pass exactly one of `world` or `world_factory`"
-            )
-        cp = self._open_checkpoint(checkpoint_dir, resume_from)
-        timings = StageTimings()
-        resumed: list[str] = []
-        owns_world = world_factory is not None
-        current = world if world is not None else world_factory(0)
-        retry_allowed = (
-            owns_world and cp is not None and cfg.max_stage_retries > 0
-        )
-        retries_used = 0
-
-        def attempt(stage: str, fn):
-            """Run ``fn(world)``, retrying on typed YGM failures."""
-            nonlocal current, retries_used
-            n_attempts = cfg.max_stage_retries + 1 if retry_allowed else 1
-            for k in range(n_attempts):
-                try:
-                    return fn(current)
-                except YgmError:
-                    if k + 1 >= n_attempts:
-                        raise
-                    # The failed world may hold dead workers or undrained
-                    # queues: tear it down (best effort, bounded) and back
-                    # off before the fresh attempt.
-                    _safe_shutdown(current)
-                    retries_used += 1
-                    time.sleep(cfg.retry_backoff * (2**k))
-                    current = world_factory(k + 1)
-
-        try:
-            with timings.stage("step0.filter"):
-                filtered, filter_report = cfg.author_filter.apply(btm)
-
-            if cp is not None and cp.has("ci"):
-                with timings.stage("step1.project[resumed]"):
-                    ci = cp.load_ci()
-                proj_stats = cp.load_stats()
-                resumed.append("step1.project")
-            else:
-                with timings.stage("step1.project[distributed]"):
-                    proj = attempt(
-                        "step1.project",
-                        lambda w: project_distributed(filtered, cfg.window, w),
-                    )
-                ci = proj.ci
-                proj_stats = dict(proj.stats)
-                if cp is not None:
-                    cp.save_ci(ci)
-                    cp.save_stats(proj_stats)
-
-            ci_thr = self._threshold_stage(ci, cp, timings, resumed)
-
-            if cp is not None and cp.has("triangles"):
-                with timings.stage("step2.survey[resumed]"):
-                    triangles, t_vals = cp.load_triangles()
-                resumed.append("step2.survey")
-            else:
-                with timings.stage("step2.survey[distributed]"):
-                    triangles = attempt(
-                        "step2.survey",
-                        lambda w: survey_triangles_distributed(
-                            ci_thr.edges, w
-                        ).sorted_canonical(),
-                    )
-                    t_vals = compute_t_scores(triangles, ci.page_counts)
-                if cp is not None:
-                    cp.save_triangles(triangles, t_vals)
-
-            return self._finish(
-                cfg, filter_report, ci, ci_thr, triangles, t_vals,
-                filtered, proj_stats, timings, resumed,
-                stage_retries=retries_used,
-                distributed_world=current,
-                attempt=attempt,
-            )
-        finally:
-            if owns_world:
-                _safe_shutdown(current)
-
-    # -- shared tail: components, hypergraph, result assembly ----------------
-    def _threshold_stage(
-        self,
-        ci: CommonInteractionGraph,
-        cp: PipelineCheckpoint | None,
-        timings: StageTimings,
-        resumed: list[str],
-    ) -> CommonInteractionGraph:
-        if cp is not None and cp.has("ci_thr"):
-            with timings.stage("step2.threshold[resumed]"):
-                ci_thr = cp.load_thresholded(ci)
-            resumed.append("step2.threshold")
-            return ci_thr
-        with timings.stage("step2.threshold"):
-            ci_thr = ci.threshold(self.config.min_triangle_weight)
-        if cp is not None:
-            cp.save_thresholded(ci_thr)
-        return ci_thr
-
-    def _finish(
-        self,
-        cfg: PipelineConfig,
-        filter_report,
-        ci: CommonInteractionGraph,
-        ci_thr: CommonInteractionGraph,
-        triangles,
-        t_vals,
-        filtered: BipartiteTemporalMultigraph,
-        proj_stats: dict,
-        timings: StageTimings,
-        resumed: list[str],
-        stage_retries: int,
-        distributed_world=None,
-        attempt=None,
-        plan_executor=None,
-    ) -> PipelineResult:
-        with timings.stage("step2.components"):
-            components = self._component_reports(ci_thr)
-
-        triplet_metrics = None
-        if cfg.compute_hypergraph:
-            if distributed_world is not None:
-                with timings.stage("step3.hypergraph[distributed]"):
-                    from repro.hypergraph.distributed import (
-                        evaluate_triplets_distributed,
-                    )
-
-                    triplet_metrics = attempt(
-                        "step3.hypergraph",
-                        lambda w: evaluate_triplets_distributed(
-                            filtered, triangles, w
-                        ),
-                    )
-            else:
+            triplet_metrics = None
+            if cfg.compute_hypergraph:
                 with timings.stage("step3.hypergraph"):
                     inc = UserPageIncidence.from_btm(filtered)
                     triplet_metrics = evaluate_triplets(
-                        inc, triangles, executor=plan_executor
+                        inc, triangles, executor=executor
                     )
+        finally:
+            if owned:
+                executor.close()
 
+        stage_retries = getattr(executor, "retries", 0) - retries_before
         stats = dict(proj_stats)
         stats.update(
             {
@@ -417,12 +226,6 @@ class CoordinationPipeline:
             resumed_stages=tuple(resumed),
             stage_retries=stage_retries,
         )
-
-    # -- component analysis -------------------------------------------------------
-    def _component_reports(
-        self, ci_thr: CommonInteractionGraph
-    ) -> list[ComponentReport]:
-        return component_reports(ci_thr, self.config.min_component_size)
 
 
 def component_reports(
@@ -463,14 +266,6 @@ def _describe_component(
         density=density,
         max_clique_lower_bound=_greedy_clique(csr, members),
     )
-
-
-def _safe_shutdown(world) -> None:
-    """Shut a (possibly already failed) world down without raising."""
-    try:
-        world.shutdown()
-    except Exception:  # pragma: no cover - shutdown is already best-effort
-        pass
 
 
 def _greedy_clique(csr: CSRGraph, members: list[int]) -> int:

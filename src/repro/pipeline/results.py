@@ -82,8 +82,10 @@ class PipelineResult:
         Stage artifacts loaded from a checkpoint instead of recomputed
         (empty for an uninterrupted run).
     stage_retries:
-        Distributed stage attempts that failed and were retried on a
-        fresh backend (0 for a clean run).
+        Plan runs that failed typed and were retried on a fresh world by
+        the run's executor (0 for a clean run; only a
+        :class:`~repro.exec.YgmExecutor` built with a ``world_factory``
+        retries).
     layer:
         Action layer this result covers when produced by a multi-layer
         run (:class:`~repro.pipeline.layers.MultiLayerPipeline`);

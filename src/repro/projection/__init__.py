@@ -6,20 +6,25 @@ counts the pages on which authors *x* and *y* comment within the window of
 each other (eq. 5), together with the per-author page-count ledger ``P'``
 (eq. 6) that normalizes the triangle score ``T`` (eq. 7).
 
-Three interchangeable engines implement Algorithm 1:
+Algorithm 1 has one oracle and one engine:
 
-- :func:`~repro.projection.project.project` — the production engine: a
-  fully vectorized global two-pointer over ``(page, time)``-sorted
-  comments, chunked by pages to bound peak memory.
 - :func:`~repro.projection.project.project_reference` — a line-by-line
-  transcription of Algorithm 1 with Python dicts/sets; the correctness
-  oracle for the vectorized engine.
-- :func:`~repro.projection.distributed.project_distributed` — pages
-  scattered across YGM ranks, pair weights merged through
-  ``DistMap.async_reduce_batch`` (how the paper runs at cluster scale).
+  transcription of Algorithm 1 through the kernel reference twins; the
+  correctness oracle.
+- :func:`~repro.projection.project.project` — the production engine:
+  :data:`repro.exec.plans.PROJECTION_PLAN` (a vectorized two-pointer
+  over ``(page, time)``-sorted, page-aligned shards) on whichever
+  executor it is handed — in-process by default, a
+  :class:`~repro.exec.ParallelExecutor` for cores, a
+  :class:`~repro.exec.YgmExecutor` for pages scattered across YGM ranks
+  (how the paper runs at cluster scale).
 
-:mod:`~repro.projection.buckets` adds the paper's time-bucket workaround
-(§3): a wide window computed as a union of narrow disjoint sub-windows.
+Two memory workarounds compose with it: :mod:`~repro.projection.buckets`
+(paper §3: a wide window computed as a union of narrow disjoint
+sub-windows, each a ``project`` call) and
+:mod:`~repro.projection.streaming` (inputs larger than memory, through
+the :class:`~repro.projection.incremental.IncrementalProjector` that
+online serving also uses).
 """
 
 from repro.projection.window import TimeWindow
@@ -31,7 +36,6 @@ from repro.projection.project import (
 )
 from repro.projection.ci_graph import CommonInteractionGraph
 from repro.projection.buckets import project_bucketed
-from repro.projection.distributed import project_distributed
 from repro.projection.cores import core_numbers, k_core_groups, k_core_subgraph
 from repro.projection.streaming import project_streaming
 from repro.projection.incremental import IncrementalProjector
@@ -44,7 +48,6 @@ __all__ = [
     "estimate_pair_volume",
     "CommonInteractionGraph",
     "project_bucketed",
-    "project_distributed",
     "core_numbers",
     "k_core_groups",
     "k_core_subgraph",

@@ -50,12 +50,15 @@ def project_bucketed(
     merge: str = "exact",
     pair_batch: int = 4_000_000,
     keep_triples: bool = False,
+    *,
+    executor=None,
 ) -> ProjectionResult:
     """Project *window* as a merge of consecutive ``bucket_width`` sub-windows.
 
     With ``merge="exact"`` the result equals ``project(btm, window)``
     exactly (asserted by property tests); peak memory is governed by the
-    largest single bucket instead of the whole window.
+    largest single bucket instead of the whole window.  *executor* is
+    forwarded to every per-bucket :func:`project` call.
 
     Examples
     --------
@@ -78,7 +81,11 @@ def project_bucketed(
         for bucket in buckets:
             with timings.stage(f"bucket {bucket}"):
                 sub = project(
-                    btm, bucket, pair_batch=pair_batch, keep_triples=True
+                    btm,
+                    bucket,
+                    pair_batch=pair_batch,
+                    keep_triples=True,
+                    executor=executor,
                 )
             assert sub.triples is not None
             parts.append(sub.triples)
@@ -107,7 +114,9 @@ def project_bucketed(
     pair_observations = 0
     for bucket in buckets:
         with timings.stage(f"bucket {bucket}"):
-            sub = project(btm, bucket, pair_batch=pair_batch)
+            sub = project(
+                btm, bucket, pair_batch=pair_batch, executor=executor
+            )
         merged = merged.concat(sub.ci.edges)
         page_counts += sub.ci.page_counts
         pair_observations += sub.stats["pair_observations"]

@@ -8,16 +8,17 @@ Two engines, both thin orchestration over :mod:`repro.kernels`:
   It is O(Σ k_p²) in Python and exists as the correctness oracle.
 - :func:`project` is the production engine: it sorts comments by
   ``(page, time)`` once and executes :data:`repro.exec.plans.PROJECTION_PLAN`
-  on a :class:`~repro.exec.SerialExecutor` — the windowed two-pointer
-  (:func:`repro.kernels.window_bounds`, formerly a private helper of
-  this module), batched pair materialization
+  on whichever executor it is handed (in-process by default) — the
+  windowed two-pointer (:func:`repro.kernels.window_bounds`, formerly a
+  private helper of this module), batched pair materialization
   (:func:`repro.kernels.cooccur_pairs`, bounded by ``pair_batch``
   candidate pairs, the memory-vs-window trade-off of paper §2.2/§3), and
   the eq. 5/6 reductions (:func:`repro.kernels.pair_weights`,
-  :func:`repro.kernels.pair_ledger`) all live in the kernel layer.  The
-  distributed engine runs the *same plan* on a
-  :class:`~repro.exec.YgmExecutor` (see
-  :mod:`repro.projection.distributed`).
+  :func:`repro.kernels.pair_ledger`) all live in the kernel layer.
+  Passing a :class:`~repro.exec.ParallelExecutor` or a
+  :class:`~repro.exec.YgmExecutor` runs the *same plan* across cores or
+  YGM ranks — how the paper runs Step 1 (page-parallel by Algorithm 1's
+  outer loop).
 
 Both return the same :class:`ProjectionResult`; equality is enforced by
 unit and property tests plus the cross-engine parity harness.
@@ -33,7 +34,6 @@ from repro.exec.executors import SerialExecutor
 from repro.exec.plans import (
     PROJECTION_PLAN,
     PROJECTION_ROWS_PER_SECOND,
-    adaptive_shard_count,
     page_aligned_shards,
 )
 from repro.graph.bipartite import BipartiteTemporalMultigraph
@@ -55,7 +55,6 @@ __all__ = [
     "project_reference",
     "ProjectionResult",
     "estimate_pair_volume",
-    "ci_from_reduction",
 ]
 
 
@@ -92,22 +91,6 @@ def _edges_from_arrays(
     edges = EdgeList.__new__(EdgeList)
     edges.src, edges.dst, edges.weight = ua, ub, w
     return edges
-
-
-def ci_from_reduction(
-    reduction: dict,
-    window: TimeWindow,
-    user_names=None,
-) -> CommonInteractionGraph:
-    """Wrap a :func:`repro.exec.plans.project_reduce` output into ``C``."""
-    return CommonInteractionGraph(
-        edges=_edges_from_arrays(
-            reduction["ua"], reduction["ub"], reduction["w"]
-        ),
-        page_counts=reduction["page_counts"],
-        window=window,
-        user_names=user_names,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +161,15 @@ def project(
         Plan executor to run :data:`~repro.exec.plans.PROJECTION_PLAN`
         on; defaults to an in-process
         :class:`~repro.exec.SerialExecutor`.  Pass a
-        :class:`~repro.exec.ParallelExecutor` for multi-core projection —
-        page-aligned sharding keeps the reduction bit-identical.
+        :class:`~repro.exec.ParallelExecutor` for multi-core projection
+        or a :class:`~repro.exec.YgmExecutor` to scatter pages across
+        YGM ranks — page-aligned sharding keeps the reduction
+        bit-identical.
     n_shards:
         Number of page-aligned shards to cut the comment stream into;
-        defaults to adaptive sizing
-        (:func:`~repro.exec.plans.adaptive_shard_count`: ~100 ms of
-        work per shard, at least one per worker, 1 for serial).
+        defaults to the executor's own sizing (``executor.shard_count``:
+        1 for serial, ~100 ms of work per shard on a pool, a fixed
+        number per YGM rank).
 
     Examples
     --------
@@ -209,10 +194,8 @@ def project(
     if executor is None:
         executor = SerialExecutor()
     if n_shards is None:
-        n_shards = adaptive_shard_count(
-            users.shape[0],
-            getattr(executor, "n_workers", 1),
-            PROJECTION_ROWS_PER_SECOND,
+        n_shards = executor.shard_count(
+            users.shape[0], PROJECTION_ROWS_PER_SECOND
         )
     if users.shape[0] == 0:
         shards = []
@@ -224,7 +207,12 @@ def project(
         red = executor.run(PROJECTION_PLAN, shards, context)
 
     with timings.stage("wrap"):
-        ci = ci_from_reduction(red, window, btm.user_names)
+        ci = CommonInteractionGraph(
+            edges=_edges_from_arrays(red["ua"], red["ub"], red["w"]),
+            page_counts=red["page_counts"],
+            window=window,
+            user_names=btm.user_names,
+        )
 
     return ProjectionResult(
         ci=ci,

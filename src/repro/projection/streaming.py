@@ -5,8 +5,8 @@ compute nodes; the single-host analogue is external partitioning.
 Algorithm 1's outer loop is *page-parallel*, so the corpus can be split
 by page hash into spill partitions, each projected independently, and
 the results reduced — the same decomposition
-:func:`repro.projection.distributed.project_distributed` uses across
-ranks, here across disk-backed partitions:
+:func:`repro.projection.project.project` uses across the shards of an
+executor, here across disk-backed partitions:
 
 1. **Pass 1** stream the ndjson once, interning author names into one
    global id space and appending ``(user, page, time)`` rows to

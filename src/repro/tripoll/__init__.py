@@ -3,17 +3,19 @@
 TriPoll [Steil et al., SC'21] computes *surveys* over every triangle of a
 massive graph, delivering per-edge metadata (here: the projection weights
 ``w'``) to a callback, optionally after pre-thresholding edges.  This
-package reproduces that contract with three engines:
+package reproduces that contract over one set of kernels
+(degree-ordered edge orientation, vectorized wedge generation, and a
+sorted-key hash join for the closing edge — O(m^1.5) work):
 
-- :func:`~repro.tripoll.survey.survey_triangles` — the production engine:
-  degree-ordered edge orientation, vectorized wedge generation, and a
-  sorted-key hash join for the closing edge (O(m^1.5) work).
+- :func:`~repro.tripoll.engine.survey_triangles_plan` — the pipeline's
+  Step 2: :data:`repro.exec.plans.SURVEY_PLAN` over wedge-range shards
+  on any executor (serial, worker pool, or YGM ranks closing their
+  wedges against the replicated join table).
+- :func:`~repro.tripoll.survey.survey_triangles` — TriPoll's streaming
+  survey API: one bounded wedge batch at a time delivered to a
+  ``survey_callback`` (see :mod:`~repro.tripoll.aggregate`).
 - :func:`~repro.tripoll.survey.triangles_brute` — an O(n³) oracle for
   tests.
-- :func:`~repro.tripoll.engine.survey_triangles_distributed` — the YGM
-  version: each rank owns the oriented adjacency of its vertices and ships
-  wedge checks to the rank owning the closing edge's tail, mirroring
-  TriPoll's communication pattern.
 
 The survey result is a :class:`~repro.tripoll.survey.TriangleSet` carrying
 all three edge weights per triangle, from which the paper's Step 2 metrics
@@ -27,7 +29,7 @@ from repro.tripoll.survey import (
     triangles_brute,
 )
 from repro.tripoll.metrics import min_edge_weights, t_scores
-from repro.tripoll.engine import survey_triangles_distributed
+from repro.tripoll.engine import survey_triangles_plan
 from repro.tripoll.aggregate import (
     CountAggregator,
     MinWeightHistogram,
@@ -41,7 +43,7 @@ __all__ = [
     "TriangleSet",
     "survey_triangles",
     "triangles_brute",
-    "survey_triangles_distributed",
+    "survey_triangles_plan",
     "min_edge_weights",
     "t_scores",
     "CountAggregator",

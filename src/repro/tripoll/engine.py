@@ -1,49 +1,42 @@
-"""Distributed triangle survey on the YGM runtime (TriPoll's pattern).
+"""The triangle survey as a plan on any executor (TriPoll's pattern).
 
-Runs the same kernels as the serial survey through
-:data:`repro.exec.plans.SURVEY_PLAN` on a
-:class:`~repro.exec.YgmExecutor`:
+:func:`survey_triangles_plan` is the pipeline's Step 2: it runs the same
+kernels as the streaming survey of :mod:`repro.tripoll.survey` through
+:data:`repro.exec.plans.SURVEY_PLAN` on whichever executor it is handed
+— in-process, across a worker pool, or across YGM ranks:
 
 1. the driver builds the degree-ordered forward adjacency and its wedge
    prices once (:func:`repro.kernels.forward_adjacency` /
-   :func:`repro.kernels.wedge_counts`) and broadcasts them to every rank
-   as the plan context — the replicated closing-edge join table of
+   :func:`repro.kernels.wedge_counts`) and hands them to every shard as
+   the plan context — the replicated closing-edge join table of
    TriPoll's metadata survey;
-2. wedge *position ranges* are sharded across ranks
-   (:func:`repro.exec.plans.position_range_shards`), each rank closing
-   its wedges against the broadcast key table
-   (:func:`repro.kernels.close_wedges`);
+2. wedge *position ranges* are the shards
+   (:func:`repro.exec.plans.position_range_shards`), each closed against
+   the shared key table (:func:`repro.kernels.close_wedges`);
 3. the driver concatenates the raw triangle batches in shard order and
    canonicalizes into a :class:`~repro.tripoll.survey.TriangleSet`.
 
-Output equals the single-process engine's exactly — same kernels, same
-shard-ordered concatenation — with the same huge-id compaction guard;
-the equivalence is asserted in tests on both backends.
+Output is identical on every executor and shard count — same kernels,
+same shard-ordered concatenation, same huge-id compaction guard; the
+equivalence is asserted in ``tests/exec/test_plans_on_executors.py``.
 """
 
 from __future__ import annotations
 
-from repro.exec.executors import YgmExecutor
 from repro.exec.plans import (
     SURVEY_PLAN,
     SURVEY_WEDGES_PER_SECOND,
-    adaptive_shard_count,
     position_range_shards,
 )
 from repro.graph.edgelist import EdgeList
-from repro.graph.ordering import degree_order
 from repro.kernels import forward_adjacency, wedge_counts
 from repro.tripoll.survey import (
     TriangleSet,
-    _compact_id_space,
+    _oriented_input,
     _restore_id_space,
 )
-from repro.ygm.world import YgmWorld
 
-__all__ = ["survey_triangles_distributed", "survey_triangles_plan"]
-
-# Shards per rank: >1 so skewed wedge distributions still balance.
-_SHARDS_PER_RANK = 4
+__all__ = ["survey_triangles_plan"]
 
 
 def survey_triangles_plan(
@@ -51,72 +44,42 @@ def survey_triangles_plan(
     executor,
     n_shards: int | None = None,
     min_edge_weight: int = 0,
+    wedge_batch: int = 4_000_000,
 ) -> TriangleSet:
     """Enumerate all triangles of *edges* on an arbitrary plan executor.
 
-    The executor-generic core of the surveyed engine: builds the
-    adjacency and wedge prices once, cuts the wedge positions into
-    *n_shards* ranges (``None`` sizes shards adaptively from the wedge
-    count — ~100 ms of work each, at least one per worker), and runs
-    :data:`~repro.exec.plans.SURVEY_PLAN` through *executor* (serial,
-    parallel, or YGM — same kernels, same shard-ordered concatenation,
-    so output is identical on every backend).  Semantics match
-    :func:`repro.tripoll.survey.survey_triangles`, including the
-    ``min_edge_weight`` pre-threshold.
+    Builds the adjacency and wedge prices once, cuts the wedge positions
+    into *n_shards* ranges (``None`` asks ``executor.shard_count``), and
+    runs :data:`~repro.exec.plans.SURVEY_PLAN` through *executor*.
+    *wedge_batch* caps the wedges any one shard materializes: a small
+    shard count yields more, smaller shards, never unbounded memory.
+    Semantics match :func:`repro.tripoll.survey.survey_triangles`,
+    including the ``min_edge_weight`` pre-threshold.
+
+    Examples
+    --------
+    >>> from repro.exec import SerialExecutor
+    >>> el = EdgeList([0, 0, 1], [1, 2, 2], [5, 4, 3])
+    >>> survey_triangles_plan(el, SerialExecutor()).as_tuples()
+    {(0, 1, 2)}
     """
-    acc = edges.accumulate()
-    if min_edge_weight > 0:
-        acc = acc.threshold(min_edge_weight)
-    if acc.n_edges == 0:
+    oriented = _oriented_input(edges, min_edge_weight)
+    if oriented is None:
         return TriangleSet.empty()
-    # Same huge-id guard as the single-process engine: the join keys are
-    # sized by max_vertex, so sparse graphs over raw platform ids are
-    # relabelled to a dense space first.
-    acc, id_values = _compact_id_space(acc)
-    n = acc.max_vertex + 1
-    rank = degree_order(acc, n)
+    acc, id_values, rank, n = oriented
 
     adj = forward_adjacency(acc.src, acc.dst, acc.weight, rank, n)
     counts, cum = wedge_counts(adj)
     total_wedges = int(cum[-1])
     if n_shards is None:
-        n_shards = adaptive_shard_count(
-            total_wedges,
-            getattr(executor, "n_workers", 1),
-            SURVEY_WEDGES_PER_SECOND,
-        )
-    wedge_batch = max(1, -(-total_wedges // max(1, n_shards)))
-    shards = position_range_shards(counts, cum, wedge_batch)
+        n_shards = executor.shard_count(total_wedges, SURVEY_WEDGES_PER_SECOND)
+    per_shard = max(
+        1, min(int(wedge_batch), -(-total_wedges // max(1, n_shards)))
+    )
+    shards = position_range_shards(counts, cum, per_shard)
 
     raw = executor.run(
         SURVEY_PLAN, shards, {"adj": adj, "counts": counts, "cum": cum}
     )
     out = TriangleSet.from_raw(*raw)
     return _restore_id_space(out, id_values)
-
-
-def survey_triangles_distributed(
-    edges: EdgeList,
-    world: YgmWorld,
-    min_edge_weight: int = 0,
-) -> TriangleSet:
-    """Enumerate all triangles of *edges* across the ranks of *world*.
-
-    Semantics match :func:`repro.tripoll.survey.survey_triangles`
-    (including the ``min_edge_weight`` pre-threshold).
-
-    Examples
-    --------
-    >>> from repro.ygm import YgmWorld
-    >>> el = EdgeList([0, 0, 1], [1, 2, 2], [5, 4, 3])
-    >>> with YgmWorld(2) as world:
-    ...     ts = survey_triangles_distributed(el, world)
-    >>> ts.as_tuples()
-    {(0, 1, 2)}
-    """
-    return survey_triangles_plan(
-        edges,
-        YgmExecutor(world),
-        world.n_ranks * _SHARDS_PER_RANK,
-        min_edge_weight,
-    )

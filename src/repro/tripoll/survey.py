@@ -11,8 +11,9 @@ TriPoll's streaming survey API (``survey_callback`` / ``collect``).
 
 Memory is bounded by ``wedge_batch``: :func:`repro.kernels.triangle_enum`
 yields raw triangle batches whose generating wedge count stays under the
-budget.  The distributed engine (:mod:`repro.tripoll.engine`) runs the
-same kernels through :data:`repro.exec.plans.SURVEY_PLAN`.
+budget.  The pipeline's survey (:mod:`repro.tripoll.engine`) runs the
+same kernels through :data:`repro.exec.plans.SURVEY_PLAN` on any
+executor, after the same :func:`_oriented_input` prologue.
 """
 
 from __future__ import annotations
@@ -208,14 +209,10 @@ def survey_triangles(
     >>> ts.min_weights().tolist()
     [3]
     """
-    acc = edges.accumulate()
-    if min_edge_weight > 0:
-        acc = acc.threshold(min_edge_weight)
-    if acc.n_edges == 0:
+    oriented = _oriented_input(edges, min_edge_weight)
+    if oriented is None:
         return TriangleSet.empty()
-    acc, id_values = _compact_id_space(acc)
-    n = acc.max_vertex + 1
-    rank = degree_order(acc, n)
+    acc, id_values, rank, n = oriented
 
     parts: list[TriangleSet] = []
     for raw in triangle_enum(
@@ -238,6 +235,22 @@ def survey_triangles(
         w_bc=np.concatenate([p.w_bc for p in parts]),
     )
     return _restore_id_space(out, id_values)
+
+
+def _oriented_input(
+    edges: EdgeList, min_edge_weight: int
+) -> tuple[EdgeList, np.ndarray | None, np.ndarray, int] | None:
+    """The prologue every survey shares: accumulate → threshold → compact
+    (:func:`_compact_id_space`) → degree-order.  Returns ``(acc,
+    id_values, rank, n)``, or ``None`` when no edge survives."""
+    acc = edges.accumulate()
+    if min_edge_weight > 0:
+        acc = acc.threshold(min_edge_weight)
+    if acc.n_edges == 0:
+        return None
+    acc, id_values = _compact_id_space(acc)
+    n = acc.max_vertex + 1
+    return acc, id_values, degree_order(acc, n), n
 
 
 def _compact_id_space(acc: EdgeList) -> tuple[EdgeList, np.ndarray | None]:

@@ -1,18 +1,19 @@
 """Correctness subsystem: differential parity + runtime invariants.
 
-The repo's correctness story rests on multiple engines that must agree
-*exactly* (four projection engines, two triangle engines, serial and
-distributed).  This package makes that guarantee executable:
+The repo's correctness story rests on every execution mode agreeing
+*exactly*: three plans, each on the serial, parallel and YGM executors,
+against three reference oracles.  This package makes that guarantee
+executable:
 
-- :mod:`repro.verify.parity` — run one corpus through every engine,
-  structurally diff the outputs against the reference oracle, and shrink
-  any divergence to a minimal counterexample;
+- :mod:`repro.verify.parity` — run one corpus through every plan on
+  every executor, structurally diff the outputs against the reference
+  oracle, and shrink any divergence to a minimal counterexample;
 - :mod:`repro.verify.invariants` — the paper's checkable properties
   (score bounds, ``min(w') <= min(P')``, symmetric dedup, window
   monotonicity) as reusable assertions;
 - :mod:`repro.verify.chaos` — fault-injected parity: a seeded
-  :class:`~repro.ygm.faults.FaultPlan` is unleashed on a distributed run,
-  which must fail typed (or complete), then resume from its checkpoint to
+  :class:`~repro.ygm.faults.FaultPlan` is unleashed on a run over the
+  YGM executor, which must fail typed (or complete), then resume from its checkpoint to
   results identical to the serial oracle;
 - :mod:`repro.verify.bench_gate` — the CI benchmark-regression gate:
   fresh ``BENCH_*.json`` results compared against committed baselines
@@ -63,6 +64,7 @@ from repro.verify.parity import (
     ParityReport,
     default_projection_engines,
     default_triangle_engines,
+    default_validation_engines,
     run_parity,
     shrink_comments,
 )
@@ -105,6 +107,7 @@ __all__ = [
     "ParityReport",
     "default_projection_engines",
     "default_triangle_engines",
+    "default_validation_engines",
     "run_parity",
     "shrink_comments",
 ]

@@ -1,5 +1,5 @@
-"""Chaos parity: inject a fault into a distributed run, demand typed
-failure, then demand exact recovery.
+"""Chaos parity: inject a fault into a run on the YGM executor, demand
+typed failure, then demand exact recovery.
 
 The contract under test is the whole fault-tolerance story end to end:
 
@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.exec.executors import YgmExecutor
 from repro.graph.bipartite import BipartiteTemporalMultigraph
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.framework import CoordinationPipeline
@@ -176,7 +177,9 @@ def run_chaos(
     )
     first: PipelineResult | None = None
     try:
-        first = pipe.run_distributed(btm, faulted, checkpoint_dir=cp_dir)
+        first = pipe.run(
+            btm, executor=YgmExecutor(faulted), checkpoint_dir=cp_dir
+        )
     except YgmError as exc:
         report.first_attempt = "failed-typed"
         report.error = f"{type(exc).__name__}: {exc}"
@@ -192,7 +195,9 @@ def run_chaos(
         with YgmWorld(
             n_ranks, backend=backend, barrier_deadline=barrier_deadline
         ) as clean:
-            recovered = pipe.run_distributed(btm, clean, resume_from=cp_dir)
+            recovered = pipe.run(
+                btm, executor=YgmExecutor(clean), resume_from=cp_dir
+            )
         report.resumed = True
         report.divergences = diff_results(oracle, recovered)
     else:

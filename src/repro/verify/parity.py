@@ -1,17 +1,18 @@
-"""Differential parity harness across every engine of the pipeline.
+"""Differential parity harness: three plans × every executor vs the oracles.
 
-The paper's results are reproducible only if the seven projection
-engines (``project_reference``, ``project``, ``project_bucketed``,
-``project_distributed``, the shared-memory parallel path,
-``project_streaming``, and the incremental projector) and all triangle
-engines (brute-force vs. surveyed, serial vs. distributed vs. parallel)
-agree *exactly*.  All of them are thin orchestration
-over the same :mod:`repro.kernels` layer — serial and distributed paths
-literally run the same :mod:`repro.exec` plan — so exact agreement is by
-construction, and this harness is what makes the claim executable: it
-runs one comment corpus through every engine, structurally diffs the
-outputs against the reference oracle, and — on divergence — shrinks the
-corpus to a minimal counterexample by delta-debugging the comment list.
+The paper's results are reproducible only if every execution mode agrees
+*exactly*.  Each step is one :mod:`repro.exec` plan, so the sweep is
+generated, not listed: per step, the reference oracle, then the step's
+plan on {serial, parallel, ygm} — ``project_reference`` vs
+``PROJECTION_PLAN`` (plus the ``IncrementalProjector`` serving uses and
+the ``project_bucketed`` / ``project_streaming`` adapters), brute force
+vs ``SURVEY_PLAN`` (plus TriPoll's streaming ``survey_triangles``), and
+``hyperedge_count_reference`` vs ``VALIDATION_PLAN``.  All are thin
+orchestration over the same :mod:`repro.kernels` layer, so agreement is
+by construction, and this harness makes the claim executable: it runs
+one comment corpus through every engine, structurally diffs the outputs
+against the oracle, and — on divergence — shrinks the corpus to a
+minimal counterexample by delta-debugging the comment list.
 
 The harness is engine-agnostic: the default registries can be overridden
 with arbitrary callables, which is how the tests prove the harness *can*
@@ -27,11 +28,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.exec.executors import SerialExecutor, YgmExecutor
 from repro.exec.parallel import ParallelExecutor
 from repro.graph.bipartite import BipartiteTemporalMultigraph
 from repro.graph.edgelist import EdgeList
+from repro.hypergraph.incidence import UserPageIncidence
+from repro.hypergraph.triplets import evaluate_triplets
+from repro.kernels import hyperedge_count_reference
 from repro.projection.buckets import project_bucketed
-from repro.projection.distributed import project_distributed
 from repro.projection.incremental import IncrementalProjector
 from repro.projection.project import (
     ProjectionResult,
@@ -40,10 +44,7 @@ from repro.projection.project import (
 )
 from repro.projection.streaming import project_streaming
 from repro.projection.window import TimeWindow
-from repro.tripoll.engine import (
-    survey_triangles_distributed,
-    survey_triangles_plan,
-)
+from repro.tripoll.engine import survey_triangles_plan
 from repro.tripoll.survey import TriangleSet, survey_triangles, triangles_brute
 from repro.ygm.world import YgmWorld
 
@@ -52,12 +53,14 @@ __all__ = [
     "run_parity",
     "default_projection_engines",
     "default_triangle_engines",
+    "default_validation_engines",
     "shrink_comments",
 ]
 
 Comment = tuple  # (author, page, created_utc)
 ProjectionEngine = Callable[[BipartiteTemporalMultigraph, TimeWindow], ProjectionResult]
 TriangleEngine = Callable[[EdgeList, int], TriangleSet]
+ValidationEngine = Callable[[UserPageIncidence, TriangleSet], np.ndarray]
 
 _DIFF_LIMIT = 4  # listed per-item mismatches before eliding
 
@@ -76,6 +79,7 @@ class ParityReport:
     n_comments: int
     projection_engines: list[str]
     triangle_engines: list[str]
+    validation_engines: list[str]
     n_edges: int = 0
     n_triangles: int = 0
     divergences: list[str] = field(default_factory=list)
@@ -93,6 +97,7 @@ class ParityReport:
             f"{self.window}, cutoff {self.min_edge_weight}",
             f"  projection engines: {', '.join(self.projection_engines)}",
             f"  triangle engines:   {', '.join(self.triangle_engines)}",
+            f"  validation engines: {', '.join(self.validation_engines)}",
             f"  reference output:   {self.n_edges:,} CI edges, "
             f"{self.n_triangles:,} triangles",
         ]
@@ -157,28 +162,39 @@ def _into_btm_id_space(
     )
 
 
+def _on_every_executor(
+    run: Callable, n_ranks: int, parallel_workers: int
+) -> dict[str, Callable]:
+    """*run* ``(executor, *args)`` as one engine per executor kind, each
+    on a fresh executor torn down (pool / world) when the call returns."""
+
+    def serial(*args):
+        return run(SerialExecutor(), *args)
+
+    def parallel(*args):
+        with ParallelExecutor(parallel_workers) as ex:
+            return run(ex, *args)
+
+    def ygm(*args):
+        with YgmWorld(n_ranks) as world:
+            return run(YgmExecutor(world), *args)
+
+    return {"plan[serial]": serial, "plan[parallel]": parallel, "plan[ygm]": ygm}
+
+
 def default_projection_engines(
     bucket_width: int | None = None,
     n_ranks: int = 2,
     parallel_workers: int = 2,
 ) -> dict[str, ProjectionEngine]:
-    """All seven projection engines; the first entry is the oracle."""
+    """Step 1: the oracle first, then ``PROJECTION_PLAN`` on every
+    executor, the incremental projector, and the two adapters."""
 
     def _bucketed(btm, window):
         bw = bucket_width
         if bw is None:
             bw = max(1, window.width // 3)
         return project_bucketed(btm, window, bucket_width=bw)
-
-    def _distributed(btm, window):
-        with YgmWorld(n_ranks) as world:
-            return project_distributed(btm, window, world)
-
-    def _parallel(btm, window):
-        with ParallelExecutor(parallel_workers) as ex:
-            return project(
-                btm, window, executor=ex, n_shards=2 * parallel_workers
-            )
 
     def _streaming(btm, window):
         with tempfile.TemporaryDirectory() as spill:
@@ -198,19 +214,22 @@ def default_projection_engines(
 
     return {
         "reference": project_reference,
-        "vectorized": project,
-        "bucketed": _bucketed,
-        "distributed": _distributed,
-        "parallel": _parallel,
-        "streaming": _streaming,
+        **_on_every_executor(
+            lambda ex, btm, window: project(btm, window, executor=ex),
+            n_ranks,
+            parallel_workers,
+        ),
         "incremental": _incremental,
+        "bucketed": _bucketed,
+        "streaming": _streaming,
     }
 
 
 def default_triangle_engines(
     n_ranks: int = 2, parallel_workers: int = 2
 ) -> dict[str, TriangleEngine]:
-    """The triangle engines plus the brute oracle (first entry)."""
+    """Step 2: the brute oracle first, then ``SURVEY_PLAN`` on every
+    executor and TriPoll's streaming survey."""
 
     def _brute(edges, min_w):
         acc = edges.accumulate()
@@ -218,26 +237,42 @@ def default_triangle_engines(
             acc = acc.threshold(min_w)
         return triangles_brute(acc)
 
-    def _surveyed(edges, min_w):
+    def _streaming(edges, min_w):
         return survey_triangles(edges, min_edge_weight=min_w)
-
-    def _distributed(edges, min_w):
-        with YgmWorld(n_ranks) as world:
-            return survey_triangles_distributed(
-                edges, world, min_edge_weight=min_w
-            )
-
-    def _parallel(edges, min_w):
-        with ParallelExecutor(parallel_workers) as ex:
-            return survey_triangles_plan(
-                edges, ex, 2 * parallel_workers, min_edge_weight=min_w
-            )
 
     return {
         "brute": _brute,
-        "surveyed": _surveyed,
-        "distributed": _distributed,
-        "parallel": _parallel,
+        **_on_every_executor(
+            lambda ex, edges, min_w: survey_triangles_plan(
+                edges, ex, min_edge_weight=min_w
+            ),
+            n_ranks,
+            parallel_workers,
+        ),
+        "streaming": _streaming,
+    }
+
+
+def default_validation_engines(
+    n_ranks: int = 2, parallel_workers: int = 2
+) -> dict[str, ValidationEngine]:
+    """Step 3: the reference count first, then ``VALIDATION_PLAN`` on
+    every executor.  Engines return ``w_xyz`` aligned to the triangles."""
+
+    def _reference(inc, triangles):
+        return hyperedge_count_reference(
+            inc.indptr, inc.page_ids, triangles.a, triangles.b, triangles.c
+        )
+
+    return {
+        "reference": _reference,
+        **_on_every_executor(
+            lambda ex, inc, triangles: evaluate_triplets(
+                inc, triangles, executor=ex
+            ).w_xyz,
+            n_ranks,
+            parallel_workers,
+        ),
     }
 
 
@@ -314,12 +349,26 @@ def _diff_triangles(name: str, ref: TriangleSet, got: TriangleSet) -> list[str]:
     return []
 
 
+def _diff_validation(name: str, ref: np.ndarray, got: np.ndarray) -> list[str]:
+    """Diff of hyperedge weights aligned to one canonical triangle set."""
+    if np.array_equal(ref, got):
+        return []
+    if ref.shape != got.shape:
+        return [f"validation[{name}]: {got.shape[0]} weights != {ref.shape[0]}"]
+    i = int(np.flatnonzero(ref != got)[0])
+    return [
+        f"validation[{name}]: w_xyz differs at canonical index {i}: "
+        f"{int(got[i])} != {int(ref[i])}"
+    ]
+
+
 def _diff_once(
     comments: Sequence[Comment],
     window: TimeWindow,
     min_edge_weight: int,
     projection_engines: dict[str, ProjectionEngine],
     triangle_engines: dict[str, TriangleEngine],
+    validation_engines: dict[str, ValidationEngine],
 ) -> tuple[list[str], int, int]:
     """One full differential pass; returns (divergences, n_edges, n_triangles)."""
     btm = BipartiteTemporalMultigraph.from_comments(list(comments))
@@ -341,6 +390,14 @@ def _diff_once(
             ref.ci.edges, min_edge_weight
         ).sorted_canonical()
         msgs += _diff_triangles(name, tri_ref, got)
+
+    inc = UserPageIncidence.from_btm(btm)
+    val_names = list(validation_engines)
+    val_ref = validation_engines[val_names[0]](inc, tri_ref)
+    for name in val_names[1:]:
+        msgs += _diff_validation(
+            name, val_ref, validation_engines[name](inc, tri_ref)
+        )
     return msgs, ref.ci.edges.n_edges, tri_ref.n_triangles
 
 
@@ -396,6 +453,7 @@ def run_parity(
     parallel_workers: int = 2,
     projection_engines: dict[str, ProjectionEngine] | None = None,
     triangle_engines: dict[str, TriangleEngine] | None = None,
+    validation_engines: dict[str, ValidationEngine] | None = None,
     shrink: bool = True,
 ) -> ParityReport:
     """Run every engine on one corpus and diff the outputs exactly.
@@ -407,17 +465,18 @@ def run_parity(
     window:
         The projection window ``(δ1, δ2)``.
     min_edge_weight:
-        Triangle-survey cutoff applied by both triangle engines.
+        Triangle-survey cutoff applied by every triangle engine.
     bucket_width:
         Bucket width for the bucketed engine (default: a third of the
         window so the merge is exercised over ≥ 3 buckets).
     n_ranks:
-        Logical world size for the distributed engines (serial backend).
+        Logical world size for the YGM executor (serial backend).
     parallel_workers:
-        Worker-pool size for the shared-memory parallel engines.
-    projection_engines / triangle_engines:
+        Worker-pool size for the shared-memory parallel executor.
+    projection_engines / triangle_engines / validation_engines:
         Override the registries; the **first** entry of each dict is
-        treated as the oracle the rest are diffed against.
+        treated as the oracle the rest are diffed against.  Validation
+        engines are fed the oracle's canonically sorted triangles.
     shrink:
         On divergence, delta-debug the comment list down to a minimal
         counterexample (re-runs all engines per candidate — affordable
@@ -440,16 +499,19 @@ def run_parity(
     tri = triangle_engines or default_triangle_engines(
         n_ranks=n_ranks, parallel_workers=parallel_workers
     )
+    val = validation_engines or default_validation_engines(
+        n_ranks=n_ranks, parallel_workers=parallel_workers
+    )
     comments = list(comments)
     divergences, n_edges, n_triangles = _diff_once(
-        comments, window, min_edge_weight, proj, tri
+        comments, window, min_edge_weight, proj, tri, val
     )
     counterexample = None
     if divergences and shrink and comments:
         counterexample = shrink_comments(
             comments,
             lambda cand: bool(
-                _diff_once(cand, window, min_edge_weight, proj, tri)[0]
+                _diff_once(cand, window, min_edge_weight, proj, tri, val)[0]
             ),
         )
     return ParityReport(
@@ -458,6 +520,7 @@ def run_parity(
         n_comments=len(comments),
         projection_engines=list(proj),
         triangle_engines=list(tri),
+        validation_engines=list(val),
         n_edges=n_edges,
         n_triangles=n_triangles,
         divergences=divergences,

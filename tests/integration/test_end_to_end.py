@@ -8,8 +8,9 @@ from repro.datagen import RedditDatasetBuilder, score_detection
 from repro.graph import AuthorFilter
 from repro.hypergraph import agglomerate_groups
 from repro.pipeline import CoordinationPipeline, PipelineConfig
-from repro.projection import TimeWindow, project, project_distributed
-from repro.tripoll import survey_triangles, survey_triangles_distributed
+from repro.exec import YgmExecutor
+from repro.projection import TimeWindow, project
+from repro.tripoll import survey_triangles, survey_triangles_plan
 from repro.ygm import YgmWorld
 
 
@@ -100,17 +101,18 @@ class TestMetricRelationships:
 
 
 class TestCrossEngineConsistency:
-    def test_distributed_pipeline_stages_match(self, jan_dataset):
+    def test_ygm_stages_match_at_month_scale(self, jan_dataset):
         btm, _ = AuthorFilter().apply(jan_dataset.btm)
         window = TimeWindow(0, 60)
         serial_proj = project(btm, window)
         with YgmWorld(3) as world:
-            dist_proj = project_distributed(btm, window, world)
+            executor = YgmExecutor(world)
+            dist_proj = project(btm, window, executor=executor)
             serial_tri = survey_triangles(
                 serial_proj.ci.edges, min_edge_weight=25
             ).sorted_canonical()
-            dist_tri = survey_triangles_distributed(
-                dist_proj.ci.edges, world, min_edge_weight=25
+            dist_tri = survey_triangles_plan(
+                dist_proj.ci.edges, executor, min_edge_weight=25
             ).sorted_canonical()
         assert dist_proj.ci.edges.to_dict() == serial_proj.ci.edges.to_dict()
         assert np.array_equal(

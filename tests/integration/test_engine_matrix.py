@@ -1,21 +1,24 @@
 """The engine matrix: every execution path must produce identical results.
 
-One corpus, one configuration — five ways to run it:
+One corpus, one configuration, one ``run`` — on every executor and
+through both memory workarounds:
 
-1. single-process pipeline (`run`),
+1. the config's own serial executor (the reference),
 2. time-bucketed projection,
 3. streaming (out-of-core) projection,
-4. distributed pipeline on the serial YGM backend,
-5. distributed pipeline on the multiprocessing YGM backend.
+4. a shared parallel pool passed as ``executor=``,
+5. the YGM executor on the serial backend,
+6. the YGM executor on the multiprocessing backend.
 
 The CI graph, the surveyed triangles, and the hypergraph metrics must be
-bit-identical across all five — the strongest statement the suite makes
-about the substrates' fidelity.
+bit-identical across all of them — the strongest statement the suite
+makes about the substrates' fidelity.
 """
 
 import numpy as np
 import pytest
 
+from repro.exec import ParallelExecutor, YgmExecutor
 from repro.pipeline import CoordinationPipeline, PipelineConfig
 from repro.projection import TimeWindow, project_streaming
 from repro.ygm import YgmWorld
@@ -78,16 +81,17 @@ class TestEngineMatrix:
         )
         assert tri.n_triangles == reference.n_triangles
 
-    def test_distributed_serial_backend(self, small_dataset, reference):
-        with YgmWorld(3) as world:
-            result = CoordinationPipeline(CONFIG).run_distributed(
-                small_dataset.btm, world
+    def test_parallel_executor(self, small_dataset, reference):
+        with ParallelExecutor(2) as executor:
+            result = CoordinationPipeline(CONFIG).run(
+                small_dataset.btm, executor=executor
             )
         assert_equivalent(result, reference)
 
-    def test_distributed_mp_backend(self, small_dataset, reference):
-        with YgmWorld(2, backend="mp") as world:
-            result = CoordinationPipeline(CONFIG).run_distributed(
-                small_dataset.btm, world
+    @pytest.mark.parametrize("n_ranks, backend", [(3, "serial"), (2, "mp")])
+    def test_ygm_executor(self, small_dataset, reference, n_ranks, backend):
+        with YgmWorld(n_ranks, backend=backend) as world:
+            result = CoordinationPipeline(CONFIG).run(
+                small_dataset.btm, executor=YgmExecutor(world)
             )
         assert_equivalent(result, reference)

@@ -1,10 +1,10 @@
 """Cross-backend parity property: every engine, randomized corpora.
 
-Runs 50+ randomized BTMs through the full engine registries — all six
-projection variants and all three triangle engines, every one thin
-orchestration over :mod:`repro.kernels` dispatched through the
-:mod:`repro.exec` plan layer — and asserts bit-for-bit equal results via
-the differential harness of :mod:`repro.verify.parity`.
+Runs 50+ randomized BTMs through the full generated registries — each
+step's plan on the serial, parallel and YGM executors, the incremental
+projector and the bucketed/streaming adapters, every one thin
+orchestration over :mod:`repro.kernels` — and asserts bit-for-bit equal
+results via the differential harness of :mod:`repro.verify.parity`.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ from repro.projection.window import TimeWindow
 from repro.verify.parity import (
     default_projection_engines,
     default_triangle_engines,
+    default_validation_engines,
     run_parity,
 )
 
@@ -51,18 +52,12 @@ class TestCrossBackendParity:
         assert report.ok, report.describe()
 
     def test_registries_cover_every_engine(self):
-        assert set(default_projection_engines()) == {
+        plans = {"plan[serial]", "plan[parallel]", "plan[ygm]"}
+        assert set(default_projection_engines()) == plans | {
             "reference",
-            "vectorized",
-            "bucketed",
-            "distributed",
-            "parallel",
-            "streaming",
             "incremental",
+            "bucketed",
+            "streaming",
         }
-        assert set(default_triangle_engines()) == {
-            "brute",
-            "surveyed",
-            "distributed",
-            "parallel",
-        }
+        assert set(default_triangle_engines()) == plans | {"brute", "streaming"}
+        assert set(default_validation_engines()) == plans | {"reference"}

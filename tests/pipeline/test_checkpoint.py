@@ -1,8 +1,11 @@
-"""Checkpoint/resume and the distributed retry policy."""
+"""Checkpoint/resume and the YGM executor's retry policy."""
+
+from contextlib import closing
 
 import numpy as np
 import pytest
 
+from repro.exec import YgmExecutor
 from repro.pipeline import (
     CheckpointMismatchError,
     CoordinationPipeline,
@@ -113,15 +116,17 @@ class TestCheckpointResume:
 
 
 @pytest.mark.faults
-class TestDistributedRetry:
-    def test_worker_death_costs_one_stage_not_the_run(
+class TestYgmExecutorRetry:
+    """The retry policy lives behind the executor seam: the pipeline only
+    reports how many re-attempts its run cost."""
+
+    def test_worker_death_costs_one_plan_run_not_the_pipeline(
         self, small_dataset, tmp_path
     ):
         """Crash rank 1 on the first attempt; the retry (fresh backend)
         must complete with results identical to the serial run."""
-        pipe = CoordinationPipeline(_config(max_stage_retries=2,
-                                            retry_backoff=0.01))
-        ref = CoordinationPipeline(_config()).run(small_dataset.btm)
+        pipe = CoordinationPipeline(_config())
+        ref = pipe.run(small_dataset.btm)
         made = []
 
         def factory(attempt):
@@ -135,72 +140,86 @@ class TestDistributedRetry:
             made.append(world)
             return world
 
-        got = pipe.run_distributed(
-            small_dataset.btm,
-            world_factory=factory,
-            checkpoint_dir=str(tmp_path),
-        )
+        with closing(
+            YgmExecutor(world_factory=factory, max_retries=2, retry_backoff=0.01)
+        ) as executor:
+            got = pipe.run(
+                small_dataset.btm,
+                executor=executor,
+                checkpoint_dir=str(tmp_path),
+            )
         assert got.stage_retries == 1
         assert got.stats["stage_retries"] == 1
         assert len(made) == 2
         assert_results_equal(ref, got)
-        # Every pipeline-owned world was torn down, dead or alive.
+        # Every executor-owned world was torn down, dead or alive.
         for world in made:
             assert all(not w.is_alive() for w in world.backend._workers)
 
-    def test_retries_exhausted_reraises_typed(self, small_dataset, tmp_path):
-        pipe = CoordinationPipeline(_config(max_stage_retries=1,
-                                            retry_backoff=0.01))
-
-        def always_faulty(attempt):
-            # Serial backend with a simulated crash: fast and deterministic.
-            return YgmWorld(
-                2, fault_plan=FaultPlan.single("crash", rank=0, at_message=2)
-            )
-
-        with pytest.raises(WorkerDiedError):
-            pipe.run_distributed(
-                small_dataset.btm,
-                world_factory=always_faulty,
-                checkpoint_dir=str(tmp_path),
-            )
-
-    def test_no_retry_without_checkpoint(self, small_dataset):
-        """The retry policy only arms when stage inputs are checkpointed."""
-        pipe = CoordinationPipeline(_config(max_stage_retries=3,
-                                            retry_backoff=0.01))
-        calls = []
-
+    @staticmethod
+    def _always_faulty(calls):
         def factory(attempt):
+            # Serial backend with a simulated crash: fast and deterministic.
             calls.append(attempt)
             return YgmWorld(
                 2, fault_plan=FaultPlan.single("crash", rank=0, at_message=2)
             )
 
-        with pytest.raises(WorkerDiedError):
-            pipe.run_distributed(small_dataset.btm, world_factory=factory)
+        return factory
+
+    def test_retries_exhausted_reraises_typed(self, small_dataset):
+        calls = []
+        with closing(
+            YgmExecutor(
+                world_factory=self._always_faulty(calls),
+                max_retries=1,
+                retry_backoff=0.01,
+            )
+        ) as executor:
+            with pytest.raises(WorkerDiedError):
+                CoordinationPipeline(_config()).run(
+                    small_dataset.btm, executor=executor
+                )
+        assert calls == [0, 1] and executor.retries == 1
+
+    def test_no_retry_unless_asked(self, small_dataset):
+        calls = []
+        with closing(
+            YgmExecutor(world_factory=self._always_faulty(calls))
+        ) as executor:
+            with pytest.raises(WorkerDiedError):
+                CoordinationPipeline(_config()).run(
+                    small_dataset.btm, executor=executor
+                )
         assert calls == [0]
 
-    def test_world_and_factory_are_mutually_exclusive(self, small_dataset):
-        pipe = CoordinationPipeline(_config())
+    def test_borrowed_world_is_never_replaced(self, small_dataset):
+        plan = FaultPlan.single("crash", rank=0, at_message=2)
+        with YgmWorld(2, fault_plan=plan) as world:
+            executor = YgmExecutor(world, max_retries=3)
+            with pytest.raises(WorkerDiedError):
+                CoordinationPipeline(_config()).run(
+                    small_dataset.btm, executor=executor
+                )
+            assert executor.retries == 0 and executor.world is world
+
+    def test_world_and_factory_are_mutually_exclusive(self):
         with pytest.raises(ValueError, match="exactly one"):
-            pipe.run_distributed(small_dataset.btm)
+            YgmExecutor()
         with YgmWorld(2) as world:
             with pytest.raises(ValueError, match="exactly one"):
-                pipe.run_distributed(
-                    small_dataset.btm, world, world_factory=lambda k: world
-                )
+                YgmExecutor(world, world_factory=lambda k: world)
 
-    def test_distributed_resume_after_serial_checkpoint(
-        self, small_dataset, tmp_path
-    ):
-        """Checkpoints are engine-agnostic: a serial run's artifacts resume
-        under the distributed entry point and vice versa."""
+    def test_ygm_resume_after_serial_checkpoint(self, small_dataset, tmp_path):
+        """Checkpoints are executor-agnostic: a serial run's artifacts
+        resume on the YGM executor and vice versa."""
         pipe = CoordinationPipeline(_config())
         ref = pipe.run(small_dataset.btm, checkpoint_dir=str(tmp_path))
         with YgmWorld(2) as world:
-            got = pipe.run_distributed(
-                small_dataset.btm, world, resume_from=str(tmp_path)
+            got = pipe.run(
+                small_dataset.btm,
+                executor=YgmExecutor(world),
+                resume_from=str(tmp_path),
             )
         assert "step1.project" in got.resumed_stages
         assert_results_equal(ref, got)

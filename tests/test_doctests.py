@@ -23,7 +23,6 @@ MODULES = [
     "repro.projection.window",
     "repro.projection.project",
     "repro.projection.buckets",
-    "repro.projection.distributed",
     "repro.projection.cores",
     "repro.projection.streaming",
     "repro.tripoll.survey",

@@ -9,6 +9,7 @@ from repro.tripoll.survey import TriangleSet
 from repro.verify import (
     default_projection_engines,
     default_triangle_engines,
+    default_validation_engines,
     run_parity,
     shrink_comments,
 )
@@ -155,6 +156,26 @@ class TestBrokenEngineDetection:
         assert any("w_ab" in d for d in report.divergences)
 
 
+    def test_broken_validation_kernel_detected(self):
+        def undercounts(inc, triangles):
+            w = default_validation_engines()["reference"](inc, triangles)
+            return np.maximum(w - 1, 0)
+
+        val = default_validation_engines()
+        val["undercount"] = undercounts
+        report = run_parity(
+            TRIANGLE_CORPUS,
+            TimeWindow(0, 60),
+            min_edge_weight=1,
+            validation_engines=val,
+            shrink=False,
+        )
+        assert "validation engines:" in report.describe()
+        assert not report.ok
+        assert any("validation[undercount]" in d for d in report.divergences)
+        assert all("plan[" not in d for d in report.divergences)
+
+
 class TestShrinking:
     def test_requires_failing_input(self):
         with pytest.raises(ValueError):
@@ -175,6 +196,7 @@ class TestOracleFirstConvention:
     def test_reference_engines_lead_the_registries(self):
         assert next(iter(default_projection_engines())) == "reference"
         assert next(iter(default_triangle_engines())) == "brute"
+        assert next(iter(default_validation_engines())) == "reference"
 
     def test_reference_is_the_verbatim_transcription(self):
         assert default_projection_engines()["reference"] is project_reference
