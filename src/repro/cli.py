@@ -690,6 +690,51 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     return 0 if report.ok else 1
 
 
+def _print_top(
+    out, header: str, rows: list[dict], *, hypergraph: bool = True
+) -> None:
+    """One ranked-triplet block: *header*, then a line per row."""
+    print(header, file=out)
+    if not rows:
+        print("  (no triplets above the cutoff)", file=out)
+    for row in rows:
+        x, y, z = row["authors"]
+        line = f"  {x} / {y} / {z}  min_w'={row['min_weight']} T={row['t']:.4f}"
+        if hypergraph:
+            line += f" w_xyz={row['w_xyz']} C={row['c']:.4f}"
+        print(line, file=out)
+
+
+def _print_shutdown(
+    args,
+    out,
+    metrics,
+    consumed: int,
+    detail: str,
+    top_k=None,
+    *,
+    hypergraph: bool = True,
+) -> None:
+    """The closing report of every serve variant: why, state, final top-k.
+
+    *top_k* is the variant's ``top_k_triplets``; it is called only after
+    the state lines are out, so a caller can catch its failure and still
+    have reported the shutdown.  ``None`` skips the ranking.
+    """
+    interrupted = metrics.counter("service.interrupted").value
+    why = "interrupt" if interrupted else "end of stream"
+    print(f"\nshutdown ({why}): {consumed:,} events consumed", file=out)
+    print(detail, file=out)
+    if top_k is not None:
+        rows = top_k(args.top, by=args.rank_by)
+        _print_top(
+            out,
+            f"final top {args.top} by {args.rank_by}:",
+            rows,
+            hypergraph=hypergraph,
+        )
+
+
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     from contextlib import nullcontext
 
@@ -738,20 +783,6 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             queue_policy=args.queue_policy,
         )
 
-    def report_top(header: str) -> None:
-        print(header, file=out)
-        rows = service.engine.top_k_triplets(args.top, by=args.rank_by)
-        if not rows:
-            print("  (no triplets above the cutoff)", file=out)
-        for row in rows:
-            x, y, z = row["authors"]
-            print(
-                f"  {x} / {y} / {z}  "
-                f"min_w'={row['min_weight']} T={row['t']:.4f} "
-                f"w_xyz={row['w_xyz']} C={row['c']:.4f}",
-                file=out,
-            )
-
     def on_tick(svc, report) -> None:
         ticks = svc.metrics.counter("service.ticks").value
         if args.metrics_every and ticks % args.metrics_every == 0:
@@ -765,7 +796,11 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
                 f"queue={status['queue_depth']}",
                 file=out,
             )
-            report_top(f"[tick {ticks}] top {args.top} by {args.rank_by}:")
+            _print_top(
+                out,
+                f"[tick {ticks}] top {args.top} by {args.rank_by}:",
+                svc.top_k_triplets(args.top, by=args.rank_by),
+            )
 
     sink.bind(service.status)
     try:
@@ -781,18 +816,18 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
 
         status = service.status()
         sink.bind(status)
-        interrupted = service.metrics.counter("service.interrupted").value
-        why = "interrupt" if interrupted else "end of stream"
-        print(f"\nshutdown ({why}): {consumed:,} events consumed", file=out)
-        print(
+        _print_shutdown(
+            args,
+            out,
+            service.metrics,
+            consumed,
             f"final state: live={status['live_comments']:,} "
             f"pages={status['live_pages']:,} "
             f"edges={status['thresholded_edges']:,} "
             f"triangles={status['triangles']:,} "
             f"malformed={status['ingest_malformed']:,}",
-            file=out,
+            service.top_k_triplets,
         )
-        report_top(f"final top {args.top} by {args.rank_by}:")
         print("", file=out)
         print(service.metrics.format(), file=out)
         if args.durable:
@@ -912,31 +947,16 @@ def _serve_supervised(args: argparse.Namespace, config, out) -> int:
             )
         status = supervisor.status()
         sink.bind(status)
-        why = (
-            "interrupt"
-            if supervisor.metrics.counter("service.interrupted").value
-            else "end of stream"
-        )
-        print(f"\nshutdown ({why}): {consumed:,} events consumed", file=out)
-        print(
+        _print_shutdown(
+            args,
+            out,
+            supervisor.metrics,
+            consumed,
             f"supervision: restarts={status['restarts']} "
             f"degraded={status['degraded']} shed={status['shed_events']:,} "
             f"acked={status['acked_events']:,}",
-            file=out,
+            None if supervisor.degraded else supervisor.top_k_triplets,
         )
-        if not supervisor.degraded:
-            rows = supervisor.top_k_triplets(args.top, by=args.rank_by)
-            print(f"final top {args.top} by {args.rank_by}:", file=out)
-            if not rows:
-                print("  (no triplets above the cutoff)", file=out)
-            for row in rows:
-                x, y, z = row["authors"]
-                print(
-                    f"  {x} / {y} / {z}  "
-                    f"min_w'={row['min_weight']} T={row['t']:.4f} "
-                    f"w_xyz={row['w_xyz']} C={row['c']:.4f}",
-                    file=out,
-                )
         supervisor.close()
         print(f"durable state persisted to {args.durable}", file=out)
     except BaseException as exc:
@@ -984,8 +1004,10 @@ def _serve_sharded(args: argparse.Namespace, config, out) -> int:
         ingest_sharding=args.ingest_sharding,
         directory=args.durable,
         heartbeat_timeout=args.heartbeat_timeout,
-        max_shard_restarts=args.max_restarts,
-        restart_backoff=args.backoff_base,
+        max_restarts=args.max_restarts,
+        restart_window=args.restart_window,
+        backoff_base=args.backoff_base,
+        backoff_cap=args.backoff_cap,
         forward_batch=args.batch_size,
         queue_capacity=args.queue_capacity,
         window_horizon=args.horizon,
@@ -1055,32 +1077,20 @@ def _serve_sharded(args: argparse.Namespace, config, out) -> int:
                 pass
         status = service.status()
         sink.bind(status)
-        why = (
-            "interrupt"
-            if service.metrics.counter("service.interrupted").value
-            else "end of stream"
-        )
-        print(f"\nshutdown ({why}): {consumed:,} events consumed", file=out)
         up = sum(1 for s in status["shards"] if s["up"])
         restarts = int(service.metrics.counter("sharded.restarts").value)
         shed = int(service.metrics.counter("sharded.shed").value)
-        print(
-            f"shards: {up}/{status['n_shards']} up, "
-            f"restarts={restarts}, shed={shed:,}",
-            file=out,
-        )
         try:
-            rows = service.top_k_triplets(args.top, by=args.rank_by)
-            print(f"final top {args.top} by {args.rank_by}:", file=out)
-            if not rows:
-                print("  (no triplets above the cutoff)", file=out)
-            for row in rows:
-                x, y, z = row["authors"]
-                print(
-                    f"  {x} / {y} / {z}  "
-                    f"min_w'={row['min_weight']} T={row['t']:.4f}",
-                    file=out,
-                )
+            _print_shutdown(
+                args,
+                out,
+                service.metrics,
+                consumed,
+                f"shards: {up}/{status['n_shards']} up, "
+                f"restarts={restarts}, shed={shed:,}",
+                service.top_k_triplets,
+                hypergraph=False,
+            )
         except (ShardUnavailableError, ValueError) as exc:
             print(f"final top-k unavailable: {exc}", file=out)
         if args.durable:

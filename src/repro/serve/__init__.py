@@ -35,9 +35,9 @@ Layers (each usable on its own):
   either replicated or partitioned by page hash (:func:`page_shard_of`);
 - :mod:`repro.serve.exchange` — the page-mode partial-weight exchange:
   ingest shards publish ``w'``/``P'``/incidence partials over the shm
-  output path, :func:`merge_partials` sums them exactly, and
-  :class:`AggregateView` runs CI thresholding + triangle scoring once
-  over the merged weights;
+  output path and :func:`merge_partials` sums them exactly into the
+  ledgers of one :class:`ScoringCore` (the engine's own thresholding,
+  scoring and query code);
 - :mod:`repro.serve.http` — :class:`HttpGateway`, the stdlib
   ``ThreadingHTTPServer`` front door (``/topk``, ``/user/<id>/score``,
   ``/component/<id>``, ``/status``, ``/metrics`` in Prometheus text
@@ -48,9 +48,8 @@ Layers (each usable on its own):
   scores.
 """
 
-from repro.serve.engine import BatchReport, DetectionEngine
+from repro.serve.engine import BatchReport, DetectionEngine, ScoringCore
 from repro.serve.exchange import (
-    AggregateView,
     MergedWeights,
     PartialExchangeError,
     PartialWeights,
@@ -81,7 +80,6 @@ from repro.serve.supervisor import DegradedError, ServeSupervisor
 from repro.serve.wal import WriteAheadLog, read_wal, wal_end_state
 
 __all__ = [
-    "AggregateView",
     "BatchReport",
     "Counter",
     "DetectionEngine",
@@ -97,6 +95,7 @@ __all__ = [
     "MultiLayerDetectionEngine",
     "PartialExchangeError",
     "PartialWeights",
+    "ScoringCore",
     "ServeSupervisor",
     "ServiceMetrics",
     "ShardUnavailableError",

@@ -37,6 +37,7 @@ its window has already been evicted and answered for.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -47,10 +48,16 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.framework import component_reports
 from repro.pipeline.results import PipelineResult
 from repro.projection.incremental import IncrementalProjector
+from repro.serve.ingest import shard_of
 from repro.serve.metrics import ServiceMetrics
 from repro.tripoll.survey import TriangleSet
 
-__all__ = ["BatchReport", "DetectionEngine"]
+__all__ = ["BatchReport", "DetectionEngine", "ScoringCore"]
+
+#: A user/page key of a :class:`ScoringCore`: hashable and totally
+#: ordered (dense interner ids in the engine, names in the aggregate).
+_Key = Any
+_TriKey = tuple[Any, Any, Any]
 
 
 @dataclass(frozen=True)
@@ -94,8 +101,414 @@ class _TriScore:
         self.c = 0.0
 
 
-class DetectionEngine:
+class ScoringCore:
+    """Steps 2–3 over CI ledgers: threshold, close triangles, score, answer.
+
+    Holds the ``w'`` pair weights, the ``P'`` ledger and the live
+    user→page incidence, derives the thresholded adjacency and the
+    triangle store (``T`` of eq. 7, ``w_xyz``/``C`` of eqs. 2–4) from
+    them, and answers every query over that state.  Keys only have to be
+    hashable and totally ordered, so the one implementation serves both
+    users of it:
+
+    - :class:`DetectionEngine` keys by dense interner ids and keeps the
+      derived stores current incrementally (dirty-edge maintenance);
+    - the sharded tier's page mode constructs a core straight from the
+      name-keyed ledgers the partial-weight exchange merged
+      (:class:`~repro.serve.exchange.MergedWeights`).
+
+    Both therefore threshold, close, score, rank and tie-break with the
+    same code — "aggregate ≡ engine" holds by construction.
+
+    Parameters
+    ----------
+    config:
+        Supplies ``min_triangle_weight``, ``compute_hypergraph`` and
+        ``min_component_size``.
+    pair_weights / page_counts / incidence:
+        Ledgers to load (adopted, not copied): ``{(a, b): w'}`` with
+        ``a < b``, nonzero ``{user: P'}``, and ``{user: {page: count}}``.
+        Omitted = empty, for a subclass that fills them itself.
+    """
+
+    def __init__(
+        self,
+        config: PipelineConfig | None = None,
+        *,
+        pair_weights: dict | None = None,
+        page_counts: dict | None = None,
+        incidence: dict | None = None,
+        metrics: ServiceMetrics | None = None,
+    ) -> None:
+        self.config = config if config is not None else PipelineConfig()
+        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        # Running CI state: accumulated edge weights w' and the P' ledger
+        # (nonzero entries only).
+        self._ci: dict[tuple[_Key, _Key], int] = (
+            pair_weights if pair_weights is not None else {}
+        )
+        self._pprime: dict[_Key, int] = (
+            page_counts if page_counts is not None else {}
+        )
+        # Live incidence: user -> {page: live comment count}.
+        self._user_pages: dict[_Key, dict[_Key, int]] = (
+            incidence if incidence is not None else {}
+        )
+        # Thresholded adjacency and the triangle store over it.
+        self._adj: dict[_Key, dict[_Key, int]] = {}
+        self._tris: dict[_TriKey, _TriScore] = {}
+        self._tri_by_user: dict[_Key, set[_TriKey]] = {}
+        if self._ci:
+            self._rebuild_triangles()
+
+    # -- key <-> author-name translation (identity for name-keyed ledgers) ------
+    def _name_of(self, key: _Key) -> str:
+        return key
+
+    def _key_of(self, author: str) -> _Key | None:
+        return author
+
+    def _rebuild_triangles(self) -> None:
+        """Derive adjacency, triangles and scores from the ledgers."""
+        cutoff = self.config.min_triangle_weight
+        self._adj = {}
+        for (u, v), w in self._ci.items():
+            if w >= cutoff:
+                self._adj.setdefault(u, {})[v] = w
+                self._adj.setdefault(v, {})[u] = w
+        self._tris = {}
+        self._tri_by_user = {}
+        for u, nbrs in self._adj.items():
+            for v in nbrs:
+                if v <= u:
+                    continue
+                for w in nbrs.keys() & self._adj[v].keys():
+                    if w <= v:
+                        continue
+                    key = (u, v, w)
+                    self._tris[key] = _TriScore(
+                        self._adj[u][v], self._adj[u][w], self._adj[v][w]
+                    )
+                    for vertex in key:
+                        self._tri_by_user.setdefault(vertex, set()).add(key)
+        self._rescore(self._tris)
+
+    # -- dirty-edge maintenance -------------------------------------------------
+    def _update_triangles(
+        self, dirty_edges: list[tuple[_Key, _Key]]
+    ) -> tuple[int, int, set[_TriKey]]:
+        """Fold dirty-edge deltas into ``w'``, the thresholded adjacency,
+        and the triangle store; returns (added, removed, keys to rescore).
+        """
+        cutoff = self.config.min_triangle_weight
+        adj = self._adj
+        added = removed = 0
+        rescore: set[_TriKey] = set()
+        for u, v in dirty_edges:
+            new_w = self._ci.get((u, v), 0)
+            was_above = v in adj.get(u, ())
+            if new_w >= cutoff:
+                if was_above:
+                    adj[u][v] = new_w
+                    adj[v][u] = new_w
+                    for key in self._tris_with_edge(u, v):
+                        self._set_tri_weight(key, u, v, new_w)
+                        rescore.add(key)
+                else:
+                    nbrs_u = adj.setdefault(u, {})
+                    nbrs_v = adj.setdefault(v, {})
+                    common = nbrs_u.keys() & nbrs_v.keys()
+                    nbrs_u[v] = new_w
+                    nbrs_v[u] = new_w
+                    for w in common:
+                        key = tuple(sorted((u, v, w)))
+                        if key in self._tris:
+                            # Another dirty edge of the same new triangle
+                            # already closed it this batch.
+                            self._set_tri_weight(key, u, v, new_w)
+                            rescore.add(key)
+                            continue
+                        tri = _TriScore(0, 0, 0)
+                        self._tris[key] = tri
+                        self._set_tri_weight(key, u, v, new_w)
+                        self._set_tri_weight(key, u, w, nbrs_u[w])
+                        self._set_tri_weight(key, v, w, nbrs_v[w])
+                        for vertex in key:
+                            self._tri_by_user.setdefault(vertex, set()).add(key)
+                        rescore.add(key)
+                        added += 1
+            elif was_above:
+                del adj[u][v]
+                del adj[v][u]
+                if not adj[u]:
+                    del adj[u]
+                if not adj[v]:
+                    del adj[v]
+                for key in self._tris_with_edge(u, v):
+                    del self._tris[key]
+                    rescore.discard(key)
+                    for vertex in key:
+                        owners = self._tri_by_user[vertex]
+                        owners.discard(key)
+                        if not owners:
+                            del self._tri_by_user[vertex]
+                    removed += 1
+        return added, removed, rescore
+
+    def _tris_with_edge(self, u: _Key, v: _Key) -> list[_TriKey]:
+        a = self._tri_by_user.get(u)
+        b = self._tri_by_user.get(v)
+        if not a or not b:
+            return []
+        return list(a & b)
+
+    def _set_tri_weight(self, key: _TriKey, u: _Key, v: _Key, w: int) -> None:
+        tri = self._tris[key]
+        lo, hi = (u, v) if u < v else (v, u)
+        a, b, c = key
+        if (lo, hi) == (a, b):
+            tri.w_ab = w
+        elif (lo, hi) == (a, c):
+            tri.w_ac = w
+        else:
+            tri.w_bc = w
+
+    def _rescore(self, keys: Iterable[_TriKey]) -> None:
+        pprime = self._pprime
+        user_pages = self._user_pages
+        hyper = self.config.compute_hypergraph
+        for key in keys:
+            tri = self._tris.get(key)
+            if tri is None:
+                continue
+            a, b, c = key
+            min_w = min(tri.w_ab, tri.w_ac, tri.w_bc)
+            denom = pprime.get(a, 0) + pprime.get(b, 0) + pprime.get(c, 0)
+            # Same kernel as the batch path, so online and batch scores
+            # are bit-for-bit identical by construction.
+            tri.t = normalized_score_scalar(min_w, denom)
+            if hyper:
+                pa = user_pages.get(a, {})
+                pb = user_pages.get(b, {})
+                pc = user_pages.get(c, {})
+                sets = sorted((pa, pb, pc), key=len)
+                small = sets[0].keys() & sets[1].keys()
+                tri.w_xyz = (
+                    len(small & sets[2].keys()) if small else 0
+                )
+                tri.p_sum = len(pa) + len(pb) + len(pc)
+                tri.c = normalized_score_scalar(tri.w_xyz, tri.p_sum)
+
+    # -- edge-weight bookkeeping (kept next to the diff that feeds it) ---------
+    def _fold_edge_deltas(self, edge_delta: dict[tuple[_Key, _Key], int]) -> None:
+        for pair, delta in edge_delta.items():
+            if not delta:
+                continue
+            new_w = self._ci.get(pair, 0) + delta
+            if new_w:
+                self._ci[pair] = new_w
+            else:
+                self._ci.pop(pair, None)
+
+    # -- queries ----------------------------------------------------------------
+    def top_k_triplets(self, k: int, by: str = "t") -> list[dict]:
+        """The *k* highest-scoring live triplets as name-keyed rows.
+
+        ``by`` ranks by ``"t"`` (eq. 7), ``"c"`` (eq. 4, requires
+        ``compute_hypergraph``), or ``"min_weight"``.  Rows are sorted by
+        descending score with the lexicographic author triple as the
+        deterministic tie-break, and carry every per-triplet metric, so
+        the result is directly comparable with a batch run's (see
+        :func:`repro.analysis.export.top_triplets_rows`).
+        """
+        with self.metrics.time("engine.query"):
+            rows = self._triplet_rows()
+            key = self._rank_key(by)
+            rows.sort(key=lambda r: (-r[key], r["authors"]))
+            return rows[: max(int(k), 0)]
+
+    def _rank_key(self, by: str) -> str:
+        if by == "t":
+            return "t"
+        if by == "min_weight":
+            return "min_weight"
+        if by == "c":
+            if not self.config.compute_hypergraph:
+                raise ValueError(
+                    "ranking by C requires compute_hypergraph=True"
+                )
+            return "c"
+        raise ValueError(f"unknown ranking {by!r} (use t, c, min_weight)")
+
+    def _triplet_rows(self) -> list[dict]:
+        # Name each user once, not once per triangle it is in.
+        name = {u: self._name_of(u) for u in self._tri_by_user}
+        rows = []
+        for (a, b, c), tri in self._tris.items():
+            names = tuple(sorted((name[a], name[b], name[c])))
+            rows.append(
+                {
+                    "authors": names,
+                    "min_weight": min(tri.w_ab, tri.w_ac, tri.w_bc),
+                    "weights": tuple(sorted((tri.w_ab, tri.w_ac, tri.w_bc))),
+                    "t": tri.t,
+                    "w_xyz": tri.w_xyz,
+                    "p_sum": tri.p_sum,
+                    "c": tri.c,
+                }
+            )
+        return rows
+
+    def user_score(self, author: str) -> dict:
+        """Live per-author summary: ``P'``, page count, degree, best scores.
+
+        Returns a row with ``present=False`` (zeros elsewhere) for
+        authors not currently in the live window — a monitoring query
+        must not throw on unknown names.
+        """
+        with self.metrics.time("engine.query"):
+            uid = self._key_of(author)
+            if uid is None or uid not in self._user_pages:
+                return {
+                    "author": author,
+                    "present": False,
+                    "p_prime": 0,
+                    "pages": 0,
+                    "degree": 0,
+                    "n_triplets": 0,
+                    "best_t": 0.0,
+                    "best_c": 0.0,
+                }
+            tris = self._tri_by_user.get(uid, set())
+            return {
+                "author": author,
+                "present": True,
+                "p_prime": self._pprime.get(uid, 0),
+                "pages": len(self._user_pages.get(uid, {})),
+                "degree": len(self._adj.get(uid, {})),
+                "n_triplets": len(tris),
+                "best_t": max((self._tris[k].t for k in tris), default=0.0),
+                "best_c": max((self._tris[k].c for k in tris), default=0.0),
+            }
+
+    def component_of(self, author: str) -> list[str]:
+        """Sorted member names of *author*'s thresholded-graph component.
+
+        Empty when the author is absent or isolated at the current
+        cutoff (no ``min_component_size`` floor is applied here — this
+        is the investigative "who is this account coordinating with"
+        query).
+        """
+        with self.metrics.time("engine.query"):
+            uid = self._key_of(author)
+            if uid is None or uid not in self._adj:
+                return []
+            return sorted(map(self._name_of, self._reachable(uid)))
+
+    def _reachable(self, start: _Key) -> set[_Key]:
+        """Vertices connected to *start* in the thresholded adjacency."""
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in self._adj.get(u, ()):
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+            frontier = nxt
+        return seen
+
+    def components(self) -> list[list[str]]:
+        """All candidate networks (components ≥ ``min_component_size``),
+        each as a sorted name list, largest first."""
+        with self.metrics.time("engine.query"):
+            seen: set[_Key] = set()
+            out: list[list[str]] = []
+            for start in sorted(self._adj):
+                if start in seen:
+                    continue
+                comp = self._reachable(start)
+                seen |= comp
+                if len(comp) >= self.config.min_component_size:
+                    out.append(sorted(map(self._name_of, comp)))
+            out.sort(key=lambda names: (-len(names), names))
+            return out
+
+    def owned_top_k_triplets(
+        self, k: int, shard_id: int, n_shards: int, by: str = "t"
+    ) -> list[dict]:
+        """The *k* best live triplets **owned** by one query shard.
+
+        Under the user-hash partition of the serving tier
+        (:func:`repro.serve.ingest.shard_of`) a triplet is owned by the
+        shard of its lexicographically-first author, so every triplet is
+        owned exactly once.  Each shard's owned list is the global
+        ranking restricted to its keyspace — any global top-k row is
+        therefore within the first k of its owner's list, which makes
+        the gateway's k-way merge (:func:`repro.serve.shard.merge_topk`)
+        exact.  Rows and ordering are identical to
+        :meth:`top_k_triplets` restricted to owned triplets.
+        """
+        rows = self.top_k_triplets(len(self._tris), by=by)
+        owned = [
+            r for r in rows if shard_of(r["authors"][0], n_shards) == shard_id
+        ]
+        return owned[: max(int(k), 0)]
+
+    def owned_component_fragment(
+        self, shard_id: int, n_shards: int
+    ) -> dict[str, list]:
+        """This shard's fragment of the thresholded graph, name-keyed.
+
+        ``vertices`` are the owned users present in the thresholded
+        adjacency; ``edges`` every edge incident to an owned vertex as a
+        sorted name pair — *including* boundary edges whose far end
+        another shard owns.  Unioning all shards' fragments (gateway
+        union-find, :func:`repro.serve.shard.merge_components`) rebuilds
+        the full component structure exactly: every vertex appears in
+        one fragment, every edge in at least one.
+        """
+        with self.metrics.time("engine.query"):
+            name_of = self._name_of
+            vertices: list[str] = []
+            edges: set[tuple[str, str]] = set()
+            for u, nbrs in self._adj.items():
+                un = name_of(u)
+                if shard_of(un, n_shards) != shard_id:
+                    continue
+                vertices.append(un)
+                for v in nbrs:
+                    vn = name_of(v)
+                    edges.add((un, vn) if un <= vn else (vn, un))
+            return {"vertices": sorted(vertices), "edges": sorted(edges)}
+
+    @property
+    def n_triangles(self) -> int:
+        """Triangles currently above the cutoff."""
+        return len(self._tris)
+
+    def ci_edges(self) -> dict[tuple[str, str], int]:
+        """Current ``w'`` weights keyed by sorted author-name pairs."""
+        name_of = self._name_of
+        out: dict[tuple[str, str], int] = {}
+        for (u, v), w in self._ci.items():
+            a, b = name_of(u), name_of(v)
+            out[(a, b) if a <= b else (b, a)] = w
+        return out
+
+    def page_counts(self) -> dict[str, int]:
+        """Nonzero ``P'`` entries keyed by author name."""
+        name_of = self._name_of
+        return {name_of(u): c for u, c in self._pprime.items()}
+
+
+class DetectionEngine(ScoringCore):
     """Maintains live detection state and answers queries over it.
+
+    A :class:`ScoringCore` keyed by the projector's dense user/page ids
+    whose ledgers and triangle store are kept current per micro-batch
+    instead of being loaded; every query is the core's.
 
     Parameters
     ----------
@@ -140,8 +553,7 @@ class DetectionEngine:
         compact_ratio: float = 4.0,
         compact_min: int = 1024,
     ) -> None:
-        self.config = config if config is not None else PipelineConfig()
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        super().__init__(config, metrics=metrics)
         self.auto_compact = bool(auto_compact)
         self.compact_ratio = float(compact_ratio)
         self.compact_min = int(compact_min)
@@ -149,16 +561,6 @@ class DetectionEngine:
             self.config.window, pair_batch=self.config.pair_batch
         )
         self.evict_cutoff: int | None = None
-        # Running CI state: accumulated edge weights w' and the P' ledger
-        # (nonzero entries only), both keyed by dense user ids.
-        self._ci: dict[tuple[int, int], int] = {}
-        self._pprime: dict[int, int] = {}
-        # Live incidence: user id -> {page id: live comment count}.
-        self._user_pages: dict[int, dict[int, int]] = {}
-        # Thresholded adjacency and the triangle store over it.
-        self._adj: dict[int, dict[int, int]] = {}
-        self._tris: dict[tuple[int, int, int], _TriScore] = {}
-        self._tri_by_user: dict[int, set[tuple[int, int, int]]] = {}
         # Author-filter bookkeeping (decision cache + report data).
         self._filter_cache: dict[str, bool] = {}
         self._filtered_names: dict[str, None] = {}
@@ -183,6 +585,13 @@ class DetectionEngine:
         """
         config = config if config is not None else PipelineConfig()
         return store.recover_engine(config, metrics=metrics)
+
+    # -- key <-> author-name translation: the projector's user interner ---------
+    def _name_of(self, key: int) -> str:
+        return str(self.proj.user_names.key_of(key))
+
+    def _key_of(self, author: str) -> int | None:
+        return self.proj.user_names.get(author)
 
     # -- updates ---------------------------------------------------------------
     def ingest(self, events) -> BatchReport:
@@ -376,124 +785,6 @@ class DetectionEngine:
         a, b = triples
         return set(zip(a.tolist(), b.tolist()))
 
-    def _update_triangles(
-        self, dirty_edges: list[tuple[int, int]]
-    ) -> tuple[int, int, set[tuple[int, int, int]]]:
-        """Fold dirty-edge deltas into ``w'``, the thresholded adjacency,
-        and the triangle store; returns (added, removed, keys to rescore).
-        """
-        cutoff = self.config.min_triangle_weight
-        adj = self._adj
-        added = removed = 0
-        rescore: set[tuple[int, int, int]] = set()
-        for u, v in dirty_edges:
-            new_w = self._ci.get((u, v), 0)
-            was_above = v in adj.get(u, ())
-            if new_w >= cutoff:
-                if was_above:
-                    adj[u][v] = new_w
-                    adj[v][u] = new_w
-                    for key in self._tris_with_edge(u, v):
-                        self._set_tri_weight(key, u, v, new_w)
-                        rescore.add(key)
-                else:
-                    nbrs_u = adj.setdefault(u, {})
-                    nbrs_v = adj.setdefault(v, {})
-                    common = nbrs_u.keys() & nbrs_v.keys()
-                    nbrs_u[v] = new_w
-                    nbrs_v[u] = new_w
-                    for w in common:
-                        key = tuple(sorted((u, v, w)))
-                        if key in self._tris:
-                            # Another dirty edge of the same new triangle
-                            # already closed it this batch.
-                            self._set_tri_weight(key, u, v, new_w)
-                            rescore.add(key)
-                            continue
-                        tri = _TriScore(0, 0, 0)
-                        self._tris[key] = tri
-                        self._set_tri_weight(key, u, v, new_w)
-                        self._set_tri_weight(key, u, w, nbrs_u[w])
-                        self._set_tri_weight(key, v, w, nbrs_v[w])
-                        for vertex in key:
-                            self._tri_by_user.setdefault(vertex, set()).add(key)
-                        rescore.add(key)
-                        added += 1
-            elif was_above:
-                del adj[u][v]
-                del adj[v][u]
-                if not adj[u]:
-                    del adj[u]
-                if not adj[v]:
-                    del adj[v]
-                for key in self._tris_with_edge(u, v):
-                    del self._tris[key]
-                    rescore.discard(key)
-                    for vertex in key:
-                        owners = self._tri_by_user[vertex]
-                        owners.discard(key)
-                        if not owners:
-                            del self._tri_by_user[vertex]
-                    removed += 1
-        return added, removed, rescore
-
-    def _tris_with_edge(self, u: int, v: int) -> list[tuple[int, int, int]]:
-        a = self._tri_by_user.get(u)
-        b = self._tri_by_user.get(v)
-        if not a or not b:
-            return []
-        return list(a & b)
-
-    def _set_tri_weight(
-        self, key: tuple[int, int, int], u: int, v: int, w: int
-    ) -> None:
-        tri = self._tris[key]
-        lo, hi = (u, v) if u < v else (v, u)
-        a, b, c = key
-        if (lo, hi) == (a, b):
-            tri.w_ab = w
-        elif (lo, hi) == (a, c):
-            tri.w_ac = w
-        else:
-            tri.w_bc = w
-
-    def _rescore(self, keys: set[tuple[int, int, int]]) -> None:
-        pprime = self._pprime
-        user_pages = self._user_pages
-        hyper = self.config.compute_hypergraph
-        for key in keys:
-            tri = self._tris.get(key)
-            if tri is None:
-                continue
-            a, b, c = key
-            min_w = min(tri.w_ab, tri.w_ac, tri.w_bc)
-            denom = pprime.get(a, 0) + pprime.get(b, 0) + pprime.get(c, 0)
-            # Same kernel as the batch path, so online and batch scores
-            # are bit-for-bit identical by construction.
-            tri.t = normalized_score_scalar(min_w, denom)
-            if hyper:
-                pa = user_pages.get(a, {})
-                pb = user_pages.get(b, {})
-                pc = user_pages.get(c, {})
-                sets = sorted((pa, pb, pc), key=len)
-                small = sets[0].keys() & sets[1].keys()
-                tri.w_xyz = (
-                    len(small & sets[2].keys()) if small else 0
-                )
-                tri.p_sum = len(pa) + len(pb) + len(pc)
-                tri.c = normalized_score_scalar(tri.w_xyz, tri.p_sum)
-
-    # -- edge-weight bookkeeping (kept next to the diff that feeds it) ---------
-    def _fold_edge_deltas(self, edge_delta: dict[tuple[int, int], int]) -> None:
-        for pair, delta in edge_delta.items():
-            if not delta:
-                continue
-            new_w = self._ci.get(pair, 0) + delta
-            if new_w:
-                self._ci[pair] = new_w
-            else:
-                self._ci.pop(pair, None)
-
     # -- compaction -------------------------------------------------------------
     def _maybe_compact(self) -> None:
         if not self.auto_compact:
@@ -535,214 +826,7 @@ class DetectionEngine:
         for uid, pid in zip(btm.users.tolist(), btm.pages.tolist()):
             pages = self._user_pages.setdefault(uid, {})
             pages[pid] = pages.get(pid, 0) + 1
-        cutoff = self.config.min_triangle_weight
-        self._adj = {}
-        for (u, v), w in self._ci.items():
-            if w >= cutoff:
-                self._adj.setdefault(u, {})[v] = w
-                self._adj.setdefault(v, {})[u] = w
-        self._tris = {}
-        self._tri_by_user = {}
-        rescore: set[tuple[int, int, int]] = set()
-        for u, nbrs in self._adj.items():
-            for v in nbrs:
-                if v <= u:
-                    continue
-                for w in nbrs.keys() & self._adj[v].keys():
-                    if w <= v:
-                        continue
-                    key = (u, v, w)
-                    tri = _TriScore(
-                        self._adj[u][v], self._adj[u][w], self._adj[v][w]
-                    )
-                    self._tris[key] = tri
-                    for vertex in key:
-                        self._tri_by_user.setdefault(vertex, set()).add(key)
-                    rescore.add(key)
-        self._rescore(rescore)
-
-    # -- queries ----------------------------------------------------------------
-    def top_k_triplets(self, k: int, by: str = "t") -> list[dict]:
-        """The *k* highest-scoring live triplets as name-keyed rows.
-
-        ``by`` ranks by ``"t"`` (eq. 7), ``"c"`` (eq. 4, requires
-        ``compute_hypergraph``), or ``"min_weight"``.  Rows are sorted by
-        descending score with the lexicographic author triple as the
-        deterministic tie-break, and carry every per-triplet metric, so
-        the result is directly comparable with a batch run's (see
-        :func:`repro.analysis.export.top_triplets_rows`).
-        """
-        with self.metrics.time("engine.query"):
-            rows = self._triplet_rows()
-            key = self._rank_key(by)
-            rows.sort(key=lambda r: (-r[key], r["authors"]))
-            return rows[: max(int(k), 0)]
-
-    def _rank_key(self, by: str) -> str:
-        if by == "t":
-            return "t"
-        if by == "min_weight":
-            return "min_weight"
-        if by == "c":
-            if not self.config.compute_hypergraph:
-                raise ValueError(
-                    "ranking by C requires compute_hypergraph=True"
-                )
-            return "c"
-        raise ValueError(f"unknown ranking {by!r} (use t, c, min_weight)")
-
-    def _triplet_rows(self) -> list[dict]:
-        name_of = self.proj.user_names.key_of
-        rows = []
-        for (a, b, c), tri in self._tris.items():
-            names = tuple(sorted((str(name_of(a)), str(name_of(b)), str(name_of(c)))))
-            rows.append(
-                {
-                    "authors": names,
-                    "min_weight": min(tri.w_ab, tri.w_ac, tri.w_bc),
-                    "weights": tuple(sorted((tri.w_ab, tri.w_ac, tri.w_bc))),
-                    "t": tri.t,
-                    "w_xyz": tri.w_xyz,
-                    "p_sum": tri.p_sum,
-                    "c": tri.c,
-                }
-            )
-        return rows
-
-    def user_score(self, author: str) -> dict:
-        """Live per-author summary: ``P'``, page count, degree, best scores.
-
-        Returns a row with ``present=False`` (zeros elsewhere) for
-        authors not currently in the live window — a monitoring query
-        must not throw on unknown names.
-        """
-        with self.metrics.time("engine.query"):
-            uid = self.proj.user_names.get(author)
-            if uid is None or uid not in self._user_pages:
-                return {
-                    "author": author,
-                    "present": False,
-                    "p_prime": 0,
-                    "pages": 0,
-                    "degree": 0,
-                    "n_triplets": 0,
-                    "best_t": 0.0,
-                    "best_c": 0.0,
-                }
-            tris = self._tri_by_user.get(uid, set())
-            return {
-                "author": author,
-                "present": True,
-                "p_prime": self._pprime.get(uid, 0),
-                "pages": len(self._user_pages.get(uid, {})),
-                "degree": len(self._adj.get(uid, {})),
-                "n_triplets": len(tris),
-                "best_t": max((self._tris[k].t for k in tris), default=0.0),
-                "best_c": max((self._tris[k].c for k in tris), default=0.0),
-            }
-
-    def component_of(self, author: str) -> list[str]:
-        """Sorted member names of *author*'s thresholded-graph component.
-
-        Empty when the author is absent or isolated at the current
-        cutoff (no ``min_component_size`` floor is applied here — this
-        is the investigative "who is this account coordinating with"
-        query).
-        """
-        with self.metrics.time("engine.query"):
-            uid = self.proj.user_names.get(author)
-            if uid is None or uid not in self._adj:
-                return []
-            seen = {uid}
-            frontier = [uid]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in self._adj.get(u, ()):
-                        if v not in seen:
-                            seen.add(v)
-                            nxt.append(v)
-                frontier = nxt
-            name_of = self.proj.user_names.key_of
-            return sorted(str(name_of(u)) for u in seen)
-
-    def components(self) -> list[list[str]]:
-        """All candidate networks (components ≥ ``min_component_size``),
-        each as a sorted name list, largest first."""
-        with self.metrics.time("engine.query"):
-            seen: set[int] = set()
-            out: list[list[str]] = []
-            name_of = self.proj.user_names.key_of
-            for start in sorted(self._adj):
-                if start in seen:
-                    continue
-                comp = {start}
-                frontier = [start]
-                while frontier:
-                    nxt = []
-                    for u in frontier:
-                        for v in self._adj.get(u, ()):
-                            if v not in comp:
-                                comp.add(v)
-                                nxt.append(v)
-                    frontier = nxt
-                seen |= comp
-                if len(comp) >= self.config.min_component_size:
-                    out.append(sorted(str(name_of(u)) for u in comp))
-            out.sort(key=lambda names: (-len(names), names))
-            return out
-
-    def owned_top_k_triplets(
-        self, k: int, shard_id: int, n_shards: int, by: str = "t"
-    ) -> list[dict]:
-        """The *k* best live triplets **owned** by one query shard.
-
-        Under the user-hash partition of the serving tier
-        (:func:`repro.serve.ingest.shard_of`) a triplet is owned by the
-        shard of its lexicographically-first author, so every triplet is
-        owned exactly once.  Each shard's owned list is the global
-        ranking restricted to its keyspace — any global top-k row is
-        therefore within the first k of its owner's list, which makes
-        the gateway's k-way merge (:func:`repro.serve.shard.merge_topk`)
-        exact.  Rows and ordering are identical to
-        :meth:`top_k_triplets` restricted to owned triplets.
-        """
-        from repro.serve.ingest import shard_of
-
-        rows = self.top_k_triplets(len(self._tris), by=by)
-        owned = [
-            r for r in rows if shard_of(r["authors"][0], n_shards) == shard_id
-        ]
-        return owned[: max(int(k), 0)]
-
-    def owned_component_fragment(
-        self, shard_id: int, n_shards: int
-    ) -> dict[str, list]:
-        """This shard's fragment of the thresholded graph, name-keyed.
-
-        ``vertices`` are the owned users present in the thresholded
-        adjacency; ``edges`` every edge incident to an owned vertex as a
-        sorted name pair — *including* boundary edges whose far end
-        another shard owns.  Unioning all shards' fragments (gateway
-        union-find, :func:`repro.serve.shard.merge_components`) rebuilds
-        the full component structure exactly: every vertex appears in
-        one fragment, every edge in at least one.
-        """
-        from repro.serve.ingest import shard_of
-
-        with self.metrics.time("engine.query"):
-            name_of = self.proj.user_names.key_of
-            vertices: list[str] = []
-            edges: set[tuple[str, str]] = set()
-            for u, nbrs in self._adj.items():
-                un = str(name_of(u))
-                if shard_of(un, n_shards) != shard_id:
-                    continue
-                vertices.append(un)
-                for v in nbrs:
-                    vn = str(name_of(v))
-                    edges.add((un, vn) if un <= vn else (vn, un))
-            return {"vertices": sorted(vertices), "edges": sorted(edges)}
+        self._rebuild_triangles()
 
     def snapshot(self) -> PipelineResult:
         """Export the live state as a batch-compatible
@@ -840,25 +924,6 @@ class DetectionEngine:
     def n_live_comments(self) -> int:
         """Comments currently inside the live window."""
         return self.proj.n_comments
-
-    @property
-    def n_triangles(self) -> int:
-        """Triangles currently above the cutoff."""
-        return len(self._tris)
-
-    def ci_edges(self) -> dict[tuple[str, str], int]:
-        """Current ``w'`` weights keyed by sorted author-name pairs."""
-        name_of = self.proj.user_names.key_of
-        out: dict[tuple[str, str], int] = {}
-        for (u, v), w in self._ci.items():
-            a, b = str(name_of(u)), str(name_of(v))
-            out[(a, b) if a <= b else (b, a)] = w
-        return out
-
-    def page_counts(self) -> dict[str, int]:
-        """Nonzero ``P'`` entries keyed by author name."""
-        name_of = self.proj.user_names.key_of
-        return {str(name_of(u)): c for u, c in self._pprime.items()}
 
     def live_authors(self) -> list[str]:
         """Sorted names of authors with at least one live comment."""

@@ -16,8 +16,8 @@ sum/union of per-shard partials:
   eqs. 2–3) — unioned (page keys never collide across shards);
 - the author-filter census — name union plus comment-count sum.
 
-The exchange itself reuses the :mod:`repro.exec.shm` output path the
-engine-state handoff already rides: the child packs its partial into
+The exchange itself reuses the :mod:`repro.exec.shm` output path of
+the batch executors: the child packs its partial into
 numeric arrays (strings length-prefix-packed into ``uint8`` blobs),
 publishes them as shared-memory segments
 (:func:`publish_partial_weights`), and the aggregator claims them —
@@ -27,12 +27,13 @@ under duplicate delivery (partials are deduplicated by ``shard_id``)
 and raises :class:`PartialExchangeError` when a shard's partial is
 missing, so a torn exchange fails typed instead of under-counting.
 
-:class:`AggregateView` then runs CI thresholding, triangle closure, and
-scoring (eqs. 2–4, 7) over the merged weights with the **same scalar
-kernel** the engine uses, so every query answer — top-k rows, user
-scores, components — is bit-for-bit identical to the single-engine
-oracle's (:func:`repro.verify.sharded.run_sharded_parity` sweeps both
-ingest modes to enforce this).
+This module stops at the merged ledgers.  Thresholding, triangle
+closure, scoring (eqs. 2–4, 7) and every query over them are the
+engine's own :class:`~repro.serve.engine.ScoringCore`, which the tier
+constructs from a :class:`MergedWeights` — the code that answers for a
+single engine is the code that answers for the aggregate
+(:func:`repro.verify.sharded.run_sharded_parity` sweeps both ingest
+modes against the oracle all the same).
 """
 
 from __future__ import annotations
@@ -43,13 +44,9 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from repro.exec.shm import OutputWriter, claim_output
-from repro.kernels import normalized_score_scalar
-from repro.pipeline.config import PipelineConfig
 from repro.serve.engine import DetectionEngine
-from repro.serve.ingest import shard_of
 
 __all__ = [
-    "AggregateView",
     "MergedWeights",
     "PartialExchangeError",
     "PartialWeights",
@@ -284,209 +281,3 @@ def merge_partials(
         n_live_comments=n_live,
         exchange_bytes=nbytes,
     )
-
-
-# ---------------------------------------------------------------------------
-# The aggregate: thresholding + triangle scoring over merged weights
-# ---------------------------------------------------------------------------
-
-
-class AggregateView:
-    """CI thresholding and triangle scoring over exchanged weights.
-
-    A name-keyed re-run of the engine's Steps 2–3 on the merged pair
-    weights: thresholded adjacency at ``min_triangle_weight``, triangle
-    enumeration by common-neighbor closure, and scoring through
-    :func:`repro.kernels.normalized_score_scalar` — the same scalar
-    kernel the engine and the batch pipeline use, so every float is
-    bit-identical to the oracle's.  Implements the full query surface
-    of :class:`~repro.serve.engine.DetectionEngine` that the sharded
-    facade needs (top-k, owned top-k, user scores, components, owned
-    fragments), which lets the tier run its usual per-owner merge
-    machinery unchanged on top of page-partitioned ingest.
-    """
-
-    def __init__(self, merged: MergedWeights, config: PipelineConfig) -> None:
-        self.merged = merged
-        self.config = config
-        cutoff = config.min_triangle_weight
-        adj: dict[str, dict[str, int]] = {}
-        for (a, b), w in merged.pair_weights.items():
-            if w >= cutoff:
-                adj.setdefault(a, {})[b] = w
-                adj.setdefault(b, {})[a] = w
-        self._adj = adj
-        self._rows = self._score_triangles()
-        self._rows_by_user: dict[str, list[dict[str, Any]]] = {}
-        for row in self._rows:
-            for name in row["authors"]:
-                self._rows_by_user.setdefault(name, []).append(row)
-
-    def _score_triangles(self) -> list[dict[str, Any]]:
-        adj = self._adj
-        pp = self.merged.page_counts
-        inc = self.merged.incidence
-        hyper = self.config.compute_hypergraph
-        rows: list[dict[str, Any]] = []
-        for u in adj:
-            for v, w_uv in adj[u].items():
-                if v <= u:
-                    continue
-                nbrs_u = adj[u]
-                nbrs_v = adj[v]
-                for x in nbrs_u.keys() & nbrs_v.keys():
-                    if x <= v:
-                        continue
-                    w_ux = nbrs_u[x]
-                    w_vx = nbrs_v[x]
-                    min_w = min(w_uv, w_ux, w_vx)
-                    denom = pp.get(u, 0) + pp.get(v, 0) + pp.get(x, 0)
-                    if hyper:
-                        pu = inc.get(u, {})
-                        pv = inc.get(v, {})
-                        px = inc.get(x, {})
-                        sets = sorted((pu, pv, px), key=len)
-                        small = sets[0].keys() & sets[1].keys()
-                        w_xyz = len(small & sets[2].keys()) if small else 0
-                        p_sum = len(pu) + len(pv) + len(px)
-                        c = normalized_score_scalar(w_xyz, p_sum)
-                    else:
-                        w_xyz = 0
-                        p_sum = 0
-                        c = 0.0
-                    rows.append(
-                        {
-                            "authors": (u, v, x),
-                            "min_weight": min_w,
-                            "weights": tuple(sorted((w_uv, w_ux, w_vx))),
-                            "t": normalized_score_scalar(min_w, denom),
-                            "w_xyz": w_xyz,
-                            "p_sum": p_sum,
-                            "c": c,
-                        }
-                    )
-        return rows
-
-    # -- ranking ----------------------------------------------------------
-    def _rank_key(self, by: str) -> str:
-        if by in ("t", "min_weight"):
-            return by
-        if by == "c":
-            if not self.config.compute_hypergraph:
-                raise ValueError(
-                    "ranking by C requires compute_hypergraph=True"
-                )
-            return "c"
-        raise ValueError(f"unknown ranking {by!r} (use t, c, min_weight)")
-
-    def top_k_triplets(self, k: int, by: str = "t") -> list[dict[str, Any]]:
-        """Global top-k rows, identical to the single engine's."""
-        key = self._rank_key(by)
-        rows = sorted(self._rows, key=lambda r: (-r[key], r["authors"]))
-        return rows[: max(int(k), 0)]
-
-    def owned_top_k(
-        self, k: int, by: str, shard_id: int, n_shards: int
-    ) -> list[dict[str, Any]]:
-        """Top-k restricted to one query shard's owned triplets.
-
-        Ownership is the user-hash rule of the replicated tier (shard of
-        the lexicographically-first author), so the facade's k-way merge
-        (:func:`repro.serve.shard.merge_topk`) applies unchanged.
-        """
-        rows = self.top_k_triplets(len(self._rows), by=by)
-        owned = [
-            r for r in rows if shard_of(r["authors"][0], n_shards) == shard_id
-        ]
-        return owned[: max(int(k), 0)]
-
-    # -- per-user and component surfaces -----------------------------------
-    def user_score(self, author: str) -> dict[str, Any]:
-        """Per-author summary row, identical to the engine's."""
-        if author not in self.merged.incidence:
-            return {
-                "author": author,
-                "present": False,
-                "p_prime": 0,
-                "pages": 0,
-                "degree": 0,
-                "n_triplets": 0,
-                "best_t": 0.0,
-                "best_c": 0.0,
-            }
-        rows = self._rows_by_user.get(author, [])
-        return {
-            "author": author,
-            "present": True,
-            "p_prime": self.merged.page_counts.get(author, 0),
-            "pages": len(self.merged.incidence[author]),
-            "degree": len(self._adj.get(author, {})),
-            "n_triplets": len(rows),
-            "best_t": max((r["t"] for r in rows), default=0.0),
-            "best_c": max((r["c"] for r in rows), default=0.0),
-        }
-
-    def _bfs(self, start: str) -> set[str]:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt: list[str] = []
-            for u in frontier:
-                for v in self._adj.get(u, ()):
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return seen
-
-    def component_of(self, author: str) -> list[str]:
-        """*author*'s thresholded-graph component (no size floor)."""
-        if author not in self._adj:
-            return []
-        return sorted(self._bfs(author))
-
-    def components(self) -> list[list[str]]:
-        """All components ≥ ``min_component_size``, largest first."""
-        seen: set[str] = set()
-        out: list[list[str]] = []
-        for start in sorted(self._adj):
-            if start in seen:
-                continue
-            comp = self._bfs(start)
-            seen |= comp
-            if len(comp) >= self.config.min_component_size:
-                out.append(sorted(comp))
-        out.sort(key=lambda names: (-len(names), names))
-        return out
-
-    def owned_fragment(self, shard_id: int, n_shards: int) -> dict[str, list]:
-        """One query shard's component fragment (with boundary edges).
-
-        Same contract as
-        :meth:`DetectionEngine.owned_component_fragment`, so the
-        facade's union-find stitch (:func:`repro.serve.shard.merge_components`)
-        applies unchanged.
-        """
-        vertices: list[str] = []
-        edges: set[tuple[str, str]] = set()
-        for u, nbrs in self._adj.items():
-            if shard_of(u, n_shards) != shard_id:
-                continue
-            vertices.append(u)
-            for v in nbrs:
-                edges.add((u, v) if u <= v else (v, u))
-        return {"vertices": sorted(vertices), "edges": sorted(edges)}
-
-    # -- raw-state accessors (the parity harness diffs these) -------------
-    def ci_edges(self) -> dict[tuple[str, str], int]:
-        """Merged ``w'`` weights keyed by sorted author-name pairs."""
-        return dict(self.merged.pair_weights)
-
-    def page_counts(self) -> dict[str, int]:
-        """Merged nonzero ``P'`` entries keyed by author name."""
-        return dict(self.merged.page_counts)
-
-    @property
-    def n_triangles(self) -> int:
-        """Triangles above the cutoff in the aggregate."""
-        return len(self._rows)

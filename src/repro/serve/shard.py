@@ -1,15 +1,24 @@
 """Sharded serving tier: N supervised engine shards behind one facade.
 
-:class:`ShardedDetectionService` turns the single supervised serve loop
-into a horizontally scaled tier.  Queries are always partitioned by the
-stable user hash :func:`repro.serve.ingest.shard_of`; **ingest** runs
-in one of two modes (``ingest_sharding``):
+:class:`ShardedDetectionService` is a router over layers that already
+exist: every shard is a :class:`~repro.serve.supervisor.ServeSupervisor`
+(delivery, watchdog, restart policy), every answer comes out of the
+engine's :class:`~repro.serve.engine.ScoringCore`.  What the tier adds
+is routing and, where answers live in N processes, exact merges.
+**Ingest** runs in one of two modes (``ingest_sharding``):
 
 - ``"replicated"`` (default) — every event fans out to every shard, so
   each shard's :class:`~repro.serve.engine.DetectionEngine` holds the
-  full live window and answers its owned queries locally.  Maximally
-  available (a dead shard 503s only its keyspace) but every shard pays
-  O(stream) ingest.
+  full live window and answers the queries it owns locally.  Shard
+  ``s`` is authoritative for the users hashing to ``s``
+  (:func:`repro.serve.ingest.shard_of`): ``user_score`` routes to the
+  owner; global top-k is the k-way merge of per-shard *owned* candidate
+  lists (a triplet is owned by the shard of its lexicographically-first
+  author, so each appears exactly once); components are rebuilt by a
+  gateway-side union-find over per-shard owned-vertex fragments whose
+  boundary edges stitch the cuts back together.  Maximally available (a
+  dead shard 503s only its keyspace) but every shard pays O(stream)
+  ingest.
 - ``"page"`` — each event routes only to the shard its page hashes to
   (:func:`repro.serve.ingest.page_shard_of`), so per-shard ingest cost
   is O(stream/N).  Page locality keeps this exact: a page's co-comment
@@ -17,54 +26,46 @@ in one of two modes (``ingest_sharding``):
   disjoint across shards, so each shard builds per-page pair ledgers
   locally and the tier **exchanges partial pair weights** — the shards
   publish their ``w'``/``P'``/incidence partials through the
-  :mod:`repro.exec.shm` output path (the transport the engine-state
-  handoff already rides) and the facade merges them
-  (:mod:`repro.serve.exchange`) before CI thresholding and triangle
-  scoring in an :class:`~repro.serve.exchange.AggregateView`.  Shards
-  see only a timestamp subset of the stream, so the tier tracks the
-  global watermark and broadcasts it (supervisor op ``observe``) so
-  every shard's eviction cutoff converges on the single-engine one.
-  Ingest shards skip local triangle maintenance entirely (their
-  engines run with an unreachable cutoff — owner-computes: thresholding
-  and scoring happen once, at the aggregator).
+  :mod:`repro.exec.shm` output path and the facade merges them
+  (:mod:`repro.serve.exchange`) into the ledgers of one in-process
+  :class:`~repro.serve.engine.ScoringCore`, which thresholds, scores
+  and answers every query directly — no owner slicing, no merge: the
+  answers live in one process.  Shards see only a timestamp subset of
+  the stream, so the tier tracks the global watermark and broadcasts it
+  (supervisor op ``observe``) so every shard's eviction cutoff
+  converges on the single-engine one.  Ingest shards skip local
+  triangle maintenance entirely (their engines run with an unreachable
+  cutoff — owner-computes: thresholding and scoring happen once, at the
+  aggregator).
 
-**Queries are partitioned either way** — shard ``s`` is authoritative
-for the users hashing to ``s``.  ``user_score`` routes to the owner;
-global top-k is the k-way merge of per-shard *owned* candidate lists
-(a triplet is owned by the shard of its lexicographically-first
-author, so each appears exactly once); components are rebuilt by a
-gateway-side union-find over per-shard owned-vertex fragments whose
-boundary edges stitch the cuts back together.  In page mode the same
-merge machinery runs over the aggregate's per-owner views.  Each
-answer is bit-identical to the single-engine oracle's
+Each answer is bit-identical to the single-engine oracle's
 (:func:`repro.verify.sharded.run_sharded_parity` sweeps both ingest
 modes to enforce this).
 
 What replication buys: query throughput scales with shards and
 availability degrades **per keyspace** — a crashed shard 503s only the
-users it owns while its supervisor restarts it.  What page partitioning
-buys: ingest throughput scales with shards too (each shard processes
-~1/N of the stream — ``benchmarks/test_bench_ingest_shard.py`` pins
-this), at the cost of query-time exchange latency and coarser
-availability (an exchange needs *every* shard, so a dead shard 503s
-aggregate queries until it restarts).
+users it owns while it restarts.  What page partitioning buys: ingest
+throughput scales with shards too (each shard processes ~1/N of the
+stream — ``benchmarks/test_bench_ingest_shard.py`` pins this), at the
+cost of query-time exchange latency and coarser availability (an
+exchange needs *every* shard, so a dead shard 503s aggregate queries
+until it restarts).
 
-Each shard is a :class:`~repro.serve.supervisor.ServeSupervisor` with
-``max_restarts=0``: the shard tier owns restart policy.  A detected
-death flips the shard to *restarting* (queries raise
-:class:`ShardUnavailableError` → HTTP 503), a background thread runs
-``sup.restart()`` under capped backoff, and a restart-budget exhaustion
-marks the shard permanently failed.  With a durable root every shard
+**Restart policy is the supervisor's** — windowed budget
+(``max_restarts`` per ``restart_window``), capped exponential backoff
+(``backoff_base`` / ``backoff_cap``), degraded state, restart counter;
+the tier passes the four values through and keeps none of its own.  It
+decides one thing: *which thread* runs the supervisor's loop.  A
+shard's supervisor (:class:`_ShardSupervisor`) hands the loop to a
+background thread, so the request that noticed the death — and every
+one after it until the child is back — raises
+:class:`ShardUnavailableError` (HTTP 503) immediately instead of
+waiting out the backoff.  An exhausted budget leaves the shard
+*failed* (the supervisor's degraded mode): its ingest sheds with a
+counter and its queries keep 503ing.  With a durable root every shard
 journals to its own ``shard-NN/`` store and recovery is exact; without
 one shards are volatile and a restart replays only the retained
 in-flight suffix.
-
-Engine state can also be pulled out of a live shard wholesale:
-:meth:`ShardedDetectionService.engine_clone` asks the child to publish
-its state arrays through the :mod:`repro.exec.shm` output path
-(numeric arrays via shared memory, interner keys length-packed into
-``uint8`` blobs since object arrays cannot cross a segment) and
-rehydrates a private :class:`DetectionEngine` in the caller.
 """
 
 from __future__ import annotations
@@ -77,38 +78,23 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-import numpy as np
-
-from repro.exec.shm import (
-    OutputWriter,
-    claim_output,
-    output_prefix,
-    sweep_segments,
-)
+from repro.exec.shm import output_prefix, sweep_segments
 from repro.pipeline.config import PipelineConfig
-from repro.serve.engine import DetectionEngine
-from repro.serve.exchange import (
-    AggregateView,
-    claim_partial_weights,
-    merge_partials,
-    pack_str_array,
-    unpack_str_array,
-)
+from repro.pipeline.results import PipelineResult
+from repro.serve.engine import ScoringCore
+from repro.serve.exchange import claim_partial_weights, merge_partials
 from repro.serve.ingest import Event, page_shard_of, shard_of
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.supervisor import DegradedError, ServeSupervisor
-from repro.store.engine_state import engine_state_arrays, restore_engine_state
 
 __all__ = [
     "INGEST_MODES",
     "ShardUnavailableError",
     "ShardedDetectionService",
-    "claim_engine_state",
     "merge_components",
     "merge_topk",
     "merged_component_of",
     "page_shard_of",
-    "publish_engine_state",
     "shard_of",
 ]
 
@@ -121,12 +107,7 @@ INGEST_MODES = ("replicated", "page")
 #: their engines with this so they maintain pair ledgers, ``P'`` and the
 #: incidence (all cutoff-independent) but never materialize thresholded
 #: adjacency or triangles — that work happens once, at the aggregator.
-_LEDGER_ONLY_CUTOFF = 2**62
-
-# Backwards-compatible aliases: the packers now live in
-# repro.serve.exchange (both handoffs share them).
-_pack_str_array = pack_str_array
-_unpack_str_array = unpack_str_array
+_LEDGER_ONLY_CUTOFF = 1 << 62
 
 
 class ShardUnavailableError(RuntimeError):
@@ -237,67 +218,67 @@ def merged_component_of(fragments: Iterable[dict], author: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Engine-state handoff over the shm output path
-# ---------------------------------------------------------------------------
-
-
-def publish_engine_state(engine: DetectionEngine, writer: OutputWriter) -> dict:
-    """Child-side half of the state handoff: engine → shm segments.
-
-    Numeric state arrays are published directly through
-    :meth:`OutputWriter.share`; the object-dtype arrays (interner keys,
-    filtered names — variable-length strings cannot live in a fixed
-    segment) are packed into ``uint8`` data + ``int64`` length arrays
-    first.  Returns a picklable ``{"arrays": ..., "meta": ...}`` payload
-    of :class:`~repro.exec.shm.ShmRef` trees for the pipe.
-    """
-    arrays, meta = engine_state_arrays(engine)
-    packed: dict[str, Any] = {}
-    for key, arr in arrays.items():
-        packed[key] = _pack_str_array(arr.tolist()) if arr.dtype == object else arr
-    return {"arrays": writer.share(packed), "meta": meta}
-
-
-def claim_engine_state(
-    payload: dict,
-    config: PipelineConfig | None,
-    *,
-    metrics: ServiceMetrics | None = None,
-) -> DetectionEngine:
-    """Caller-side half: claim the segments and rehydrate an engine.
-
-    Claiming copies and unlinks every segment, so a completed handoff
-    leaves ``/dev/shm`` clean.  The snapshot codec
-    (:func:`repro.store.engine_state.restore_engine_state`) validates
-    the config fingerprint — a clone under the wrong config refuses.
-    """
-    packed = claim_output(payload["arrays"])
-    arrays: dict[str, np.ndarray] = {}
-    for key, value in packed.items():
-        if isinstance(value, dict) and "packed_data" in value:
-            arrays[key] = np.asarray(_unpack_str_array(value), dtype=object)
-        else:
-            arrays[key] = value
-    return restore_engine_state(arrays, payload["meta"], config, metrics=metrics)
-
-
-# ---------------------------------------------------------------------------
 # The sharded service
 # ---------------------------------------------------------------------------
 
 
+class _ShardSupervisor(ServeSupervisor):
+    """A shard's supervisor: the same restart loop, off the query path.
+
+    Overrides only *where* :meth:`ServeSupervisor._restart_loop` runs: a
+    background thread, so the caller that found the child dead gets its
+    :class:`DegradedError` (→ 503) at once.  Budget, backoff and the
+    degraded flag stay the base class's.  Also mirrors the outcome into
+    the tier's registry (``sharded.shardN.up``, ``sharded.restarts``).
+    """
+
+    def __init__(
+        self, sid: int, tier_metrics: ServiceMetrics, *args: Any, **kwargs: Any
+    ) -> None:
+        self._sid = sid
+        self._up = tier_metrics.gauge(f"sharded.shard{sid}.up")
+        self._restarted = tier_metrics.counter("sharded.restarts")
+        self._recovery: threading.Thread | None = None
+        super().__init__(*args, **kwargs)
+        self._up.set(1)
+
+    def _recover(self) -> None:
+        # Claim the pipe for the loop *before* this request returns, so
+        # no other caller touches the dead pipe in between.
+        self.restarting = True
+        self._up.set(0)
+        self._recovery = threading.Thread(
+            target=self._recover_in_background,
+            daemon=True,
+            name=f"shard-{self._sid}-restart",
+        )
+        self._recovery.start()
+        raise DegradedError("shard restarting")
+
+    def _recover_in_background(self) -> None:
+        try:
+            self._restart_loop()
+        except DegradedError:
+            return  # budget spent: the shard stays degraded (= failed)
+        self._restarted.inc()
+        self._up.set(1)
+
+    def await_restart(self, timeout: float) -> None:
+        """Wait (bounded) for a background restart loop, if one is running."""
+        thread = self._recovery
+        if thread is not None:
+            thread.join(timeout)
+
+
 class _Shard:
-    """One supervised engine shard plus its serialization + health state."""
+    """One supervised engine shard plus the lock serializing its pipe."""
 
-    __slots__ = ("sid", "sup", "lock", "restarting", "failed", "restarts")
+    __slots__ = ("sid", "sup", "lock")
 
-    def __init__(self, sid: int, sup: ServeSupervisor) -> None:
+    def __init__(self, sid: int, sup: _ShardSupervisor) -> None:
         self.sid = sid
         self.sup = sup
-        self.lock = threading.Lock()  # serializes this shard's pipe
-        self.restarting = False
-        self.failed = False
-        self.restarts = 0
+        self.lock = threading.Lock()
 
 
 class ShardedDetectionService:
@@ -306,8 +287,7 @@ class ShardedDetectionService:
     Parameters
     ----------
     config:
-        Pipeline configuration, forked into every shard (and used to
-        validate :meth:`engine_clone` handoffs).
+        Pipeline configuration, forked into every shard.
     n_shards:
         Worker processes / query keyspace partitions.
     ingest_sharding:
@@ -321,14 +301,14 @@ class ShardedDetectionService:
     heartbeat_timeout / query_timeout:
         Watchdog deadline per shard request; how long a query waits for
         a shard's pipe before declaring the shard busy (503).
-    max_shard_restarts / restart_backoff:
-        Per-shard restart budget and base backoff (doubles per
-        consecutive attempt) applied by the tier's background restart
-        thread; an exhausted budget fails the shard permanently.
-    **service_kwargs:
-        Forwarded to every shard's child service (``window_horizon``,
-        ``batch_size``, and — with a durable root — ``fsync``,
-        ``snapshot_every``, …).
+    **shard_kwargs:
+        Forwarded to every shard's
+        :class:`~repro.serve.supervisor.ServeSupervisor`: its restart
+        policy (``max_restarts``, ``restart_window``, ``backoff_base``,
+        ``backoff_cap`` — per shard, the supervisor's meaning and
+        defaults) and, through it, the child service's arguments
+        (``window_horizon``, ``batch_size``, and — with a durable root —
+        ``fsync``, ``snapshot_every``, …).
     """
 
     def __init__(
@@ -341,11 +321,9 @@ class ShardedDetectionService:
         metrics: ServiceMetrics | None = None,
         heartbeat_timeout: float = 30.0,
         query_timeout: float = 5.0,
-        max_shard_restarts: int = 5,
-        restart_backoff: float = 0.05,
         forward_batch: int = 512,
         queue_capacity: int = 65_536,
-        **service_kwargs: Any,
+        **shard_kwargs: Any,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -369,19 +347,17 @@ class ShardedDetectionService:
         self.n_shards = int(n_shards)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.query_timeout = float(query_timeout)
-        self.max_shard_restarts = int(max_shard_restarts)
-        self.restart_backoff = float(restart_backoff)
         self.directory = Path(directory) if directory is not None else None
-        self._shm_prefix = output_prefix()  # this process claims handoffs
-        self._state_lock = threading.Lock()
-        self._restart_threads: dict[int, threading.Thread] = {}
-        # Page-mode tier state: the global watermark broadcast and the
-        # memoized cross-shard aggregate (invalidated by any ingest).
+        self._shm_prefix = output_prefix()  # this process claims the partials
+        # Page-mode tier state (single producer, like the supervisors'
+        # queues): the global watermark broadcast, and the cross-shard
+        # aggregate memoized under the ingest generation it was built at.
         self._forward_batch = int(forward_batch)
         self._max_event_t: int | None = None
         self._events_since_observe = 0
+        self._ingest_generation = 0
         self._agg_lock = threading.Lock()
-        self._aggregate: AggregateView | None = None
+        self._aggregate: tuple[int, ScoringCore] | None = None
         self._shards: list[_Shard] = []
         try:
             for sid in range(self.n_shards):
@@ -390,23 +366,18 @@ class ShardedDetectionService:
                     if self.directory is None
                     else self.directory / f"shard-{sid:02d}"
                 )
-                sup = ServeSupervisor(
+                sup = _ShardSupervisor(
+                    sid,
+                    self.metrics,
                     child_config,
                     directory=shard_dir,
                     queue_capacity=queue_capacity,
                     queue_policy="reject",
                     forward_batch=forward_batch,
                     heartbeat_timeout=heartbeat_timeout,
-                    # The tier owns restart policy: any child death
-                    # degrades the supervisor immediately and the
-                    # background restart thread takes over.
-                    max_restarts=0,
-                    backoff_base=self.restart_backoff,
-                    backoff_cap=self.restart_backoff,
-                    **service_kwargs,
+                    **shard_kwargs,
                 )
                 self._shards.append(_Shard(sid, sup))
-                self.metrics.gauge(f"sharded.shard{sid}.up").set(1)
         except BaseException:
             self.close()
             raise
@@ -425,21 +396,23 @@ class ShardedDetectionService:
         wedging ingest forever.
         """
         if self._page_mode:
-            return self._submit_page(event)
-        ok = True
-        for shard in self._shards:
-            if shard.failed:
-                self.metrics.counter("sharded.shed").inc()
-                continue
-            with shard.lock:
-                admitted = shard.sup.submit(event)
-            if shard.sup.degraded:
-                self._begin_restart(shard)
-            if not admitted:
-                self.metrics.counter("sharded.backpressure").inc()
-                ok = False
+            ok = self._submit_page(event)
+        else:
+            # A list, not a generator: every shard must get the event.
+            ok = all([self._deliver(shard, event) for shard in self._shards])
         self.metrics.counter("sharded.events").inc()
         return ok
+
+    def _deliver(self, shard: _Shard, event: Event) -> bool:
+        """One event into one shard's supervisor; ``False`` = backpressure."""
+        if shard.sup.degraded:
+            self.metrics.counter("sharded.shed").inc()
+            return True
+        with shard.lock:
+            admitted = shard.sup.submit(event)
+        if not admitted:
+            self.metrics.counter("sharded.backpressure").inc()
+        return admitted
 
     def _submit_page(self, event: Event) -> bool:
         """Page-hash delivery: one event → exactly one ingest shard.
@@ -447,26 +420,15 @@ class ShardedDetectionService:
         The tier tracks the global max event time itself (each shard
         sees only a timestamp subset) and broadcasts it every
         ``forward_batch`` events so per-shard eviction cutoffs track the
-        single-engine one.  Any accepted event invalidates the memoized
-        cross-shard aggregate.
+        single-engine one.  Every event advances the ingest generation,
+        which is what invalidates the memoized cross-shard aggregate.
         """
         t = int(event[2])
         if self._max_event_t is None or t > self._max_event_t:
             self._max_event_t = t
-        self._aggregate = None
-        sid = page_shard_of(event[1], self.n_shards)
-        shard = self._shards[sid]
-        if shard.failed:
-            self.metrics.counter("sharded.shed").inc()
-            self.metrics.counter("sharded.events").inc()
-            return True
-        with shard.lock:
-            admitted = shard.sup.submit(event)
-        if shard.sup.degraded:
-            self._begin_restart(shard)
-        if not admitted:
-            self.metrics.counter("sharded.backpressure").inc()
-        self.metrics.counter("sharded.events").inc()
+        self._ingest_generation += 1
+        shard = self._shards[page_shard_of(event[1], self.n_shards)]
+        admitted = self._deliver(shard, event)
         self._events_since_observe += 1
         if self._events_since_observe >= self._forward_batch:
             self._broadcast_watermark()
@@ -479,15 +441,11 @@ class ShardedDetectionService:
         if t is None:
             return
         for shard in self._shards:
-            if shard.failed:
-                continue
             try:
                 with shard.lock:
                     shard.sup.observe(t)
             except DegradedError:
-                pass
-            if shard.sup.degraded:
-                self._begin_restart(shard)
+                pass  # down: it catches up from the next broadcast
 
     def run_events(
         self, events: Iterable[Event], *, max_events: int | None = None
@@ -514,118 +472,71 @@ class ShardedDetectionService:
         before any partial weights are exchanged.
         """
         for shard in self._shards:
-            if shard.failed:
-                continue
-            self._await_restart(shard)
+            shard.sup.await_restart(30.0)
             with shard.lock:
-                shard.sup.flush()
+                shard.sup.flush()  # a no-op on a shard that is still down
         if self._page_mode:
-            self._aggregate = None
             self._broadcast_watermark()
-
-    # -- restart machinery -------------------------------------------------
-    def _begin_restart(self, shard: _Shard) -> None:
-        with self._state_lock:
-            if shard.restarting or shard.failed:
-                return
-            if shard.restarts >= self.max_shard_restarts:
-                shard.failed = True
-                self.metrics.gauge(f"sharded.shard{shard.sid}.up").set(0)
-                return
-            shard.restarting = True
-        self.metrics.gauge(f"sharded.shard{shard.sid}.up").set(0)
-        thread = threading.Thread(
-            target=self._restart_shard,
-            args=(shard,),
-            daemon=True,
-            name=f"shard-{shard.sid}-restart",
-        )
-        self._restart_threads[shard.sid] = thread
-        thread.start()
-
-    def _restart_shard(self, shard: _Shard) -> None:
-        try:
-            while True:
-                with self._state_lock:
-                    if shard.restarts >= self.max_shard_restarts:
-                        shard.failed = True
-                        return
-                    shard.restarts += 1
-                    attempt = shard.restarts
-                time.sleep(
-                    min(1.0, self.restart_backoff * (2 ** (attempt - 1)))
-                )
-                try:
-                    with shard.lock:
-                        shard.sup.restart()
-                    self.metrics.counter("sharded.restarts").inc()
-                    self.metrics.gauge(f"sharded.shard{shard.sid}.up").set(1)
-                    return
-                except Exception:
-                    # Failed start attempt: keep the shard visibly down
-                    # and try again until the budget runs out.
-                    shard.sup.degraded = True
-        finally:
-            with self._state_lock:
-                shard.restarting = False
-
-    def _await_restart(self, shard: _Shard, timeout: float = 30.0) -> None:
-        thread = self._restart_threads.get(shard.sid)
-        if thread is not None and thread.is_alive():
-            thread.join(timeout)
 
     def await_healthy(self, timeout: float = 30.0) -> bool:
         """Block until no shard is mid-restart; ``True`` if all are up."""
         deadline = time.monotonic() + timeout
         for shard in self._shards:
-            self._await_restart(shard, max(0.0, deadline - time.monotonic()))
-        return all(
-            not s.failed and not s.restarting and not s.sup.degraded
-            for s in self._shards
-        )
+            shard.sup.await_restart(max(0.0, deadline - time.monotonic()))
+        return not any(shard.sup.down for shard in self._shards)
 
     # -- queries -----------------------------------------------------------
+    def _unavailable(self, shard_id: int, reason: str) -> ShardUnavailableError:
+        self.metrics.counter("sharded.unavailable").inc()
+        return ShardUnavailableError(shard_id, reason)
+
+    def _require_up(self, shard: _Shard) -> None:
+        if shard.sup.down:
+            raise self._unavailable(
+                shard.sid,
+                "restart budget exhausted (shard failed)"
+                if shard.sup.degraded
+                else "shard restarting",
+            )
+
     def _query(self, shard_id: int, fn: Callable[[ServeSupervisor], Any]) -> Any:
         """Run *fn(supervisor)* on one shard under its lock, 503-typed."""
         shard = self._shards[shard_id]
-        if shard.failed:
-            self.metrics.counter("sharded.unavailable").inc()
-            raise ShardUnavailableError(
-                shard_id, "restart budget exhausted (shard failed)"
-            )
-        if shard.restarting or shard.sup.degraded:
-            self.metrics.counter("sharded.unavailable").inc()
-            raise ShardUnavailableError(shard_id, "shard restarting")
+        self._require_up(shard)
         if not shard.lock.acquire(timeout=self.query_timeout):
-            self.metrics.counter("sharded.unavailable").inc()
-            raise ShardUnavailableError(
+            raise self._unavailable(
                 shard_id, f"shard busy (> {self.query_timeout:g}s)"
             )
         try:
-            try:
-                return fn(shard.sup)
-            except DegradedError as exc:
-                self.metrics.counter("sharded.unavailable").inc()
-                raise ShardUnavailableError(shard_id, str(exc)) from exc
+            return fn(shard.sup)
+        except DegradedError as exc:
+            raise self._unavailable(shard_id, str(exc)) from exc
         finally:
             shard.lock.release()
-            if shard.sup.degraded:
-                self._begin_restart(shard)
 
-    def _aggregate_view(self) -> AggregateView:
+    def _aggregate_core(self) -> ScoringCore:
         """The memoized cross-shard aggregate (page mode's query engine).
 
         Runs the partial-weight exchange when stale: flush every shard,
         have each publish its ``w'``/``P'``/incidence partials through
-        the shm output path, claim and merge them, then threshold and
-        score once in an :class:`AggregateView`.  A dead shard raises
-        :class:`ShardUnavailableError` — an exchange needs every
-        partition, so page-mode aggregate queries 503 until the shard's
-        restart completes.
+        the shm output path, claim and merge them, then load the merged
+        ledgers into a :class:`~repro.serve.engine.ScoringCore` — the
+        engine's own thresholding, scoring and query code.  A dead shard
+        raises :class:`ShardUnavailableError` — an exchange needs every
+        partition, so page-mode aggregate queries 503 (without waiting)
+        until the shard's restart completes.
         """
         with self._agg_lock:
-            if self._aggregate is not None:
-                return self._aggregate
+            # Read before the flush: an event that lands mid-exchange
+            # may miss it, and must make the result stale, not current.
+            generation = self._ingest_generation
+            if self._aggregate is not None and self._aggregate[0] == generation:
+                return self._aggregate[1]
+            # Free the stale ledgers before gathering their successors,
+            # and fail fast rather than let flush() wait out a restart.
+            self._aggregate = None
+            for shard in self._shards:
+                self._require_up(shard)
             self.flush()
             with self.metrics.time("sharded.exchange"):
                 partials = []
@@ -642,46 +553,46 @@ class ShardedDetectionService:
             self.metrics.counter("sharded.exchange_bytes").inc(
                 merged.exchange_bytes
             )
-            view = AggregateView(merged, self.config)
-            self._aggregate = view
-            return view
+            core = ScoringCore(
+                self.config,
+                pair_weights=merged.pair_weights,
+                page_counts=merged.page_counts,
+                incidence=merged.incidence,
+            )
+            self._aggregate = (generation, core)
+            return core
 
     def shard_for(self, author: str) -> int:
         """The shard authoritative for *author* (the routing rule)."""
         return shard_of(author, self.n_shards)
 
     def user_score(self, author: str) -> dict:
-        """Route :meth:`DetectionEngine.user_score` to the owner shard."""
+        """:meth:`DetectionEngine.user_score`, from the owner shard."""
         with self.metrics.time("sharded.query.user"):
             if self._page_mode:
-                return self._aggregate_view().user_score(author)
-            sid = self.shard_for(author)
-            return self._query(sid, lambda sup: sup.user_score(author))
+                return self._aggregate_core().user_score(author)
+            return self._query(
+                self.shard_for(author),
+                lambda sup: sup.query("user_score", author),
+            )
 
     def top_k_triplets(self, k: int = 10, by: str = "t") -> list[dict]:
-        """Global top-k: gather each shard's owned candidates and merge.
+        """Global top-k triplets.
 
-        Page mode runs the same owner-sliced merge over the aggregate:
-        each user-hash owner's candidate list comes out of the exchanged
-        weights, and :func:`merge_topk` stitches them exactly as in
-        replicated mode.
+        Replicated mode gathers each shard's owned candidates and k-way
+        merges them; page mode reads the aggregate core's ranking.
         """
         _merge_key(by)  # validate the ranking before any pipe roundtrip
         if by == "c" and not self.config.compute_hypergraph:
             raise ValueError("ranking by C requires compute_hypergraph=True")
         with self.metrics.time("sharded.query.topk"):
             if self._page_mode:
-                view = self._aggregate_view()
-                per_owner = [
-                    view.owned_top_k(k, by, sid, self.n_shards)
-                    for sid in range(self.n_shards)
-                ]
-                return merge_topk(per_owner, k, by)
+                return self._aggregate_core().top_k_triplets(k, by)
             per_shard = [
                 self._query(
                     shard.sid,
-                    lambda sup, sid=shard.sid: sup.owned_top_k(
-                        k, by, sid, self.n_shards
+                    lambda sup, sid=shard.sid: sup.query(
+                        "owned_top_k_triplets", k, sid, self.n_shards, by
                     ),
                 )
                 for shard in self._shards
@@ -689,30 +600,28 @@ class ShardedDetectionService:
             return merge_topk(per_shard, k, by)
 
     def _gather_fragments(self) -> list[dict]:
-        if self._page_mode:
-            view = self._aggregate_view()
-            return [
-                view.owned_fragment(sid, self.n_shards)
-                for sid in range(self.n_shards)
-            ]
         return [
             self._query(
                 shard.sid,
-                lambda sup, sid=shard.sid: sup.owned_fragment(
-                    sid, self.n_shards
+                lambda sup, sid=shard.sid: sup.query(
+                    "owned_component_fragment", sid, self.n_shards
                 ),
             )
             for shard in self._shards
         ]
 
     def component_of(self, author: str) -> list[str]:
-        """*author*'s cross-shard component via the boundary-edge union."""
+        """*author*'s component (replicated: boundary-edge union across shards)."""
         with self.metrics.time("sharded.query.component"):
+            if self._page_mode:
+                return self._aggregate_core().component_of(author)
             return merged_component_of(self._gather_fragments(), author)
 
     def components(self) -> list[list[str]]:
-        """All candidate networks, merged across shards."""
+        """All candidate networks (replicated: merged across shards)."""
         with self.metrics.time("sharded.query.component"):
+            if self._page_mode:
+                return self._aggregate_core().components()
             return merge_components(
                 self._gather_fragments(), self.config.min_component_size
             )
@@ -722,51 +631,38 @@ class ShardedDetectionService:
 
         The parity harness diffs this against the single-engine oracle's
         :meth:`DetectionEngine.ci_edges`; replicated shards hold full
-        engines, so there :meth:`engine_clone` is the richer probe.
+        engines, so there :meth:`shard_results` is the richer probe.
         """
         if not self._page_mode:
             raise ValueError("ci_edges() requires ingest_sharding='page'")
-        return self._aggregate_view().ci_edges()
+        return self._aggregate_core().ci_edges()
 
     def page_counts(self) -> dict[str, int]:
         """Merged nonzero ``P'`` entries keyed by author name (page mode)."""
         if not self._page_mode:
             raise ValueError("page_counts() requires ingest_sharding='page'")
-        return self._aggregate_view().page_counts()
+        return self._aggregate_core().page_counts()
 
-    def engine_clone(self, shard_id: int = 0) -> DetectionEngine:
-        """A private :class:`DetectionEngine` cloned from one live shard.
+    def shard_results(self, shard_id: int = 0) -> PipelineResult:
+        """One shard's engine state as a batch-compatible result snapshot.
 
-        The child publishes its full state through the shm output path;
-        this process claims the segments (copy + unlink) and rehydrates.
-        Exactness riders: the clone answers every query identically to
-        the shard it came from.  Page-mode shards hold only their page
-        slice (under a ledger-only config), so no single shard *has* a
-        full engine to clone — use :meth:`ci_edges` / the query facade
-        instead.
+        In replicated mode any shard holds the full live window, so this
+        is the tier's raw-state probe; a page-mode shard returns its page
+        slice under the ledger-only config.
         """
-        if self._page_mode:
-            raise ValueError(
-                "engine_clone requires ingest_sharding='replicated': "
-                "page-partitioned shards each hold only their page slice"
-            )
-        payload = self._query(
-            shard_id, lambda sup: sup.engine_state(self._shm_prefix)
-        )
-        return claim_engine_state(payload, self.config)
+        return self._query(shard_id, lambda sup: sup.results())
 
     def status(self) -> dict:
         """Tier health + per-shard status (degraded shards summarized)."""
         shards = []
         for shard in self._shards:
+            sup = shard.sup
             entry: dict = {
                 "shard": shard.sid,
-                "up": not (
-                    shard.failed or shard.restarting or shard.sup.degraded
-                ),
-                "failed": shard.failed,
-                "restarting": shard.restarting,
-                "restarts": shard.restarts,
+                "up": not sup.down,
+                "failed": sup.degraded,
+                "restarting": sup.restarting,
+                "restarts": sup.restarts,
             }
             if entry["up"]:
                 try:
@@ -786,9 +682,9 @@ class ShardedDetectionService:
         }
 
     def close(self) -> None:
-        """Stop every shard and sweep any unclaimed handoff segments."""
+        """Stop every shard and sweep any unclaimed exchange segments."""
         for shard in self._shards:
-            self._await_restart(shard)
+            shard.sup.await_restart(30.0)
             with shard.lock:
                 shard.sup.close()
         sweep_segments(self._shm_prefix)

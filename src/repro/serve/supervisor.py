@@ -24,6 +24,14 @@ in a child process and keeps detection available across crashes:
   :class:`~repro.serve.metrics.ServiceMetrics`.  :meth:`restart` clears
   it (an operator decision, not an automatic loop).
 
+This is the only restart policy in :mod:`repro.serve`.  The loop runs
+on the thread that noticed the death (:meth:`ServeSupervisor._recover`);
+the sharded tier overrides that one method to run the *same* loop on a
+background thread, so a query against a restarting shard fails fast
+instead of waiting out the backoff.  While a loop runs on another
+thread the supervisor is :attr:`~ServeSupervisor.restarting`: requests
+raise :class:`DegradedError` and producer events only buffer.
+
 The child never sheds: its queue uses the ``reject`` policy and the
 drive loop ticks until admission, so the journal holds an exact prefix
 of the delivered stream and the resume arithmetic stays trivial.
@@ -35,7 +43,7 @@ incarnation received, so a restart resets it to zero and the parent
 resends its entire retained buffer — which is only the in-flight
 suffix the sharded tier keeps small by flushing.  The sharded serving
 tier (:mod:`repro.serve.shard`) uses this mode when no ``--durable``
-root is given, supplying its own restart policy per shard.
+root is given.
 """
 
 from __future__ import annotations
@@ -45,16 +53,35 @@ import os
 import signal
 import time
 from collections import deque
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from pathlib import Path
+from typing import Any, Iterable
 
 from repro.exec.shm import OutputWriter, disown_resource_tracking
 from repro.pipeline.config import PipelineConfig
+from repro.pipeline.results import PipelineResult
 from repro.serve.durable import DurableDetectionService
 from repro.serve.ingest import Event, EventQueue
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.service import DetectionService
 
 __all__ = ["DegradedError", "ServeSupervisor"]
+
+#: :class:`~repro.serve.engine.DetectionEngine` methods a parent may
+#: invoke through the ``query`` op.  Anything else is answered with a
+#: typed error — the pipe must not become ``getattr`` on the child.
+ENGINE_QUERIES = frozenset(
+    {
+        "snapshot",
+        "top_k_triplets",
+        "user_score",
+        "component_of",
+        "components",
+        "owned_top_k_triplets",
+        "owned_component_fragment",
+    }
+)
 
 
 class _ChildUnresponsive(Exception):
@@ -65,7 +92,12 @@ class DegradedError(RuntimeError):
     """The supervisor is in degraded mode and cannot serve the request."""
 
 
-def _child_main(conn, config, durable, service_kwargs) -> None:
+def _child_main(
+    conn: Connection,
+    config: PipelineConfig | None,
+    durable: bool,
+    service_kwargs: dict[str, Any],
+) -> None:
     """Child process body: detection service + request loop on *conn*.
 
     *durable* selects the service: a
@@ -80,10 +112,11 @@ def _child_main(conn, config, durable, service_kwargs) -> None:
     # The parent owns lifecycle; a SIGINT meant for the parent's loop
     # must not also unwind the child mid-tick.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # State-handoff segments are published here but claimed (and
+    # Partial-weight segments are published here but claimed (and
     # unlinked) by the parent; the shared resource tracker must not
     # count them against this process.
     disown_resource_tracking()
+    svc: Any  # durable and volatile services differ in journal attributes
     if durable:
         svc = DurableDetectionService(config, **service_kwargs)
         recovery = svc.recovery.describe()
@@ -91,7 +124,7 @@ def _child_main(conn, config, durable, service_kwargs) -> None:
         svc = DetectionService(config, **service_kwargs)
         recovery = "volatile start (no durable store; a restart loses state)"
     received = 0
-    writer = None  # lazy OutputWriter for shm state handoff
+    writer: OutputWriter | None = None  # lazy: only the exchange needs one
 
     def position() -> int:
         return svc.events_journaled if durable else received
@@ -141,43 +174,11 @@ def _child_main(conn, config, durable, service_kwargs) -> None:
                     conn.send(("ok", position()))
                 elif op == "status":
                     conn.send(("ok", svc.status()))
-                elif op == "results":
-                    conn.send(("ok", svc.engine.snapshot()))
-                elif op == "top":
-                    k, by = msg[1]
-                    conn.send(("ok", svc.engine.top_k_triplets(k, by=by)))
-                elif op == "owned_top":
-                    k, by, shard_id, n_shards = msg[1]
-                    conn.send(
-                        (
-                            "ok",
-                            svc.engine.owned_top_k_triplets(
-                                k, shard_id, n_shards, by=by
-                            ),
-                        )
-                    )
-                elif op == "user":
-                    conn.send(("ok", svc.engine.user_score(msg[1])))
-                elif op == "component":
-                    conn.send(("ok", svc.engine.component_of(msg[1])))
-                elif op == "components":
-                    conn.send(("ok", svc.engine.components()))
-                elif op == "fragment":
-                    shard_id, n_shards = msg[1]
-                    conn.send(
-                        (
-                            "ok",
-                            svc.engine.owned_component_fragment(
-                                shard_id, n_shards
-                            ),
-                        )
-                    )
-                elif op == "state_shm":
-                    from repro.serve.shard import publish_engine_state
-
-                    if writer is None:
-                        writer = OutputWriter(msg[1])
-                    conn.send(("ok", publish_engine_state(svc.engine, writer)))
+                elif op == "query":
+                    _op, name, args = msg
+                    if name not in ENGINE_QUERIES:
+                        raise ValueError(f"unknown engine query {name!r}")
+                    conn.send(("ok", getattr(svc.engine, name)(*args)))
                 elif op == "partial_shm":
                     from repro.serve.exchange import publish_partial_weights
 
@@ -266,7 +267,7 @@ class ServeSupervisor:
         backoff_base: float = 0.1,
         backoff_cap: float = 5.0,
         metrics: ServiceMetrics | None = None,
-        **service_kwargs,
+        **service_kwargs: Any,
     ) -> None:
         self.config = config
         self.directory = Path(directory) if directory is not None else None
@@ -285,10 +286,13 @@ class ServeSupervisor:
         self._service_kwargs = service_kwargs
 
         self._ctx = multiprocessing.get_context("fork")
-        self._proc = None
-        self._conn = None
+        self._proc: BaseProcess | None = None
+        self._conn: Connection | None = None
         self.child_pid: int | None = None
         self.degraded = False
+        #: A restart loop is running (on this or, for a sharded tier's
+        #: shard, a background thread); the pipe is that loop's alone.
+        self.restarting = False
         self.restarts = 0
         self.last_recovery: str | None = None
         #: Forwarded-but-not-yet-durable events: ``(stream_idx, event)``.
@@ -337,10 +341,10 @@ class ServeSupervisor:
         resend = [event for _idx, event in self._retained]
         if resend:
             self.metrics.counter("supervisor.resent_events").inc(len(resend))
-            self._conn.send(("events", resend))
-            if not self._conn.poll(self.heartbeat_timeout):
+            parent_conn.send(("events", resend))
+            if not parent_conn.poll(self.heartbeat_timeout):
                 raise _ChildUnresponsive("child hung during resend")
-            _tag, acked = self._conn.recv()
+            _tag, acked = parent_conn.recv()
             self._prune_retained(self._global_ack(int(acked)))
 
     def _global_ack(self, value: int) -> int:
@@ -353,8 +357,21 @@ class ServeSupervisor:
         while self._retained and self._retained[0][0] <= self._acked:
             self._retained.popleft()
 
-    def _handle_child_death(self) -> None:
-        """Reap the dead child and restart it under backoff + budget."""
+    @property
+    def down(self) -> bool:
+        """No child to talk to: degraded for good, or mid-restart."""
+        return self.degraded or self.restarting
+
+    def _recover(self) -> None:
+        """The child is dead: run the restart loop, here and now.
+
+        The one seam of the restart policy — *which thread* pays for the
+        backoff.  Returning means a child is back up; raising
+        :class:`DegradedError` fails the request that noticed the death.
+        """
+        self._restart_loop()
+
+    def _reap_child(self) -> None:
         if self._conn is not None:
             self._conn.close()
             self._conn = None
@@ -363,32 +380,42 @@ class ServeSupervisor:
             self._proc.join()
             self._proc = None
         self.child_pid = None
-        failures = 0
-        while True:
-            now = time.monotonic()
-            while (
-                self._restart_times
-                and now - self._restart_times[0] > self.restart_window
-            ):
-                self._restart_times.popleft()
-            if len(self._restart_times) >= self.max_restarts:
-                self.degraded = True
-                self.metrics.gauge("supervisor.degraded").set(1)
-                raise DegradedError(
-                    f"restart budget exhausted ({self.max_restarts} in "
-                    f"{self.restart_window:g}s); shedding load"
-                )
-            time.sleep(min(self.backoff_cap, self.backoff_base * (2**failures)))
-            self._restart_times.append(time.monotonic())
-            self.restarts += 1
-            self.metrics.counter("supervisor.restarts").inc()
-            try:
-                self._start_child()
-                return
-            except (_ChildUnresponsive, EOFError, BrokenPipeError, OSError):
-                failures += 1
 
-    def _request(self, op: str, payload=None):
+    def _restart_loop(self) -> None:
+        """Reap the dead child and restart it under backoff + budget."""
+        self.restarting = True
+        try:
+            self._reap_child()
+            failures = 0
+            while True:
+                now = time.monotonic()
+                while (
+                    self._restart_times
+                    and now - self._restart_times[0] > self.restart_window
+                ):
+                    self._restart_times.popleft()
+                if len(self._restart_times) >= self.max_restarts:
+                    self.degraded = True
+                    self.metrics.gauge("supervisor.degraded").set(1)
+                    raise DegradedError(
+                        f"restart budget exhausted ({self.max_restarts} in "
+                        f"{self.restart_window:g}s); shedding load"
+                    )
+                time.sleep(
+                    min(self.backoff_cap, self.backoff_base * (2**failures))
+                )
+                self._restart_times.append(time.monotonic())
+                self.restarts += 1
+                self.metrics.counter("supervisor.restarts").inc()
+                try:
+                    self._start_child()
+                    return
+                except (_ChildUnresponsive, EOFError, BrokenPipeError, OSError):
+                    failures += 1
+        finally:
+            self.restarting = False
+
+    def _request(self, op: str, *payload: Any) -> Any:
         """One request/response round with watchdog + restart semantics.
 
         ``events`` payloads are already retained by the caller, so after
@@ -398,13 +425,18 @@ class ServeSupervisor:
         """
         if self.degraded:
             raise DegradedError("supervisor is degraded")
-        msg = (op,) if payload is None else (op, payload)
+        if self.restarting:
+            raise DegradedError("child is restarting")
+        msg = (op, *payload)
         for _attempt in range(2 + self.max_restarts):
+            conn = self._conn
+            if conn is None:
+                raise DegradedError("supervisor is closed")
             try:
-                self._conn.send(msg)
-                if not self._conn.poll(self.heartbeat_timeout):
+                conn.send(msg)
+                if not conn.poll(self.heartbeat_timeout):
                     raise _ChildUnresponsive(f"child missed deadline on {op!r}")
-                tag, value = self._conn.recv()
+                tag, value = conn.recv()
                 if tag == "ok":
                     if op in ("events", "drain", "sync", "close"):
                         self._prune_retained(self._global_ack(int(value)))
@@ -416,7 +448,7 @@ class ServeSupervisor:
                 BrokenPipeError,
                 ConnectionResetError,
             ):
-                self._handle_child_death()  # raises DegradedError when spent
+                self._recover()  # raises DegradedError when spent
                 if op == "events":
                     return self._acked  # restart resent the retained gap
         raise _ChildUnresponsive(f"child kept dying while serving {op!r}")
@@ -428,15 +460,17 @@ class ServeSupervisor:
         A healthy supervisor never sheds: a full parent queue forwards
         to the child first.  Only in degraded mode (or while a restart
         is failing) does the queue fill and its policy decide what is
-        lost — visible as ``shed_events`` in :meth:`status`.
+        lost — visible as ``shed_events`` in :meth:`status`.  While a
+        restart loop runs on another thread events only buffer: the
+        retained deque and the pipe are that loop's until it finishes.
         """
-        if not self.degraded and self.queue.is_full:
+        if not self.down and self.queue.is_full:
             self._forward()
         dropped_before = self.queue.dropped
         admitted = self.queue.offer(event)
         if self.queue.dropped > dropped_before:
             self.metrics.counter("supervisor.shed").inc()
-        if not self.degraded and self.queue.depth >= self.forward_batch:
+        if not self.down and self.queue.depth >= self.forward_batch:
             self._forward()
         return admitted
 
@@ -453,7 +487,9 @@ class ServeSupervisor:
                 return
         self.metrics.gauge("supervisor.retained").set(len(self._retained))
 
-    def run_events(self, events, *, max_events: int | None = None) -> int:
+    def run_events(
+        self, events: Iterable[Event], *, max_events: int | None = None
+    ) -> int:
         """Feed an iterable through the supervised child; returns consumed."""
         consumed = 0
         try:
@@ -469,7 +505,7 @@ class ServeSupervisor:
 
     def flush(self) -> None:
         """Forward everything buffered and drain the child's queue."""
-        if self.degraded:
+        if self.down:
             return
         try:
             self._forward()
@@ -488,46 +524,32 @@ class ServeSupervisor:
         self._request("observe", int(event_time))
 
     # -- queries -----------------------------------------------------------
-    def results(self):
-        """The child's current :class:`PipelineResult` snapshot."""
-        return self._request("results")
+    def query(self, name: str, *args: Any) -> Any:
+        """Run one allowlisted engine query (:data:`ENGINE_QUERIES`) on the child.
 
-    def top_k_triplets(self, k: int = 10, by: str = "t"):
-        """Proxy of :meth:`DetectionEngine.top_k_triplets` on the child."""
-        return self._request("top", (k, by))
+        The single query op of the pipe: ``name`` is a
+        :class:`~repro.serve.engine.DetectionEngine` method, ``args`` its
+        positional arguments.  An unknown name or a failing query comes
+        back as a ``RuntimeError`` — it fails this request, never the
+        child.
+        """
+        return self._request("query", name, args)
+
+    def results(self) -> PipelineResult:
+        """The child's current :class:`PipelineResult` snapshot."""
+        return self.query("snapshot")
+
+    def top_k_triplets(self, k: int = 10, by: str = "t") -> list[dict]:
+        """:meth:`DetectionEngine.top_k_triplets` on the child."""
+        return self.query("top_k_triplets", k, by)
 
     def user_score(self, author: str) -> dict:
-        """Proxy of :meth:`DetectionEngine.user_score` on the child."""
-        return self._request("user", author)
+        """:meth:`DetectionEngine.user_score` on the child."""
+        return self.query("user_score", author)
 
     def component_of(self, author: str) -> list[str]:
-        """Proxy of :meth:`DetectionEngine.component_of` on the child."""
-        return self._request("component", author)
-
-    def components(self) -> list[list[str]]:
-        """Proxy of :meth:`DetectionEngine.components` on the child."""
-        return self._request("components")
-
-    def owned_top_k(
-        self, k: int, by: str, shard_id: int, n_shards: int
-    ) -> list[dict]:
-        """Proxy of :meth:`DetectionEngine.owned_top_k_triplets`."""
-        return self._request("owned_top", (k, by, shard_id, n_shards))
-
-    def owned_fragment(self, shard_id: int, n_shards: int) -> dict:
-        """Proxy of :meth:`DetectionEngine.owned_component_fragment`."""
-        return self._request("fragment", (shard_id, n_shards))
-
-    def engine_state(self, shm_prefix: str) -> dict:
-        """Publish the child's full engine state into shared memory.
-
-        Returns the ``{"arrays": refs, "meta": ...}`` payload of
-        :func:`repro.serve.shard.publish_engine_state`; the caller must
-        claim it (:func:`repro.serve.shard.claim_engine_state`) — every
-        claim unlinks its segments, and
-        :func:`repro.exec.shm.sweep_segments` is the crash backstop.
-        """
-        return self._request("state_shm", shm_prefix)
+        """:meth:`DetectionEngine.component_of` on the child."""
+        return self.query("component_of", author)
 
     def partial_state(self, shm_prefix: str, shard_id: int, n_shards: int) -> dict:
         """Publish the child's partial CI weights into shared memory.
@@ -535,19 +557,19 @@ class ServeSupervisor:
         The page-hash exchange: returns the payload of
         :func:`repro.serve.exchange.publish_partial_weights`, which the
         caller must claim
-        (:func:`repro.serve.exchange.claim_partial_weights`) — the same
-        claim-or-sweep contract as :meth:`engine_state`.
+        (:func:`repro.serve.exchange.claim_partial_weights`) — every
+        claim unlinks its segments, and
+        :func:`repro.exec.shm.sweep_segments` is the crash backstop.
         """
         return self._request("partial_shm", (shm_prefix, shard_id, n_shards))
 
     def status(self) -> dict:
         """Child status (when reachable) + supervision counters."""
         child_status: dict = {}
-        if not self.degraded:
-            try:
-                child_status = self._request("status")
-            except DegradedError:
-                pass
+        try:
+            child_status = self._request("status")
+        except DegradedError:
+            pass
         child_status.update(
             supervised=True,
             child_pid=self.child_pid,
@@ -568,13 +590,7 @@ class ServeSupervisor:
         self.degraded = False
         self.metrics.gauge("supervisor.degraded").set(0)
         self._restart_times.clear()
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc.join()
-            self._proc = None
+        self._reap_child()
         self.restarts += 1
         self.metrics.counter("supervisor.restarts").inc()
         self._start_child()
@@ -616,5 +632,5 @@ class ServeSupervisor:
     def __enter__(self) -> "ServeSupervisor":
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, *exc: object) -> None:
         self.close()

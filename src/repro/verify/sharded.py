@@ -20,8 +20,8 @@ and page-hash partitioning with the partial-weight exchange).
    ranking (``==`` on the full row dicts — float scores must match
    bit-for-bit), ``user_score`` for a seeded author sample plus one
    absent name, the full component list, ``component_of`` for the same
-   sample, and a raw-state probe: in replicated mode a
-   :meth:`~ShardedDetectionService.engine_clone` snapshot structurally
+   sample, and a raw-state probe: in replicated mode shard 0's full
+   :meth:`~ShardedDetectionService.shard_results` snapshot structurally
    diffed against the oracle engine's snapshot; in page mode the
    merged ``w'`` ledger (:meth:`~ShardedDetectionService.ci_edges`) and
    ``P'`` ledger (:meth:`~ShardedDetectionService.page_counts`) diffed
@@ -295,11 +295,11 @@ def run_sharded_parity(
                     )
                     report.n_checks += 2
                 else:
-                    clone_diff = diff_results(
-                        oracle_snapshot, tier.engine_clone(0).snapshot()
+                    state_diff = diff_results(
+                        oracle_snapshot, tier.shard_results(0)
                     )
-                    for line in clone_diff[:_DIFF_LIMIT]:
-                        out.append(f"{tag}: engine clone — {line}")
+                    for line in state_diff[:_DIFF_LIMIT]:
+                        out.append(f"{tag}: shard 0 snapshot — {line}")
                     report.n_checks += 1
             finally:
                 tier.close()

@@ -177,3 +177,46 @@ class TestVerifyOnlineCommand:
         )
         assert code == 0
         assert "ONLINE PARITY OK" in out.getvalue()
+
+
+class TestShardedServeFlags:
+    def test_restart_policy_flags_reach_every_shard_supervisor(
+        self, tmp_path, monkeypatch
+    ):
+        # --shards used to read --max-restarts as a lifetime budget and
+        # drop --restart-window / --backoff-cap on the floor.
+        import repro.serve
+
+        seen = []
+
+        class Recording(repro.serve.ShardedDetectionService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.extend(
+                    (
+                        s.sup.max_restarts,
+                        s.sup.restart_window,
+                        s.sup.backoff_base,
+                        s.sup.backoff_cap,
+                    )
+                    for s in self._shards
+                )
+
+        monkeypatch.setattr(repro.serve, "ShardedDetectionService", Recording)
+        corpus = tmp_path / "stream.ndjson"
+        write_corpus(corpus, TRIANGLE_STREAM)
+        out = io.StringIO()
+        code = main(
+            [
+                "serve", "--input", str(corpus), "--cutoff", "1",
+                "--horizon", "100000", "--no-filter", "--shards", "2",
+                "--max-restarts", "3", "--restart-window", "7.5",
+                "--backoff-base", "0.02", "--backoff-cap", "0.3",
+            ],
+            out=out,
+        )
+        assert code == 0, out.getvalue()
+        assert seen == [(3, 7.5, 0.02, 0.3)] * 2
+        assert "shards: 2/2 up, restarts=0, shed=0" in out.getvalue()
+        assert "a / b / c" in out.getvalue()
+

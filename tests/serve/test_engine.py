@@ -7,7 +7,7 @@ from repro.graph.bipartite import BipartiteTemporalMultigraph
 from repro.graph.filters import AuthorFilter
 from repro.pipeline import CoordinationPipeline, PipelineConfig
 from repro.projection import TimeWindow
-from repro.serve.engine import DetectionEngine
+from repro.serve.engine import DetectionEngine, ScoringCore
 
 pytestmark = pytest.mark.serve
 
@@ -107,6 +107,34 @@ class TestQueries:
         assert status["live_comments"] == 3
         assert status["triangles"] == 1
         assert "metrics" in status and "counters" in status["metrics"]
+
+
+class TestScoringCore:
+    def test_core_loaded_from_name_keyed_ledgers_answers_like_the_engine(self):
+        # What page mode does: export an engine's ledgers by name, load
+        # them into a bare core.  Ids there are names, and sort
+        # differently from the engine's first-seen interner ids.
+        eng = make_engine()
+        eng.ingest(
+            [("zed", "p", 0), ("amy", "p", 5), ("kim", "p", 9)]
+            + TRIANGLE
+            + [("x", "q", 0), ("y", "q", 5), ("kim", "q", 7), ("a", "r", 0)]
+        )
+        core = ScoringCore(
+            eng.config,
+            pair_weights=eng.ci_edges(),
+            page_counts=eng.page_counts(),
+            incidence=eng.live_incidence(),
+        )
+        assert core.n_triangles == eng.n_triangles > 1
+        for by in ("t", "c", "min_weight"):
+            assert core.top_k_triplets(50, by=by) == eng.top_k_triplets(50, by=by)
+        for author in eng.live_authors() + ["nobody"]:
+            assert core.user_score(author) == eng.user_score(author)
+            assert core.component_of(author) == eng.component_of(author)
+        assert core.components() == eng.components()
+        assert core.ci_edges() == eng.ci_edges()
+        assert core.page_counts() == eng.page_counts()
 
 
 class TestSnapshot:

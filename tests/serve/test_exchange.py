@@ -38,7 +38,7 @@ def make_tier(n_shards=2, **kw):
     kw.setdefault("batch_size", 32)
     kw.setdefault("forward_batch", 64)
     kw.setdefault("heartbeat_timeout", 20.0)
-    kw.setdefault("restart_backoff", 0.01)
+    kw.setdefault("backoff_base", 0.01)
     return ShardedDetectionService(CONFIG, n_shards=n_shards, **kw)
 
 
@@ -150,11 +150,27 @@ class TestPageModeTier:
             )
             assert submitted == 200
 
-    def test_engine_clone_refuses_partial_slices(self):
+    def test_write_landing_mid_exchange_is_not_cached_away(self, monkeypatch):
+        # A write that arrives while an exchange is in flight misses it.
+        # The view built from that exchange must then count as stale,
+        # not be cached as current until some later write or flush().
+        import repro.serve.shard as shard_module
+
+        real_merge = shard_module.merge_partials
         with make_tier(n_shards=2) as tier:
-            tier.run_events(stream(60))
-            with pytest.raises(ValueError, match="replicated"):
-                tier.engine_clone(0)
+            tier.submit(("a", "p", 0))
+            tier.submit(("b", "p", 10))
+            late = [("c", "p", 20)]
+
+            def merge_then_write(partials, n_shards):
+                merged = real_merge(partials, n_shards)
+                if late:
+                    tier.submit(late.pop())
+                return merged
+
+            monkeypatch.setattr(shard_module, "merge_partials", merge_then_write)
+            assert set(tier.ci_edges()) == {("a", "b")}
+            assert set(tier.ci_edges()) == {("a", "b"), ("a", "c"), ("b", "c")}
 
     def test_ledger_accessors_require_page_mode(self):
         with make_tier(n_shards=2, ingest_sharding="replicated") as tier:
@@ -179,7 +195,7 @@ class TestExchangeFaults:
         # ingest shard 503s the whole surface — typed, never silently
         # under-counted.
         events = stream(300)
-        with make_tier(n_shards=2, max_shard_restarts=0) as tier:
+        with make_tier(n_shards=2, max_restarts=0) as tier:
             tier.run_events(events)
             victim = 1
             tier._shards[victim].sup.kill_child()
@@ -194,3 +210,36 @@ class TestExchangeFaults:
             )
             with pytest.raises(ShardUnavailableError):
                 tier.user_score(live_author)
+
+    def test_aggregate_503s_while_restarting_then_recovers_exactly(self, tmp_path):
+        events = stream(300)
+        oracle = oracle_service(events)
+        with make_tier(
+            n_shards=2,
+            directory=tmp_path,
+            fsync="interval",
+            snapshot_every=64,
+            backoff_base=0.5,
+        ) as tier:
+            tier.run_events(events[:200])
+            assert tier.top_k_triplets(10)  # a cached aggregate exists
+            victim = 0
+            tier._shards[victim].sup.kill_child()
+            for event in events[200:]:
+                tier.submit(event)
+            # The exchange needs the dead shard: the query fails typed,
+            # at once — the backoff is slept on the restart thread.
+            with pytest.raises(ShardUnavailableError) as excinfo:
+                tier.top_k_triplets(10)
+            assert excinfo.value.shard_id == victim
+            entry = tier.status()["shards"][victim]
+            assert entry["restarting"] and not entry["up"] and not entry["failed"]
+            with pytest.raises(ShardUnavailableError):
+                tier.user_score("u0")
+
+            assert tier.await_healthy(timeout=30.0)
+            assert tier.top_k_triplets(25) == oracle.top_k_triplets(25)
+            assert tier.components() == oracle.components()
+            assert tier.ci_edges() == oracle.engine.ci_edges()
+            assert tier.status()["shards"][victim]["restarts"] == 1
+            assert tier.metrics.gauge(f"sharded.shard{victim}.up").value == 1

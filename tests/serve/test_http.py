@@ -152,7 +152,7 @@ class TestShardOutageOverHttp:
             batch_size=32,
             forward_batch=64,
             heartbeat_timeout=20.0,
-            restart_backoff=0.01,
+            backoff_base=0.01,
             fsync="interval",
             snapshot_every=64,
         )
