@@ -546,124 +546,11 @@ def _cmd_figures(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, out) -> int:
+def _check_invariants(args: argparse.Namespace, btm, window) -> list[str]:
+    """Run the paper's invariants on one projection; names of those run."""
+    from repro import verify
     from repro.projection import project
     from repro.tripoll import survey_triangles, t_scores
-    from repro.verify import (
-        InvariantViolation,
-        check_projection_invariants,
-        check_window_monotonicity,
-        run_parity,
-    )
-
-    if args.layers:
-        from repro.verify import run_layer_parity
-
-        dataset = RedditDatasetBuilder.multilayer(
-            seed=args.seed, scale=args.scale
-        ).build()
-        layer_report = run_layer_parity(
-            dataset.records,
-            TimeWindow(args.delta1, args.delta2),
-            min_edge_weight=args.cutoff,
-            bucket_width=args.bucket_width,
-            parallel_workers=max(1, args.workers),
-            shrink=not args.no_shrink,
-        )
-        print(layer_report.describe(), file=out)
-        return 0 if layer_report.ok else 1
-
-    builder = (
-        RedditDatasetBuilder.jan2020_like(seed=args.seed, scale=args.scale)
-        if args.preset == "jan2020"
-        else RedditDatasetBuilder.oct2016_like(seed=args.seed, scale=args.scale)
-    )
-    btm = builder.build().btm
-    comments = list(
-        zip(btm.users.tolist(), btm.pages.tolist(), btm.times.tolist())
-    )
-    window = TimeWindow(args.delta1, args.delta2)
-
-    if args.online:
-        from repro.verify import run_online_parity
-
-        named_comments = [
-            (
-                str(btm.user_names.key_of(u)),
-                str(btm.page_names.key_of(p)),
-                t,
-            )
-            for u, p, t in comments
-        ]
-        online_report = run_online_parity(
-            named_comments,
-            PipelineConfig(
-                window=window,
-                min_triangle_weight=args.cutoff,
-            ),
-            n_steps=args.steps,
-            seed=args.seed,
-            check_every=args.check_every,
-        )
-        print(online_report.describe(), file=out)
-        return 0 if online_report.ok else 1
-
-    if args.sharded:
-        from repro.verify import run_sharded_parity
-
-        named_comments = [
-            (
-                str(btm.user_names.key_of(u)),
-                str(btm.page_names.key_of(p)),
-                t,
-            )
-            for u, p, t in comments
-        ]
-        counts = tuple(
-            int(c) for c in str(args.shard_counts).split(",") if c.strip()
-        )
-        modes = tuple(
-            m.strip()
-            for m in str(args.ingest_modes).split(",")
-            if m.strip()
-        )
-        sharded_report = run_sharded_parity(
-            named_comments,
-            PipelineConfig(
-                window=window,
-                min_triangle_weight=args.cutoff,
-            ),
-            shard_counts=counts or (1, 2),
-            ingest_modes=modes or ("replicated",),
-            seed=args.seed,
-        )
-        print(sharded_report.describe(), file=out)
-        return 0 if sharded_report.ok else 1
-
-    if args.chaos:
-        from repro.verify import run_chaos
-
-        chaos_report = run_chaos(
-            comments,
-            window,
-            seed=args.seed,
-            min_triangle_weight=args.cutoff,
-            n_ranks=args.chaos_ranks,
-            backend=args.chaos_backend,
-            barrier_deadline=args.chaos_deadline,
-        )
-        print(chaos_report.describe(), file=out)
-        return 0 if chaos_report.ok else 1
-
-    report = run_parity(
-        comments,
-        window,
-        min_edge_weight=args.cutoff,
-        bucket_width=args.bucket_width,
-        parallel_workers=max(1, args.workers),
-        shrink=not args.no_shrink,
-    )
-    print(report.describe(), file=out)
 
     executor = CoordinationPipeline(
         PipelineConfig(executor=args.executor, n_workers=args.workers)
@@ -673,20 +560,94 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     finally:
         executor.close()
     triangles = survey_triangles(proj.ci.edges, min_edge_weight=args.cutoff)
-    try:
-        ran = check_projection_invariants(
-            proj.ci,
-            triangles=triangles,
-            t_values=t_scores(triangles, proj.ci.page_counts),
+    ran = verify.check_projection_invariants(
+        proj.ci,
+        triangles=triangles,
+        t_values=t_scores(triangles, proj.ci.page_counts),
+    )
+    verify.check_window_monotonicity(
+        btm, window, TimeWindow(window.delta1, window.delta2 * 2)
+    )
+    return ran + ["window_monotonicity"]
+
+
+def _cmd_verify(args: argparse.Namespace, out) -> int:
+    from repro import verify
+
+    window = TimeWindow(args.delta1, args.delta2)
+    sweep = dict(
+        min_edge_weight=args.cutoff,
+        bucket_width=args.bucket_width,
+        parallel_workers=max(1, args.workers),
+        shrink=not args.no_shrink,
+    )
+    epilogue = None
+    if args.layers:
+        dataset = RedditDatasetBuilder.multilayer(
+            seed=args.seed, scale=args.scale
+        ).build()
+        report = verify.run_layer_parity(dataset.records, window, **sweep)
+    else:
+        builder = (
+            RedditDatasetBuilder.jan2020_like(seed=args.seed, scale=args.scale)
+            if args.preset == "jan2020"
+            else RedditDatasetBuilder.oct2016_like(
+                seed=args.seed, scale=args.scale
+            )
         )
-        check_window_monotonicity(
-            btm, window, TimeWindow(window.delta1, window.delta2 * 2)
+        btm = builder.build().btm
+        comments = list(
+            zip(btm.users.tolist(), btm.pages.tolist(), btm.times.tolist())
         )
-        ran.append("window_monotonicity")
-        print(f"invariants ok: {', '.join(ran)}", file=out)
-    except InvariantViolation as exc:
-        print(f"INVARIANT VIOLATED: {exc}", file=out)
-        return 1
+        named_comments = [
+            (str(btm.user_names.key_of(u)), str(btm.page_names.key_of(p)), t)
+            for u, p, t in comments
+        ]
+        config = PipelineConfig(window=window, min_triangle_weight=args.cutoff)
+        if args.online:
+            report = verify.run_online_parity(
+                named_comments,
+                config,
+                n_steps=args.steps,
+                seed=args.seed,
+                check_every=args.check_every,
+            )
+        elif args.sharded:
+            counts = tuple(
+                int(c) for c in str(args.shard_counts).split(",") if c.strip()
+            )
+            modes = tuple(
+                m.strip()
+                for m in str(args.ingest_modes).split(",")
+                if m.strip()
+            )
+            report = verify.run_sharded_parity(
+                named_comments,
+                config,
+                shard_counts=counts or (1, 2),
+                ingest_modes=modes or ("replicated",),
+                seed=args.seed,
+            )
+        elif args.chaos:
+            report = verify.run_chaos(
+                comments,
+                window,
+                seed=args.seed,
+                min_triangle_weight=args.cutoff,
+                n_ranks=args.chaos_ranks,
+                backend=args.chaos_backend,
+                barrier_deadline=args.chaos_deadline,
+            )
+        else:
+            report = verify.run_parity(comments, window, **sweep)
+            try:
+                ran = _check_invariants(args, btm, window)
+                epilogue = f"invariants ok: {', '.join(ran)}"
+            except verify.InvariantViolation as exc:
+                report.sections["invariants"] = [f"invariant violated: {exc}"]
+    print(report.describe(), file=out)
+    if epilogue:
+        print(epilogue, file=out)
     return 0 if report.ok else 1
 
 

@@ -46,7 +46,8 @@ What replication buys: query throughput scales with shards and
 availability degrades **per keyspace** — a crashed shard 503s only the
 users it owns while it restarts.  What page partitioning buys: ingest
 throughput scales with shards too (each shard processes ~1/N of the
-stream — ``benchmarks/test_bench_ingest_shard.py`` pins this), at the
+stream — ``tests/serve/test_exchange.py`` pins the partition, the
+``serve-mixed`` workload of ``benchmarks/e2e`` times it), at the
 cost of query-time exchange latency and coarser availability (an
 exchange needs *every* shard, so a dead shard 503s aggregate queries
 until it restarts).

@@ -3,7 +3,10 @@
 The repo's correctness story rests on every execution mode agreeing
 *exactly*: three plans, each on the serial, parallel and YGM executors,
 against three reference oracles.  This package makes that guarantee
-executable:
+executable.  Every harness returns the one
+:class:`~repro.verify.report.Report` (header lines, ``facts``, named
+sections of divergence lines; ok iff no section holds a line) and diffs
+with the one core beside it (:mod:`repro.verify.report`):
 
 - :mod:`repro.verify.parity` — run one corpus through every plan on
   every executor, structurally diff the outputs against the reference
@@ -16,9 +19,10 @@ executable:
   YGM executor, which must fail typed (or complete), then resume from its checkpoint to
   results identical to the serial oracle;
 - :mod:`repro.verify.bench_gate` — the CI benchmark-regression gate:
-  fresh ``BENCH_*.json`` results compared against committed baselines
-  with a tolerance-plus-noise-floor policy, failing on slowdown
-  (``python -m repro.verify.bench_gate``);
+  one rule table over the kernel and multi-layer ``BENCH_*.json``
+  results, compared against committed baselines with a
+  tolerance-plus-noise-floor policy (``python -m
+  repro.verify.bench_gate``); speed itself is ``benchmarks/e2e``'s;
 - :mod:`repro.verify.online` — streaming parity: a seeded interleaving
   of appends, out-of-order arrivals, and window advances is driven
   through the :class:`~repro.serve.engine.DetectionEngine`, whose every
@@ -28,7 +32,7 @@ executable:
   through the single-engine oracle and through
   :class:`~repro.serve.shard.ShardedDetectionService` tiers at several
   shard counts, and every merged answer (top-k, user scores,
-  components, engine clones) must match the oracle bit-for-bit;
+  components, raw-state probe) must match the oracle bit-for-bit;
 - :mod:`repro.verify.layers` — multi-layer parity: every action layer's
   event stream through the full engine sweep, the page layer against
   the pre-refactor code path byte-for-byte, and the fused score under
@@ -40,16 +44,11 @@ the streaming mode, ``--sharded`` for the shard-topology mode,
 ``--layers`` for the multi-layer mode).
 """
 
-from repro.verify.chaos import (
-    ChaosReport,
-    RecoveryChaosReport,
-    diff_results,
-    run_chaos,
-    run_recovery_chaos,
-)
-from repro.verify.layers import LayerParityReport, run_layer_parity
-from repro.verify.online import OnlineParityReport, run_online_parity
-from repro.verify.sharded import ShardedParityReport, run_sharded_parity
+from repro.verify.chaos import diff_results, run_chaos, run_recovery_chaos
+from repro.verify.layers import run_layer_parity
+from repro.verify.online import run_online_parity
+from repro.verify.report import Report
+from repro.verify.sharded import run_sharded_parity
 
 from repro.verify.invariants import (
     InvariantViolation,
@@ -61,7 +60,6 @@ from repro.verify.invariants import (
     check_window_monotonicity,
 )
 from repro.verify.parity import (
-    ParityReport,
     default_projection_engines,
     default_triangle_engines,
     default_validation_engines,
@@ -86,9 +84,8 @@ __all__ = [
     "GateCheck",
     "GateReport",
     "run_gate",
-    "ChaosReport",
+    "Report",
     "diff_results",
-    "RecoveryChaosReport",
     "run_chaos",
     "run_recovery_chaos",
     "InvariantViolation",
@@ -98,13 +95,9 @@ __all__ = [
     "check_triangle_weight_bound",
     "check_unit_interval",
     "check_window_monotonicity",
-    "LayerParityReport",
     "run_layer_parity",
-    "OnlineParityReport",
     "run_online_parity",
-    "ShardedParityReport",
     "run_sharded_parity",
-    "ParityReport",
     "default_projection_engines",
     "default_triangle_engines",
     "default_validation_engines",

@@ -1,38 +1,41 @@
 """Benchmark-regression gate: fresh bench results vs committed baselines.
 
-The bench suite emits machine-readable ``BENCH_*.json`` files
-(``benchmarks/results/``); this module compares a fresh run against the
-committed baselines (``benchmarks/baselines/``) and fails on slowdown,
-so a perf win landed in one PR cannot silently rot in the next.
+Speed is measured end to end by ``benchmarks/e2e`` (see
+``docs/benchmarking.md``); this gate guards the two things that harness
+does not: the kernel-vs-reference-twin speedups of
+``benchmarks/test_bench_kernels.py`` and the per-layer cost and
+planted-net recovery floor of ``benchmarks/test_bench_layers.py``.  Both
+emit machine-readable ``BENCH_*.json`` files (``benchmarks/results/``);
+the gate compares a fresh run against the committed baselines
+(``benchmarks/baselines/``) and fails on slowdown.
 
-Comparison policy (per check, slowdown-only — a faster fresh run always
-passes):
+What is gated is one table, :data:`RULES`: per result file, whether a
+fresh run is *required*, and a row per metric — a dotted path into the
+JSON (one ``*`` matches every key at that level) and a kind.  One loop
+interprets it (slowdown-only — a faster fresh run always passes):
 
-- **Seconds** are compared with a relative tolerance *and* an absolute
+- ``seconds`` are compared with a relative tolerance *and* an absolute
   noise floor: a fresh timing fails only when it exceeds
   ``baseline * (1 + tolerance) + noise_floor``.  The floor keeps
   millisecond-scale tiny-run jitter from flaking the gate while a real
-  regression (a de-vectorized kernel, a serialized pool) still trips it.
-- **Speedup ratios** (kernel vs reference twin, parallel vs serial) are
-  dimensionless and transfer across machines better than seconds; they
-  are compared only when the baseline's slow side is above the noise
-  floor (otherwise the ratio itself is noise) and, for multi-worker
-  scaling entries, only when the fresh host has at least that many cores
-  and the baseline actually scaled (speedup ≥ 1).  The 1-worker ratio is
-  *always* gated — it measures dispatch overhead, which is meaningful on
-  any host — while a multi-worker baseline that never scaled is a
-  **stale baseline**: silently skipped by default, a hard error under
-  ``--strict`` (recapture it on a multi-core host, see
-  ``docs/benchmarking.md``).
+  regression (a de-vectorized kernel) still trips it.
+- ``speedup`` ratios are dimensionless and transfer across machines
+  better than seconds; a fresh ratio fails below
+  ``baseline * (1 - tolerance)``, and is compared only when the
+  baseline's slow side (the row's ``ref`` path) is above the noise floor
+  — otherwise the ratio itself is noise.
+- ``floor`` is absolute, not baseline-relative: the fresh value must
+  reach the floor the fresh file itself commits to (the row's ``ref``
+  path), for every key the baseline has — so a stale result file cannot
+  hide a detection regression.
 
-Baselines are *required* or *optional*.  A required baseline whose fresh
-counterpart is missing fails the gate (the bench did not run); an
-optional one — e.g. the full-scale ``BENCH_parallel.json``, which takes
-minutes and is not part of the CI smoke — is skipped when no fresh run
-exists and compared when one does.  A fresh file that does not parse
-fails with a pointer at the atomic-write contract
-(``benchmarks/_figures.py``), since a truncated ``BENCH_*.json`` means a
-writer bypassed it.
+A required file whose fresh counterpart is missing fails the gate (the
+bench did not run); an optional one — the full-scale
+``BENCH_layers.json`` is not part of the CI smoke — is skipped when no
+fresh run exists and compared when one does.  Baseline and fresh must be
+captured at the same ``scale``.  A fresh file that does not parse fails
+with a pointer at the atomic-write contract (``benchmarks/_figures.py``),
+since a truncated ``BENCH_*.json`` means a writer bypassed it.
 
 Run as ``python -m repro.verify.bench_gate``; ``--update`` refreshes the
 baselines from the fresh results instead of comparing (the documented
@@ -47,10 +50,13 @@ import shutil
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 __all__ = [
     "GateCheck",
     "GateReport",
+    "RULES",
+    "Rule",
     "TruncatedResultError",
     "run_gate",
     "main",
@@ -102,7 +108,6 @@ class GateReport:
 
     tolerance: float
     noise_floor: float
-    strict: bool = False
     checks: list[GateCheck] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
@@ -119,7 +124,7 @@ class GateReport:
         """Human-readable gate report: checks, skips, errors, verdict."""
         lines = [
             f"bench gate: tolerance ±{self.tolerance:.0%}, noise floor "
-            f"{self.noise_floor}s{', strict' if self.strict else ''} — "
+            f"{self.noise_floor}s — "
             f"{len(self.checks)} check(s), {len(self.skipped)} skipped"
         ]
         lines += [f"  {c.describe()}" for c in self.checks]
@@ -141,329 +146,99 @@ def _load(path: Path) -> dict:
         raise TruncatedResultError(path, exc) from exc
 
 
-class _Comparator:
-    """Shared helpers binding one report's policy knobs."""
+@dataclass(frozen=True)
+class Rule:
+    """One gated metric of a result file."""
 
-    def __init__(self, report: GateReport) -> None:
-        self.report = report
-
-    def seconds(self, name: str, baseline: float, fresh: float) -> None:
-        limit = baseline * (1.0 + self.report.tolerance) + self.report.noise_floor
-        self.report.checks.append(
-            GateCheck(name, "seconds", baseline, fresh, fresh <= limit)
-        )
-
-    def speedup(
-        self, name: str, baseline: float, fresh: float, slow_side: float
-    ) -> None:
-        if slow_side < self.report.noise_floor:
-            self.report.skipped.append(
-                f"{name}: baseline timing below noise floor"
-            )
-            return
-        floor = baseline * (1.0 - self.report.tolerance)
-        self.report.checks.append(
-            GateCheck(name, "speedup", baseline, fresh, fresh >= floor)
-        )
+    #: Check name as reported; ``*`` stands for the wildcard's key.
+    name: str
+    #: Dotted path into the JSON; one ``*`` matches every key there.
+    path: str
+    kind: str  # "seconds" | "speedup" | "floor"
+    #: ``speedup``: path of the baseline's slow-side seconds;
+    #: ``floor``: path of the floor inside the fresh file.
+    ref: str = ""
 
 
-def _compare_kernels(base: dict, fresh: dict, rep: GateReport) -> None:
-    cmp = _Comparator(rep)
-    if base.get("scale") != fresh.get("scale"):
-        rep.errors.append(
-            f"BENCH_kernels: scale mismatch (baseline {base.get('scale')!r} "
-            f"vs fresh {fresh.get('scale')!r}) — rerun at baseline scale"
-        )
-        return
-    for name, b in base.get("kernels", {}).items():
-        f = fresh.get("kernels", {}).get(name)
-        if f is None:
-            rep.errors.append(f"kernels[{name}]: missing from fresh results")
-            continue
-        cmp.seconds(
-            f"kernels[{name}].kernel_seconds",
-            float(b["kernel_seconds"]),
-            float(f["kernel_seconds"]),
-        )
-        cmp.speedup(
-            f"kernels[{name}].speedup",
-            float(b["speedup"]),
-            float(f["speedup"]),
-            slow_side=float(b["reference_seconds"]),
-        )
+_KERNELS = (
+    Rule("kernels[*].kernel_seconds", "kernels.*.kernel_seconds", "seconds"),
+    Rule(
+        "kernels[*].speedup",
+        "kernels.*.speedup",
+        "speedup",
+        ref="kernels.*.reference_seconds",
+    ),
+)
+_LAYERS = (
+    Rule("layers.extract.seconds", "extract.seconds", "seconds"),
+    Rule("layers[*].seconds", "layers.*.seconds", "seconds"),
+    Rule("layers.fuse.seconds", "fuse.seconds", "seconds"),
+    # Every planted net must stay recovered by the fused score.
+    Rule(
+        "layers.recovery[*].precision",
+        "recovery.*.precision",
+        "floor",
+        ref="recovery_floor",
+    ),
+    Rule(
+        "layers.recovery[*].recall",
+        "recovery.*.recall",
+        "floor",
+        ref="recovery_floor",
+    ),
+)
 
-
-def _compare_parallel(base: dict, fresh: dict, rep: GateReport) -> None:
-    cmp = _Comparator(rep)
-    if base.get("scale") != fresh.get("scale"):
-        rep.errors.append(
-            f"BENCH_parallel: scale mismatch (baseline {base.get('scale')!r} "
-            f"vs fresh {fresh.get('scale')!r}) — rerun at baseline scale"
-        )
-        return
-    fresh_cpus = int(fresh.get("cpu_count", 1))
-    for plan, b in base.get("plans", {}).items():
-        f = fresh.get("plans", {}).get(plan)
-        if f is None:
-            rep.errors.append(f"plans[{plan}]: missing from fresh results")
-            continue
-        cmp.seconds(
-            f"plans[{plan}].serial_seconds",
-            float(b["serial_seconds"]),
-            float(f["serial_seconds"]),
-        )
-        for w, bw in b.get("workers", {}).items():
-            if int(w) > fresh_cpus:
-                # A core-starved fresh host cannot express the baseline's
-                # parallelism; skipping (even when the fresh bench dropped
-                # the entry entirely) is correct, erroring is not.
-                rep.skipped.append(
-                    f"plans[{plan}].workers[{w}]: fresh host has only "
-                    f"{fresh_cpus} core(s)"
-                )
-                continue
-            fw = f.get("workers", {}).get(w)
-            if fw is None:
-                rep.errors.append(
-                    f"plans[{plan}].workers[{w}]: missing from fresh results"
-                )
-                continue
-            if int(w) >= 2 and float(bw["speedup"]) < 1.0:
-                # A multi-worker baseline below 1x never scaled — it
-                # guards nothing.  Under --strict that is a stale
-                # baseline to recapture, not a skip.
-                msg = (
-                    f"plans[{plan}].workers[{w}]: baseline never scaled "
-                    f"(speedup {bw['speedup']}x)"
-                )
-                if rep.strict:
-                    rep.errors.append(
-                        msg + " — stale baseline; recapture on a "
-                        "multi-core host (--update)"
-                    )
-                else:
-                    rep.skipped.append(msg + " — nothing to regress")
-                continue
-            # w=1 ratios measure dispatch overhead and are gated like any
-            # other speedup: a fresh drop below baseline*(1-tol) means the
-            # executor's fixed costs regressed.
-            cmp.speedup(
-                f"plans[{plan}].workers[{w}].speedup",
-                float(bw["speedup"]),
-                float(fw["speedup"]),
-                slow_side=float(b["serial_seconds"]),
-            )
-
-
-def _compare_serve_durable(base: dict, fresh: dict, rep: GateReport) -> None:
-    cmp = _Comparator(rep)
-    if base.get("scale") != fresh.get("scale"):
-        rep.errors.append(
-            f"BENCH_serve_durable: scale mismatch (baseline "
-            f"{base.get('scale')!r} vs fresh {fresh.get('scale')!r}) — "
-            "rerun at baseline scale"
-        )
-        return
-    cmp.seconds(
-        "serve_durable.memory.seconds",
-        float(base["memory"]["seconds"]),
-        float(fresh["memory"]["seconds"]),
-    )
-    for policy, b in base.get("durable", {}).items():
-        f = fresh.get("durable", {}).get(policy)
-        if f is None:
-            rep.errors.append(
-                f"serve_durable.durable[{policy}]: missing from fresh results"
-            )
-            continue
-        cmp.seconds(
-            f"serve_durable.durable[{policy}].seconds",
-            float(b["seconds"]),
-            float(f["seconds"]),
-        )
-    # The headline durability claim is absolute, not baseline-relative:
-    # fsync=interval must keep >= 70% of in-memory throughput (the same
-    # floor the bench itself asserts — the gate re-checks the *committed*
-    # numbers so a stale result file cannot hide a regression).
-    interval = fresh.get("durable", {}).get("interval")
-    if interval is not None and float(interval["ratio"]) < 0.70:
-        rep.errors.append(
-            "serve_durable.durable[interval].ratio: "
-            f"{float(interval['ratio']):.2%} of in-memory throughput — "
-            "the durability tax exceeds the committed 30% budget"
-        )
-
-
-def _compare_serve_http(base: dict, fresh: dict, rep: GateReport) -> None:
-    cmp = _Comparator(rep)
-    if base.get("scale") != fresh.get("scale"):
-        rep.errors.append(
-            f"BENCH_serve_http: scale mismatch (baseline "
-            f"{base.get('scale')!r} vs fresh {fresh.get('scale')!r}) — "
-            "rerun at baseline scale"
-        )
-        return
-    cmp.seconds(
-        "serve_http.ingest.seconds",
-        float(base["ingest"]["seconds"]),
-        float(fresh["ingest"]["seconds"]),
-    )
-    for quantile in ("p50_s", "p99_s"):
-        cmp.seconds(
-            f"serve_http.query.{quantile}",
-            float(base["query"][quantile]),
-            float(fresh["query"][quantile]),
-        )
-    # The headline serving claim is absolute, not baseline-relative:
-    # query p99 under sustained ingest must stay inside the committed
-    # SLO (the same bound the bench itself asserts — the gate re-checks
-    # the committed numbers so a stale result file cannot hide a
-    # regression).
-    slo = float(fresh.get("slo", {}).get("p99_s", 0.0))
-    if slo > 0.0 and float(fresh["query"]["p99_s"]) > slo:
-        rep.errors.append(
-            "serve_http.query.p99_s: "
-            f"{float(fresh['query']['p99_s']):.4f}s exceeds the committed "
-            f"{slo:g}s SLO"
-        )
-
-
-def _compare_layers(base: dict, fresh: dict, rep: GateReport) -> None:
-    cmp = _Comparator(rep)
-    if base.get("scale") != fresh.get("scale"):
-        rep.errors.append(
-            f"BENCH_layers: scale mismatch (baseline {base.get('scale')!r} "
-            f"vs fresh {fresh.get('scale')!r}) — rerun at baseline scale"
-        )
-        return
-    cmp.seconds(
-        "layers.extract.seconds",
-        float(base["extract"]["seconds"]),
-        float(fresh["extract"]["seconds"]),
-    )
-    for layer, b in base.get("layers", {}).items():
-        f = fresh.get("layers", {}).get(layer)
-        if f is None:
-            rep.errors.append(
-                f"layers[{layer}]: missing from fresh results"
-            )
-            continue
-        cmp.seconds(
-            f"layers[{layer}].seconds",
-            float(b["seconds"]),
-            float(f["seconds"]),
-        )
-    cmp.seconds(
-        "layers.fuse.seconds",
-        float(base["fuse"]["seconds"]),
-        float(fresh["fuse"]["seconds"]),
-    )
-    # The headline multi-layer claim is absolute, not baseline-relative:
-    # every planted net must stay recovered by the fused score at the
-    # committed precision/recall floor (the same bound the bench itself
-    # asserts — the gate re-checks the committed numbers so a stale
-    # result file cannot hide a detection regression).
-    floor = float(fresh.get("recovery_floor", 0.0))
-    for net in base.get("recovery", {}):
-        score = fresh.get("recovery", {}).get(net)
-        if score is None:
-            rep.errors.append(
-                f"layers.recovery[{net}]: planted net missing from fresh "
-                "results"
-            )
-            continue
-        for metric in ("precision", "recall"):
-            if float(score[metric]) < floor:
-                rep.errors.append(
-                    f"layers.recovery[{net}].{metric}: "
-                    f"{float(score[metric]):.2f} below the committed "
-                    f"{floor:g} floor"
-                )
-
-
-def _compare_ingest_shard(base: dict, fresh: dict, rep: GateReport) -> None:
-    cmp = _Comparator(rep)
-    if base.get("scale") != fresh.get("scale"):
-        rep.errors.append(
-            f"BENCH_ingest_shard: scale mismatch (baseline "
-            f"{base.get('scale')!r} vs fresh {fresh.get('scale')!r}) — "
-            "rerun at baseline scale"
-        )
-        return
-    cmp.seconds(
-        "ingest_shard.single.seconds",
-        float(base["single"]["seconds"]),
-        float(fresh["single"]["seconds"]),
-    )
-    for mode, b_counts in base.get("modes", {}).items():
-        f_counts = fresh.get("modes", {}).get(mode, {})
-        for n, b in b_counts.items():
-            f = f_counts.get(n)
-            if f is None:
-                rep.errors.append(
-                    f"ingest_shard.modes[{mode}][{n}]: missing from fresh "
-                    "results"
-                )
-                continue
-            cmp.seconds(
-                f"ingest_shard.modes[{mode}][{n}].seconds",
-                float(b["seconds"]),
-                float(f["seconds"]),
-            )
-    # The headline partitioning claims are absolute, not
-    # baseline-relative (the same invariants the bench itself asserts —
-    # the gate re-checks the *committed* numbers so a stale result file
-    # cannot hide a broken exchange):
-    #   - both modes must report exact parity with the oracle;
-    #   - page mode must partition the stream (totals sum to the stream,
-    #     hottest shard within the balance slack), while replicated mode
-    #     must fan out N copies.
-    n_events = int(fresh.get("n_events", 0))
-    slack = float(fresh.get("page_balance_slack", 0.0))
-    for mode, f_counts in fresh.get("modes", {}).items():
-        for n, f in f_counts.items():
-            tag = f"ingest_shard.modes[{mode}][{n}]"
-            if not f.get("parity_ok", False):
-                rep.errors.append(
-                    f"{tag}.parity_ok: sharded answers diverged from the "
-                    "single-engine oracle"
-                )
-            total = int(f.get("total_shard_events", -1))
-            expected = n_events if mode == "page" else int(n) * n_events
-            if total != expected:
-                rep.errors.append(
-                    f"{tag}.total_shard_events: {total} != {expected} — "
-                    "ingest no longer "
-                    + ("partitions" if mode == "page" else "replicates")
-                )
-            if mode == "page" and int(n) > 1 and slack > 0.0:
-                bound = n_events * slack / int(n)
-                hottest = int(f.get("max_shard_events", 0))
-                if hottest > bound:
-                    rep.errors.append(
-                        f"{tag}.max_shard_events: hottest shard ingested "
-                        f"{hottest} events, above the committed "
-                        f"{slack:g}/N balance bound ({bound:.0f})"
-                    )
-
-
-# name -> (comparator, required).  Required baselines must have a fresh
-# counterpart (CI runs those benches every time); optional ones — the
-# full-scale parallel bench takes minutes on a big host — are compared
-# only when a fresh run exists.
-_COMPARATORS = {
-    "BENCH_kernels.json": (_compare_kernels, True),
-    "BENCH_parallel_smoke.json": (_compare_parallel, True),
-    "BENCH_parallel.json": (_compare_parallel, False),
-    "BENCH_serve_durable_smoke.json": (_compare_serve_durable, True),
-    "BENCH_serve_durable.json": (_compare_serve_durable, False),
-    "BENCH_serve_http_smoke.json": (_compare_serve_http, True),
-    "BENCH_serve_http.json": (_compare_serve_http, False),
-    "BENCH_layers_smoke.json": (_compare_layers, True),
-    "BENCH_layers.json": (_compare_layers, False),
-    "BENCH_ingest_shard_smoke.json": (_compare_ingest_shard, True),
-    "BENCH_ingest_shard.json": (_compare_ingest_shard, False),
+#: result file -> (required, rules).  CI runs the required benches every
+#: time; an optional file is compared only when a fresh run exists.
+RULES: dict[str, tuple[bool, tuple[Rule, ...]]] = {
+    "BENCH_kernels.json": (True, _KERNELS),
+    "BENCH_layers_smoke.json": (True, _LAYERS),
+    "BENCH_layers.json": (False, _LAYERS),
 }
+
+
+def _select(doc: Any, path: str) -> dict[str, Any]:
+    """Values of *doc* at dotted *path*, keyed by the ``*`` match (``""``
+    for a path without one); absent entries are left out."""
+    nodes = {"": doc}
+    for part in path.split("."):
+        if part == "*":
+            nodes = nodes[""] if isinstance(nodes.get(""), dict) else {}
+        else:
+            nodes = {
+                key: node[part]
+                for key, node in nodes.items()
+                if isinstance(node, dict) and part in node
+            }
+    return nodes
+
+
+def _apply(rule: Rule, base: dict, fresh: dict, rep: GateReport) -> None:
+    """Interpret one table row against one baseline/fresh pair."""
+    fresh_values = _select(fresh, rule.path)
+    for key, value in _select(base, rule.path).items():
+        name = rule.name.replace("*", key)
+        if key not in fresh_values:
+            rep.errors.append(f"{name}: missing from fresh results")
+            continue
+        b, f = float(value), float(fresh_values[key])
+        if rule.kind == "seconds":
+            limit = b * (1.0 + rep.tolerance) + rep.noise_floor
+            rep.checks.append(GateCheck(name, "seconds", b, f, f <= limit))
+        elif rule.kind == "speedup":
+            if float(_select(base, rule.ref)[key]) < rep.noise_floor:
+                rep.skipped.append(
+                    f"{name}: baseline timing below noise floor"
+                )
+                continue
+            floor = b * (1.0 - rep.tolerance)
+            rep.checks.append(GateCheck(name, "speedup", b, f, f >= floor))
+        else:
+            floor = float(_select(fresh, rule.ref).get("", 0.0))
+            if f < floor:
+                rep.errors.append(
+                    f"{name}: {f:.2f} below the committed {floor:g} floor"
+                )
 
 
 def run_gate(
@@ -472,7 +247,6 @@ def run_gate(
     *,
     tolerance: float = DEFAULT_TOLERANCE,
     noise_floor: float = DEFAULT_NOISE_FLOOR,
-    strict: bool = False,
 ) -> GateReport:
     """Compare every committed baseline against its fresh counterpart.
 
@@ -490,17 +264,17 @@ def run_gate(
     """
     baseline_dir = Path(baseline_dir)
     results_dir = Path(results_dir)
-    rep = GateReport(tolerance=tolerance, noise_floor=noise_floor, strict=strict)
+    rep = GateReport(tolerance=tolerance, noise_floor=noise_floor)
     baselines = sorted(baseline_dir.glob("BENCH_*.json"))
     if not baselines:
         rep.errors.append(f"no BENCH_*.json baselines under {baseline_dir}")
         return rep
     for base_path in baselines:
-        entry = _COMPARATORS.get(base_path.name)
+        entry = RULES.get(base_path.name)
         if entry is None:
-            rep.skipped.append(f"{base_path.name}: no comparator registered")
+            rep.skipped.append(f"{base_path.name}: no rules registered")
             continue
-        compare, required = entry
+        required, rules = entry
         fresh_path = results_dir / base_path.name
         if not fresh_path.exists():
             if required:
@@ -514,9 +288,19 @@ def run_gate(
                 )
             continue
         try:
-            compare(_load(base_path), _load(fresh_path), rep)
+            base, fresh = _load(base_path), _load(fresh_path)
         except TruncatedResultError as exc:
             rep.errors.append(str(exc))
+            continue
+        if base.get("scale") != fresh.get("scale"):
+            rep.errors.append(
+                f"{base_path.stem}: scale mismatch (baseline "
+                f"{base.get('scale')!r} vs fresh {fresh.get('scale')!r}) — "
+                "rerun at baseline scale"
+            )
+            continue
+        for rule in rules:
+            _apply(rule, base, fresh, rep)
     return rep
 
 
@@ -528,7 +312,7 @@ def update_baselines(
     results_dir = Path(results_dir)
     baseline_dir.mkdir(parents=True, exist_ok=True)
     updated = []
-    for name in sorted(_COMPARATORS):
+    for name in sorted(RULES):
         fresh_path = results_dir / name
         if not fresh_path.exists():
             continue
@@ -562,12 +346,6 @@ def main(argv: list[str] | None = None) -> int:
         help="refresh the baselines from the fresh results instead of "
         "comparing",
     )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat a multi-worker baseline that never scaled "
-        "(speedup < 1) as a hard stale-baseline error instead of a skip",
-    )
     args = parser.parse_args(argv)
     if args.update:
         updated = update_baselines(args.baseline_dir, args.results_dir)
@@ -578,7 +356,6 @@ def main(argv: list[str] | None = None) -> int:
         args.results_dir,
         tolerance=args.tolerance,
         noise_floor=args.noise_floor,
-        strict=args.strict,
     )
     print(report.describe())
     return 0 if report.ok else 1

@@ -21,7 +21,6 @@ tests drive it.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -32,60 +31,16 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.framework import CoordinationPipeline
 from repro.pipeline.results import PipelineResult
 from repro.projection.window import TimeWindow
+from repro.verify.report import DIFF_LIMIT, Report
 from repro.ygm.errors import YgmError
 from repro.ygm.faults import FaultPlan
 from repro.ygm.world import YgmWorld
 
 __all__ = [
-    "ChaosReport",
-    "RecoveryChaosReport",
     "run_chaos",
     "run_recovery_chaos",
     "diff_results",
 ]
-
-_DIFF_LIMIT = 4
-
-
-@dataclass
-class ChaosReport:
-    """Outcome of one fault-injected parity run."""
-
-    seed: int
-    plan: str
-    backend: str
-    n_ranks: int
-    #: ``"completed"`` (fault never bit), ``"failed-typed"`` (a
-    #: :class:`~repro.ygm.errors.YgmError` subclass), or
-    #: ``"failed-untyped"`` (contract violation).
-    first_attempt: str = "completed"
-    error: str | None = None
-    resumed: bool = False
-    divergences: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Typed-or-clean failure AND exact post-recovery parity."""
-        return self.first_attempt != "failed-untyped" and not self.divergences
-
-    def describe(self) -> str:
-        """Human-readable multi-line summary."""
-        lines = [
-            f"chaos run: seed {self.seed}, plan [{self.plan}], "
-            f"{self.n_ranks} ranks ({self.backend} backend)",
-            f"  first attempt: {self.first_attempt}"
-            + (f" — {self.error}" if self.error else ""),
-        ]
-        if self.resumed:
-            lines.append("  resumed from checkpoint on a clean world")
-        if self.ok:
-            lines.append("  CHAOS PARITY OK — recovery matches the serial oracle exactly")
-        else:
-            lines.append(
-                f"  CHAOS PARITY FAILED — {len(self.divergences)} divergence(s):"
-            )
-            lines += [f"    - {d}" for d in self.divergences]
-        return "\n".join(lines)
 
 
 def diff_results(ref: PipelineResult, got: PipelineResult) -> list[str]:
@@ -105,7 +60,7 @@ def diff_results(ref: PipelineResult, got: PipelineResult) -> list[str]:
             rv, gv = getattr(ref.triangles, fld), getattr(got.triangles, fld)
             if not np.array_equal(rv, gv):
                 msgs.append(f"triangle field {fld} differs")
-        if not np.allclose(ref.t_scores, got.t_scores):
+        if not np.array_equal(ref.t_scores, got.t_scores):
             msgs.append("T scores differ")
     if [c.members for c in ref.components] != [c.members for c in got.components]:
         msgs.append("component memberships differ")
@@ -114,11 +69,11 @@ def diff_results(ref: PipelineResult, got: PipelineResult) -> list[str]:
     elif ref.triplet_metrics is not None:
         if not np.array_equal(
             ref.triplet_metrics.w_xyz, got.triplet_metrics.w_xyz
-        ) or not np.allclose(
+        ) or not np.array_equal(
             ref.triplet_metrics.c_scores, got.triplet_metrics.c_scores
         ):
             msgs.append("hypergraph metrics differ")
-    return msgs[:_DIFF_LIMIT]
+    return msgs[:DIFF_LIMIT]
 
 
 def run_chaos(
@@ -132,7 +87,7 @@ def run_chaos(
     barrier_deadline: float = 30.0,
     checkpoint_dir: str | None = None,
     fault_plan: FaultPlan | None = None,
-) -> ChaosReport:
+) -> Report:
     """One seeded chaos scenario over *comments* (see module docstring).
 
     Parameters
@@ -163,9 +118,6 @@ def run_chaos(
     pipe = CoordinationPipeline(cfg)
     oracle = pipe.run(btm)
 
-    report = ChaosReport(
-        seed=seed, plan=plan.describe(), backend=backend, n_ranks=n_ranks
-    )
     cp_dir = checkpoint_dir or tempfile.mkdtemp(prefix="repro-chaos-")
 
     faulted = YgmWorld(
@@ -175,34 +127,47 @@ def run_chaos(
         barrier_deadline=barrier_deadline,
         exec_deadline=barrier_deadline,
     )
-    first: PipelineResult | None = None
+    # "completed" (the fault never bit), "failed-typed" (a YgmError
+    # subclass) or "failed-untyped" (contract violation).
+    first_attempt, error = "completed", None
+    divergences: list[str] = []
+    got: PipelineResult | None = None
     try:
-        first = pipe.run(
+        got = pipe.run(
             btm, executor=YgmExecutor(faulted), checkpoint_dir=cp_dir
         )
     except YgmError as exc:
-        report.first_attempt = "failed-typed"
-        report.error = f"{type(exc).__name__}: {exc}"
-    except Exception as exc:  # contract violation: untyped escape
-        report.first_attempt = "failed-untyped"
-        report.error = f"{type(exc).__name__}: {exc}"
-        return report
+        first_attempt, error = "failed-typed", f"{type(exc).__name__}: {exc}"
+    except Exception as exc:
+        first_attempt, error = "failed-untyped", f"{type(exc).__name__}: {exc}"
+        divergences.append(f"first attempt escaped untyped — {error}")
     finally:
         faulted.shutdown()
 
-    if first is None:
+    header = [
+        f"chaos run: seed {seed}, plan [{plan.describe()}], "
+        f"{n_ranks} ranks ({backend} backend)",
+        f"  first attempt: {first_attempt}" + (f" — {error}" if error else ""),
+    ]
+    resumed = first_attempt == "failed-typed"
+    if resumed:
         # Recovery: clean world, resume from whatever stages completed.
         with YgmWorld(
             n_ranks, backend=backend, barrier_deadline=barrier_deadline
         ) as clean:
-            recovered = pipe.run(
+            got = pipe.run(
                 btm, executor=YgmExecutor(clean), resume_from=cp_dir
             )
-        report.resumed = True
-        report.divergences = diff_results(oracle, recovered)
-    else:
-        report.divergences = diff_results(oracle, first)
-    return report
+        header.append("  resumed from checkpoint on a clean world")
+    if got is not None:
+        divergences += diff_results(oracle, got)
+    return Report(
+        "CHAOS PARITY",
+        "recovery matches the serial oracle exactly",
+        header,
+        {"first_attempt": first_attempt, "error": error, "resumed": resumed},
+        {"recovery": divergences},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -211,66 +176,6 @@ def run_chaos(
 # ---------------------------------------------------------------------------
 
 _CORRUPTIONS = ("none", "torn-tail", "corrupt-snapshot")
-
-
-@dataclass
-class RecoveryChaosReport:
-    """Outcome of one kill-and-recover scenario against the durable store."""
-
-    kill_at: int
-    corruption: str
-    fsync: str
-    #: Child exit code (``-9`` = died to the injected SIGKILL as planned).
-    child_exit: int | None = None
-    #: Journal records the durable state covered at recovery time.
-    applied_seq: int = 0
-    #: Stream position recovered (events covered by the durable state).
-    events_durable: int = 0
-    records_replayed: int = 0
-    snapshots_skipped: int = 0
-    torn_tail: bool = False
-    recovery: str = ""
-    #: Recovered state vs the serial oracle stopped at the same record.
-    divergences: list[str] = field(default_factory=list)
-    #: After resuming the stream tail: final state vs a full serial run
-    #: (empty when the tail was not resumed).
-    resume_divergences: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Planned kill, exact recovery, exact post-resume parity."""
-        return (
-            self.child_exit == -9
-            and not self.divergences
-            and not self.resume_divergences
-        )
-
-    def describe(self) -> str:
-        """Human-readable multi-line summary."""
-        lines = [
-            f"recovery chaos: kill at event {self.kill_at}, "
-            f"corruption [{self.corruption}], fsync={self.fsync}",
-            f"  child exit: {self.child_exit}",
-            f"  {self.recovery}",
-        ]
-        if self.ok:
-            lines.append(
-                "  RECOVERY PARITY OK — recovered state matches the serial "
-                "oracle exactly"
-            )
-        else:
-            for name, diffs in (
-                ("recovery", self.divergences),
-                ("resume", self.resume_divergences),
-            ):
-                for d in diffs:
-                    lines.append(f"  {name.upper()} DIVERGENCE: {d}")
-            if self.child_exit != -9:
-                lines.append(
-                    f"  CHILD DID NOT DIE TO THE PLANNED SIGKILL "
-                    f"(exit {self.child_exit})"
-                )
-        return "\n".join(lines)
 
 
 def _drive_service(service, events, *, kill_at=None) -> None:
@@ -322,7 +227,8 @@ def _oracle_snapshot(events, config, service_kwargs, n_records):
 
 
 def _inject_corruption(directory, corruption: str) -> None:
-    """Damage the durable files the way a real fault would."""
+    """Damage the durable files the way a real fault would (*corruption*
+    is one of ``_CORRUPTIONS``, checked by the caller)."""
     from pathlib import Path
 
     root = Path(directory)
@@ -338,10 +244,6 @@ def _inject_corruption(directory, corruption: str) -> None:
             data = bytearray(snaps[-1].read_bytes())
             data[len(data) // 2] ^= 0xFF
             snaps[-1].write_bytes(bytes(data))
-    elif corruption != "none":
-        raise ValueError(
-            f"corruption must be one of {_CORRUPTIONS}, got {corruption!r}"
-        )
 
 
 def run_recovery_chaos(
@@ -357,7 +259,7 @@ def run_recovery_chaos(
     allowed_lateness: int = 0,
     directory: str | None = None,
     resume_tail: bool = True,
-) -> RecoveryChaosReport:
+) -> Report:
     """Kill a durable serve process mid-stream, damage its files, recover.
 
     The scenario, end to end:
@@ -380,25 +282,19 @@ def run_recovery_chaos(
     Every step is deterministic, so a failure is reproducible from the
     report's parameters alone.
     """
-    import tempfile as _tempfile
-
     if corruption not in _CORRUPTIONS:
         raise ValueError(
             f"corruption must be one of {_CORRUPTIONS}, got {corruption!r}"
         )
-    report = RecoveryChaosReport(
-        kill_at=kill_at, corruption=corruption, fsync=fsync
-    )
     service_kwargs = dict(
         window_horizon=window_horizon,
         allowed_lateness=allowed_lateness,
         batch_size=batch_size,
     )
-    root = directory or _tempfile.mkdtemp(prefix="repro-recovery-chaos-")
+    root = directory or tempfile.mkdtemp(prefix="repro-recovery-chaos-")
     events = [tuple(e) for e in events]
     try:
         return _run_recovery_chaos(
-            report,
             events,
             config,
             root,
@@ -419,7 +315,6 @@ def run_recovery_chaos(
 
 
 def _run_recovery_chaos(
-    report: "RecoveryChaosReport",
     events: list,
     config,
     root,
@@ -430,7 +325,7 @@ def _run_recovery_chaos(
     snapshot_every: int,
     resume_tail: bool,
     service_kwargs: dict,
-) -> "RecoveryChaosReport":
+) -> Report:
     import multiprocessing
 
     from repro.serve.durable import DurableDetectionService
@@ -452,7 +347,6 @@ def _run_recovery_chaos(
     proc = ctx.Process(target=_victim)
     proc.start()
     proc.join()
-    report.child_exit = proc.exitcode
 
     _inject_corruption(root, corruption)
 
@@ -464,24 +358,53 @@ def _run_recovery_chaos(
         **service_kwargs,
     )
     rec = recovered.recovery
-    report.applied_seq = rec.applied_seq
-    report.events_durable = rec.events_durable
-    report.records_replayed = rec.records_replayed
-    report.snapshots_skipped = len(rec.snapshots_skipped)
-    report.torn_tail = rec.torn_tail
-    report.recovery = rec.describe()
-
+    # Recovered state vs the serial oracle stopped at the same record.
     oracle = _oracle_snapshot(events, config, service_kwargs, rec.applied_seq)
-    report.divergences = diff_results(oracle, recovered.engine.snapshot())
+    sections = {
+        "kill": [],
+        "recovery": [
+            f"recovered state: {d}"
+            for d in diff_results(oracle, recovered.engine.snapshot())
+        ],
+        "resume": [],
+    }
+    if proc.exitcode != -9:
+        sections["kill"].append(
+            f"child did not die to the planned SIGKILL (exit {proc.exitcode})"
+        )
 
     if resume_tail:
+        # After resuming the stream tail: final state vs a full serial run.
         _drive_service(recovered, events[rec.events_durable :])
         recovered.drain_all()
         full = DetectionService(config, **service_kwargs)
         _drive_service(full, events)
         full.drain_all()
-        report.resume_divergences = diff_results(
-            full.engine.snapshot(), recovered.engine.snapshot()
-        )
+        sections["resume"] = [
+            f"state after resuming the tail: {d}"
+            for d in diff_results(
+                full.engine.snapshot(), recovered.engine.snapshot()
+            )
+        ]
     recovered.close()
-    return report
+    return Report(
+        "RECOVERY PARITY",
+        "recovered state matches the serial oracle exactly",
+        header=[
+            f"recovery chaos: kill at event {kill_at}, "
+            f"corruption [{corruption}], fsync={fsync}",
+            f"  child exit: {proc.exitcode}",
+            f"  {rec.describe()}",
+        ],
+        facts={
+            # -9 = died to the injected SIGKILL as planned.
+            "child_exit": proc.exitcode,
+            # Journal records / stream events the durable state covered.
+            "applied_seq": rec.applied_seq,
+            "events_durable": rec.events_durable,
+            "records_replayed": rec.records_replayed,
+            "snapshots_skipped": len(rec.snapshots_skipped),
+            "torn_tail": rec.torn_tail,
+        },
+        sections=sections,
+    )

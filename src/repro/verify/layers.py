@@ -28,7 +28,6 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.actions.base import ActionKey, available_layers, resolve_layers
@@ -39,71 +38,10 @@ from repro.pipeline.framework import CoordinationPipeline
 from repro.pipeline.layers import MultiLayerPipeline
 from repro.projection.window import TimeWindow
 from repro.verify.chaos import diff_results
-from repro.verify.parity import ParityReport, run_parity
+from repro.verify.parity import run_parity
+from repro.verify.report import Report
 
-__all__ = ["LayerParityReport", "run_layer_parity"]
-
-
-@dataclass
-class LayerParityReport:
-    """Outcome of one multi-layer parity run (``ok`` iff all three hold)."""
-
-    window: TimeWindow
-    min_edge_weight: int
-    n_records: int
-    layers: list[str]
-    per_layer: dict[str, ParityReport] = field(default_factory=dict)
-    layer_events: dict[str, int] = field(default_factory=dict)
-    legacy_divergences: list[str] = field(default_factory=list)
-    fusion_divergences: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True iff every layer, the legacy path, and fusion all agree."""
-        return (
-            all(r.ok for r in self.per_layer.values())
-            and not self.legacy_divergences
-            and not self.fusion_divergences
-        )
-
-    def describe(self) -> str:
-        """Human-readable multi-line summary."""
-        lines = [
-            f"layer parity run: {self.n_records:,} records, window "
-            f"{self.window}, cutoff {self.min_edge_weight}",
-            f"  layers: {', '.join(self.layers)}",
-        ]
-        for name in self.layers:
-            report = self.per_layer[name]
-            verdict = "ok" if report.ok else (
-                f"FAILED ({len(report.divergences)} divergence(s))"
-            )
-            lines.append(
-                f"  [{name}] {self.layer_events.get(name, 0):,} events → "
-                f"{report.n_edges:,} CI edges, {report.n_triangles:,} "
-                f"triangles — engine parity {verdict}"
-            )
-            if not report.ok:
-                lines += [f"      - {d}" for d in report.divergences]
-        if self.legacy_divergences:
-            lines.append("  LEGACY PATH DIVERGED (page layer != pre-refactor):")
-            lines += [f"    - {d}" for d in self.legacy_divergences]
-        else:
-            lines.append(
-                "  legacy byte-identity ok — page layer == pre-refactor path"
-            )
-        if self.fusion_divergences:
-            lines.append("  FUSION NOT DETERMINISTIC:")
-            lines += [f"    - {d}" for d in self.fusion_divergences]
-        else:
-            lines.append(
-                "  fusion determinism ok — identical under layer/weight "
-                "permutations"
-            )
-        lines.append(
-            "  LAYER PARITY OK" if self.ok else "  LAYER PARITY FAILED"
-        )
-        return "\n".join(lines)
+__all__ = ["run_layer_parity"]
 
 
 def _as_dicts(records: Iterable) -> list[Mapping]:
@@ -183,7 +121,7 @@ def run_layer_parity(
     n_ranks: int = 2,
     parallel_workers: int = 2,
     shrink: bool = True,
-) -> LayerParityReport:
+) -> Report:
     """Sweep every action layer through the full engine-parity harness.
 
     Parameters
@@ -217,18 +155,19 @@ def run_layer_parity(
     config = PipelineConfig(
         window=window, min_triangle_weight=min_edge_weight
     )
-    report = LayerParityReport(
-        window=window,
-        min_edge_weight=min_edge_weight,
-        n_records=len(rows),
-        layers=[key.name for key in keys],
-    )
+    names = [key.name for key in keys]
+    header = [
+        f"layer parity run: {len(rows):,} records, window {window}, "
+        f"cutoff {min_edge_weight}",
+        f"  layers: {', '.join(names)}",
+    ]
+    per_layer: dict[str, Report] = {}
+    sections: dict[str, list[str]] = {}
     for key in keys:
         triples: list[tuple] = []
         for rec in rows:
             triples.extend(key.triples(rec))
-        report.layer_events[key.name] = len(triples)
-        report.per_layer[key.name] = run_parity(
+        sub = run_parity(
             triples,
             window,
             min_edge_weight=min_edge_weight,
@@ -237,7 +176,37 @@ def run_layer_parity(
             parallel_workers=parallel_workers,
             shrink=shrink,
         )
-    if "page" in report.per_layer:
-        report.legacy_divergences = _check_legacy_identity(rows, config)
-    report.fusion_divergences = _check_fusion_determinism(rows, keys, config)
-    return report
+        per_layer[key.name] = sub
+        sections[key.name] = [f"[{key.name}] {d}" for d in sub.divergences]
+        header.append(
+            f"  [{key.name}] {len(triples):,} events → "
+            f"{sub.facts['n_edges']:,} CI edges, "
+            f"{sub.facts['n_triangles']:,} triangles — engine parity "
+            + ("ok" if sub.ok else f"FAILED ({len(sub.divergences)} below)")
+        )
+    sections["legacy"] = [
+        f"legacy path (page layer != pre-refactor): {d}"
+        for d in (
+            _check_legacy_identity(rows, config) if "page" in per_layer else []
+        )
+    ]
+    if not sections["legacy"]:
+        header.append(
+            "  legacy byte-identity ok — page layer == pre-refactor path"
+        )
+    sections["fusion"] = [
+        f"fusion not deterministic: {d}"
+        for d in _check_fusion_determinism(rows, keys, config)
+    ]
+    if not sections["fusion"]:
+        header.append(
+            "  fusion determinism ok — identical under layer/weight "
+            "permutations"
+        )
+    return Report(
+        "LAYER PARITY",
+        "",
+        header,
+        {"layers": names, "per_layer": per_layer},
+        sections,
+    )

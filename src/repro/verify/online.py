@@ -22,7 +22,7 @@ makes that promise executable in the :mod:`repro.verify.parity` idiom:
    arrival order, the oracle in corpus order.
 
 Any mismatch becomes a human-readable divergence in the returned
-:class:`OnlineParityReport`; float scores are compared bit-exactly
+:class:`~repro.verify.report.Report`; float scores are compared bit-exactly
 (``==``), because the engine replays the very same IEEE operations the
 batch kernels perform.
 """
@@ -30,7 +30,6 @@ batch kernels perform.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.graph.bipartite import BipartiteTemporalMultigraph
@@ -38,55 +37,11 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.framework import CoordinationPipeline
 from repro.pipeline.results import PipelineResult
 from repro.serve.engine import DetectionEngine
+from repro.verify.report import Report, diff_mapping
 
-__all__ = ["OnlineParityReport", "run_online_parity"]
+__all__ = ["run_online_parity"]
 
 Comment = tuple  # (author, page, created_utc)
-
-_DIFF_LIMIT = 4  # listed per-item mismatches before eliding
-
-
-@dataclass
-class OnlineParityReport:
-    """Outcome of one online-vs-batch differential run."""
-
-    n_comments: int
-    n_steps: int
-    n_checks: int
-    seed: int
-    n_ingested: int = 0
-    n_advances: int = 0
-    n_late_dropped: int = 0
-    max_triangles: int = 0
-    divergences: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether the engine matched the batch oracle at every check."""
-        return not self.divergences
-
-    def describe(self) -> str:
-        """Human-readable multi-line summary."""
-        lines = [
-            f"online parity run: {self.n_comments:,} comments over "
-            f"{self.n_steps} steps (seed {self.seed})",
-            f"  ingest batches: {self.n_ingested}, window advances: "
-            f"{self.n_advances}, late drops: {self.n_late_dropped}",
-            f"  oracle checks: {self.n_checks}, peak triangles: "
-            f"{self.max_triangles:,}",
-        ]
-        if self.ok:
-            lines.append(
-                "  ONLINE PARITY OK — engine matches batch oracle at every "
-                "check"
-            )
-        else:
-            lines.append(
-                f"  ONLINE PARITY FAILED — {len(self.divergences)} "
-                "divergence(s):"
-            )
-            lines += [f"    - {d}" for d in self.divergences]
-        return "\n".join(lines)
 
 
 def _oracle_views(result: PipelineResult):
@@ -120,7 +75,9 @@ def _oracle_views(result: PipelineResult):
             row["p_sum"] = int(tm.p_sum[i])
             row["c"] = float(tm.c_scores[i])
         tris[names] = row
-    comps = {frozenset(c.member_names) for c in result.components}
+    comps = dict.fromkeys(
+        tuple(sorted(c.member_names)) for c in result.components
+    )
     return edges, pprime, tris, comps
 
 
@@ -135,26 +92,8 @@ def _engine_views(engine: DetectionEngine):
             row["p_sum"] = r["p_sum"]
             row["c"] = r["c"]
         tris[r["authors"]] = row
-    comps = {frozenset(c) for c in engine.components()}
+    comps = dict.fromkeys(tuple(sorted(c)) for c in engine.components())
     return engine.ci_edges(), engine.page_counts(), tris, comps
-
-
-def _diff_dicts(kind: str, oracle: dict, engine: dict, out: list[str]) -> None:
-    mismatched = [
-        k
-        for k in oracle.keys() | engine.keys()
-        if oracle.get(k) != engine.get(k)
-    ]
-    if not mismatched:
-        return
-    shown = sorted(mismatched, key=repr)[:_DIFF_LIMIT]
-    details = "; ".join(
-        f"{k!r}: oracle={oracle.get(k)!r} engine={engine.get(k)!r}"
-        for k in shown
-    )
-    more = len(mismatched) - len(shown)
-    suffix = f" (+{more} more)" if more > 0 else ""
-    out.append(f"{kind}: {len(mismatched)} mismatch(es) — {details}{suffix}")
 
 
 def _check(
@@ -162,30 +101,25 @@ def _check(
     config: PipelineConfig,
     live: Sequence[Comment],
     engine: DetectionEngine,
-    out: list[str],
-) -> None:
+) -> list[str]:
     result = CoordinationPipeline(config).run(
         BipartiteTemporalMultigraph.from_comments(list(live))
     )
     o_edges, o_pp, o_tris, o_comps = _oracle_views(result)
     e_edges, e_pp, e_tris, e_comps = _engine_views(engine)
-    pre = len(out)
-    _diff_dicts(f"{step}: CI edges", o_edges, e_edges, out)
-    _diff_dicts(f"{step}: P' ledger", o_pp, e_pp, out)
-    _diff_dicts(f"{step}: triplets", o_tris, e_tris, out)
-    if o_comps != e_comps:
-        out.append(
-            f"{step}: components — oracle-only="
-            f"{[sorted(c) for c in list(o_comps - e_comps)[:_DIFF_LIMIT]]} "
-            f"engine-only="
-            f"{[sorted(c) for c in list(e_comps - o_comps)[:_DIFF_LIMIT]]}"
-        )
+    out = (
+        diff_mapping(f"{step}: CI edges", o_edges, e_edges)
+        + diff_mapping(f"{step}: P' ledger", o_pp, e_pp)
+        + diff_mapping(f"{step}: triplets", o_tris, e_tris)
+        + diff_mapping(f"{step}: components", o_comps, e_comps)
+    )
     expected = len(live) - result.filter_report.removed_comments
-    if len(out) == pre and engine.n_live_comments != expected:
+    if not out and engine.n_live_comments != expected:
         out.append(
-            f"{step}: live-comment count — oracle={expected} "
-            f"engine={engine.n_live_comments}"
+            f"{step}: live-comment count — {engine.n_live_comments} != "
+            f"{expected}"
         )
+    return out
 
 
 def run_online_parity(
@@ -198,7 +132,7 @@ def run_online_parity(
     horizon: int | None = None,
     check_every: int = 10,
     compact_min: int = 64,
-) -> OnlineParityReport:
+) -> Report:
     """Drive a seeded append/advance interleaving and diff against batch runs.
 
     Parameters
@@ -250,12 +184,15 @@ def run_online_parity(
         comments, key=lambda c: (c[2] + rng.randrange(0, max_delay + 1), rng.random())
     )
     engine = DetectionEngine(config, compact_min=compact_min)
-    report = OnlineParityReport(
+    facts = dict(
         n_comments=len(comments),
-        n_steps=n_steps,
         n_checks=0,
-        seed=seed,
+        n_ingested=0,
+        n_advances=0,
+        n_late_dropped=0,
+        max_triangles=0,
     )
+    divergences: list[str] = []
     live: list[Comment] = []
     cursor = 0
     max_seen = t_lo
@@ -271,25 +208,36 @@ def run_online_parity(
             cursor += len(batch)
             cut = engine.evict_cutoff
             admitted = [c for c in batch if cut is None or c[2] >= cut]
-            report.n_late_dropped += len(batch) - len(admitted)
+            facts["n_late_dropped"] += len(batch) - len(admitted)
             engine.ingest(batch)
             live.extend(admitted)
             max_seen = max([max_seen] + [c[2] for c in batch])
-            report.n_ingested += 1
+            facts["n_ingested"] += 1
         else:
             cutoff = max_seen - horizon + rng.randrange(0, max(horizon // 4, 1))
             engine.advance(cutoff)
             cut = engine.evict_cutoff
             live = [c for c in live if c[2] >= cut]
-            report.n_advances += 1
-        report.max_triangles = max(report.max_triangles, engine.n_triangles)
+            facts["n_advances"] += 1
+        facts["max_triangles"] = max(facts["max_triangles"], engine.n_triangles)
         if (step + 1) % check_every == 0:
-            _check(
-                f"step {step + 1}", config, live, engine, report.divergences
-            )
-            report.n_checks += 1
+            divergences += _check(f"step {step + 1}", config, live, engine)
+            facts["n_checks"] += 1
 
-    if report.n_checks == 0 or n_steps % check_every != 0:
-        _check("final", config, live, engine, report.divergences)
-        report.n_checks += 1
-    return report
+    if facts["n_checks"] == 0 or n_steps % check_every != 0:
+        divergences += _check("final", config, live, engine)
+        facts["n_checks"] += 1
+    return Report(
+        "ONLINE PARITY",
+        "engine matches batch oracle at every check",
+        header=[
+            f"online parity run: {len(comments):,} comments over "
+            f"{n_steps} steps (seed {seed})",
+            "  ingest batches: {n_ingested}, window advances: "
+            "{n_advances}, late drops: {n_late_dropped}".format(**facts),
+            "  oracle checks: {n_checks}, peak triangles: "
+            "{max_triangles:,}".format(**facts),
+        ],
+        facts=facts,
+        sections={"checks": divergences},
+    )

@@ -23,7 +23,6 @@ into the same oracle).
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,10 +45,10 @@ from repro.projection.streaming import project_streaming
 from repro.projection.window import TimeWindow
 from repro.tripoll.engine import survey_triangles_plan
 from repro.tripoll.survey import TriangleSet, survey_triangles, triangles_brute
+from repro.verify.report import Report, diff_mapping
 from repro.ygm.world import YgmWorld
 
 __all__ = [
-    "ParityReport",
     "run_parity",
     "default_projection_engines",
     "default_triangle_engines",
@@ -61,58 +60,6 @@ Comment = tuple  # (author, page, created_utc)
 ProjectionEngine = Callable[[BipartiteTemporalMultigraph, TimeWindow], ProjectionResult]
 TriangleEngine = Callable[[EdgeList, int], TriangleSet]
 ValidationEngine = Callable[[UserPageIncidence, TriangleSet], np.ndarray]
-
-_DIFF_LIMIT = 4  # listed per-item mismatches before eliding
-
-
-@dataclass
-class ParityReport:
-    """Outcome of one differential run.
-
-    ``divergences`` is empty iff every engine agreed with its oracle;
-    otherwise ``counterexample`` (when shrinking was requested) holds a
-    minimal comment list that still reproduces at least one divergence.
-    """
-
-    window: TimeWindow
-    min_edge_weight: int
-    n_comments: int
-    projection_engines: list[str]
-    triangle_engines: list[str]
-    validation_engines: list[str]
-    n_edges: int = 0
-    n_triangles: int = 0
-    divergences: list[str] = field(default_factory=list)
-    counterexample: list[Comment] | None = None
-
-    @property
-    def ok(self) -> bool:
-        """Whether all engines agreed exactly."""
-        return not self.divergences
-
-    def describe(self) -> str:
-        """Human-readable multi-line summary."""
-        lines = [
-            f"parity run: {self.n_comments:,} comments, window "
-            f"{self.window}, cutoff {self.min_edge_weight}",
-            f"  projection engines: {', '.join(self.projection_engines)}",
-            f"  triangle engines:   {', '.join(self.triangle_engines)}",
-            f"  validation engines: {', '.join(self.validation_engines)}",
-            f"  reference output:   {self.n_edges:,} CI edges, "
-            f"{self.n_triangles:,} triangles",
-        ]
-        if self.ok:
-            lines.append("  PARITY OK — all engines agree exactly")
-        else:
-            lines.append(f"  PARITY FAILED — {len(self.divergences)} divergence(s):")
-            lines += [f"    - {d}" for d in self.divergences]
-            if self.counterexample is not None:
-                lines.append(
-                    f"  minimal counterexample ({len(self.counterexample)} "
-                    "comment(s)):"
-                )
-                lines += [f"    {c!r}" for c in self.counterexample[:20]]
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -281,53 +228,21 @@ def default_validation_engines(
 # ---------------------------------------------------------------------------
 
 
-def _elide(items: list) -> str:
-    shown = ", ".join(str(i) for i in items[:_DIFF_LIMIT])
-    if len(items) > _DIFF_LIMIT:
-        shown += f", … ({len(items)} total)"
-    return shown
-
-
 def _diff_projection(
     name: str, ref: ProjectionResult, got: ProjectionResult
 ) -> list[str]:
     """Structural diff of *got* against the reference projection."""
-    msgs: list[str] = []
-    ref_edges = ref.ci.edges.to_dict()
-    got_edges = got.ci.edges.to_dict()
-    if got_edges != ref_edges:
-        missing = sorted(set(ref_edges) - set(got_edges))
-        extra = sorted(set(got_edges) - set(ref_edges))
-        wrong = sorted(
-            p
-            for p in set(ref_edges) & set(got_edges)
-            if ref_edges[p] != got_edges[p]
-        )
-        if missing:
-            msgs.append(f"projection[{name}]: missing edges {_elide(missing)}")
-        if extra:
-            msgs.append(f"projection[{name}]: extra edges {_elide(extra)}")
-        if wrong:
-            detail = [
-                f"{p}: {got_edges[p]} != {ref_edges[p]}" for p in wrong
-            ]
-            msgs.append(f"projection[{name}]: wrong weights {_elide(detail)}")
+    msgs = diff_mapping(
+        f"projection[{name}]: edges",
+        ref.ci.edges.to_dict(),
+        got.ci.edges.to_dict(),
+    )
     if not np.array_equal(ref.ci.page_counts, got.ci.page_counts):
-        if ref.ci.page_counts.shape != got.ci.page_counts.shape:
-            msgs.append(
-                f"projection[{name}]: P' ledger shape "
-                f"{got.ci.page_counts.shape} != {ref.ci.page_counts.shape}"
-            )
-        else:
-            bad = np.flatnonzero(ref.ci.page_counts != got.ci.page_counts)
-            detail = [
-                f"P'_{int(u)}: {int(got.ci.page_counts[u])} != "
-                f"{int(ref.ci.page_counts[u])}"
-                for u in bad[:_DIFF_LIMIT]
-            ]
-            msgs.append(
-                f"projection[{name}]: page counts differ — {_elide(detail)}"
-            )
+        msgs += diff_mapping(
+            f"projection[{name}]: P' ledger",
+            dict(enumerate(ref.ci.page_counts.tolist())),
+            dict(enumerate(got.ci.page_counts.tolist())),
+        )
     return msgs
 
 
@@ -455,7 +370,7 @@ def run_parity(
     triangle_engines: dict[str, TriangleEngine] | None = None,
     validation_engines: dict[str, ValidationEngine] | None = None,
     shrink: bool = True,
-) -> ParityReport:
+) -> Report:
     """Run every engine on one corpus and diff the outputs exactly.
 
     Parameters
@@ -514,15 +429,23 @@ def run_parity(
                 _diff_once(cand, window, min_edge_weight, proj, tri, val)[0]
             ),
         )
-    return ParityReport(
-        window=window,
-        min_edge_weight=min_edge_weight,
-        n_comments=len(comments),
-        projection_engines=list(proj),
-        triangle_engines=list(tri),
-        validation_engines=list(val),
-        n_edges=n_edges,
-        n_triangles=n_triangles,
-        divergences=divergences,
+    return Report(
+        "PARITY",
+        "all engines agree exactly",
+        header=[
+            f"parity run: {len(comments):,} comments, window {window}, "
+            f"cutoff {min_edge_weight}",
+            f"  projection engines: {', '.join(proj)}",
+            f"  triangle engines:   {', '.join(tri)}",
+            f"  validation engines: {', '.join(val)}",
+            f"  reference output:   {n_edges:,} CI edges, "
+            f"{n_triangles:,} triangles",
+        ],
+        facts={
+            "n_comments": len(comments),
+            "n_edges": n_edges,
+            "n_triangles": n_triangles,
+        },
+        sections={"engines": divergences},
         counterexample=counterexample,
     )

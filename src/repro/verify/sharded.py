@@ -29,113 +29,24 @@ and page-hash partitioning with the partial-weight exchange).
    additivity claim, checked at the raw-weight level.
 
 Any mismatch becomes a human-readable divergence in the returned
-:class:`ShardedParityReport`.  Driven by ``repro-botnets verify
+:class:`~repro.verify.report.Report`.  Driven by ``repro-botnets verify
 --sharded`` and the ``serve``-marked test suite.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.pipeline.config import PipelineConfig
 from repro.serve.service import DetectionService
 from repro.serve.shard import ShardedDetectionService
 from repro.verify.chaos import diff_results
+from repro.verify.report import Report, diff_mapping, diff_rows
 
-__all__ = ["ShardedParityReport", "run_sharded_parity"]
+__all__ = ["run_sharded_parity"]
 
 Comment = tuple  # (author, page, created_utc)
-
-_DIFF_LIMIT = 4  # listed per-item mismatches before eliding
-
-
-@dataclass
-class ShardedParityReport:
-    """Outcome of one sharded-vs-single differential run."""
-
-    n_comments: int
-    shard_counts: tuple[int, ...]
-    k: int
-    seed: int
-    ingest_modes: tuple[str, ...] = ("replicated",)
-    n_checks: int = 0
-    n_authors_sampled: int = 0
-    divergences: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every shard topology matched the single-engine oracle."""
-        return not self.divergences
-
-    def describe(self) -> str:
-        """Human-readable multi-line summary."""
-        counts = ", ".join(str(n) for n in self.shard_counts)
-        modes = ", ".join(self.ingest_modes)
-        lines = [
-            f"sharded parity run: {self.n_comments:,} comments across "
-            f"shard counts [{counts}] x ingest modes [{modes}] "
-            f"(seed {self.seed})",
-            f"  surfaces checked: {self.n_checks} "
-            f"(top-{self.k}, {self.n_authors_sampled} sampled authors, "
-            "components, raw-state probe)",
-        ]
-        if self.ok:
-            lines.append(
-                "  SHARDED PARITY OK — every topology matches the "
-                "single-engine oracle bit-for-bit"
-            )
-        else:
-            lines.append(
-                f"  SHARDED PARITY FAILED — {len(self.divergences)} "
-                "divergence(s):"
-            )
-            lines += [f"    - {d}" for d in self.divergences]
-        return "\n".join(lines)
-
-
-def _diff_rows(
-    kind: str, oracle: list[dict], sharded: list[dict], out: list[str]
-) -> None:
-    if oracle == sharded:
-        return
-    if len(oracle) != len(sharded):
-        out.append(
-            f"{kind}: row count — oracle={len(oracle)} sharded={len(sharded)}"
-        )
-        return
-    bad = [i for i, (a, b) in enumerate(zip(oracle, sharded)) if a != b]
-    shown = "; ".join(
-        f"row {i}: oracle={oracle[i]!r} sharded={sharded[i]!r}"
-        for i in bad[:_DIFF_LIMIT]
-    )
-    more = len(bad) - min(len(bad), _DIFF_LIMIT)
-    suffix = f" (+{more} more)" if more > 0 else ""
-    out.append(f"{kind}: {len(bad)} row mismatch(es) — {shown}{suffix}")
-
-
-def _diff_mapping(kind: str, oracle: dict, sharded: dict, out: list[str]) -> None:
-    """Entry-level diff of two ledgers (missing / extra / changed keys)."""
-    if oracle == sharded:
-        return
-    missing = [k for k in oracle if k not in sharded]
-    extra = [k for k in sharded if k not in oracle]
-    changed = [
-        k for k in oracle if k in sharded and oracle[k] != sharded[k]
-    ]
-    parts = []
-    for label, keys in (
-        ("missing", missing),
-        ("extra", extra),
-        ("changed", changed),
-    ):
-        if keys:
-            shown = ", ".join(repr(k) for k in sorted(keys)[:_DIFF_LIMIT])
-            more = len(keys) - min(len(keys), _DIFF_LIMIT)
-            suffix = f" (+{more} more)" if more > 0 else ""
-            parts.append(f"{label}: {shown}{suffix}")
-    out.append(f"{kind}: {'; '.join(parts)}")
 
 
 def run_sharded_parity(
@@ -152,7 +63,7 @@ def run_sharded_parity(
     forward_batch: int = 64,
     heartbeat_timeout: float = 30.0,
     **service_kwargs,
-) -> ShardedParityReport:
+) -> Report:
     """Run one corpus through every shard topology and diff all answers.
 
     Parameters
@@ -182,6 +93,8 @@ def run_sharded_parity(
         Forwarded to the services so oracle and shards tick alike.
     """
     config = config if config is not None else PipelineConfig()
+    shard_counts = tuple(int(n) for n in shard_counts)
+    ingest_modes = tuple(str(m) for m in ingest_modes)
     rng = random.Random(seed)
     stream = sorted(
         [(str(a), str(p), int(t)) for a, p, t in comments],
@@ -193,14 +106,6 @@ def run_sharded_parity(
         else:
             span = 1
         window_horizon = span + 1
-
-    report = ShardedParityReport(
-        n_comments=len(stream),
-        shard_counts=tuple(int(n) for n in shard_counts),
-        k=int(k),
-        seed=seed,
-        ingest_modes=tuple(str(m) for m in ingest_modes),
-    )
 
     oracle = DetectionService(
         config,
@@ -220,7 +125,6 @@ def run_sharded_parity(
         else []
     )
     sample.append("__absent_author__")
-    report.n_authors_sampled = len(sample)
 
     oracle_top = {by: oracle.top_k_triplets(k, by=by) for by in ranks}
     oracle_scores = {a: oracle.user_score(a) for a in sample}
@@ -230,9 +134,10 @@ def run_sharded_parity(
     oracle_ci = oracle.engine.ci_edges()
     oracle_pp = oracle.engine.page_counts()
 
-    for mode in report.ingest_modes:
-        for n in report.shard_counts:
-            out = report.divergences
+    out: list[str] = []
+    n_checks = 0
+    for mode in ingest_modes:
+        for n in shard_counts:
             tag = f"mode={mode} n_shards={n}"
             tier = ShardedDetectionService(
                 config,
@@ -247,60 +152,58 @@ def run_sharded_parity(
             try:
                 tier.run_events(stream)
                 for by in ranks:
-                    _diff_rows(
+                    out += diff_rows(
                         f"{tag}: top-{k} by {by}",
                         oracle_top[by],
                         tier.top_k_triplets(k, by=by),
-                        out,
                     )
-                    report.n_checks += 1
-                for author in sample:
-                    got = tier.user_score(author)
-                    if got != oracle_scores[author]:
-                        out.append(
-                            f"{tag}: user_score({author!r}) — "
-                            f"oracle={oracle_scores[author]!r} sharded={got!r}"
-                        )
-                    members = tier.component_of(author)
-                    if members != oracle_members[author]:
-                        out.append(
-                            f"{tag}: component_of({author!r}) — "
-                            f"oracle={oracle_members[author]!r} "
-                            f"sharded={members!r}"
-                        )
-                    report.n_checks += 2
-                comps = tier.components()
-                if comps != oracle_comps:
-                    out.append(
-                        f"{tag}: components — oracle has "
-                        f"{len(oracle_comps)}, sharded has {len(comps)} "
-                        f"(first oracle={oracle_comps[:1]!r} "
-                        f"sharded={comps[:1]!r})"
-                    )
-                report.n_checks += 1
+                out += diff_mapping(
+                    f"{tag}: user_score",
+                    oracle_scores,
+                    {a: tier.user_score(a) for a in sample},
+                )
+                out += diff_mapping(
+                    f"{tag}: component_of",
+                    oracle_members,
+                    {a: tier.component_of(a) for a in sample},
+                )
+                out += diff_rows(
+                    f"{tag}: components", oracle_comps, tier.components()
+                )
+                n_checks += len(ranks) + 2 * len(sample) + 1
                 if mode == "page":
                     # No shard holds a full engine; probe the exchange's
                     # raw merged ledgers against the oracle's instead.
-                    _diff_mapping(
-                        f"{tag}: merged w' ledger",
-                        oracle_ci,
-                        tier.ci_edges(),
-                        out,
+                    out += diff_mapping(
+                        f"{tag}: merged w' ledger", oracle_ci, tier.ci_edges()
                     )
-                    _diff_mapping(
+                    out += diff_mapping(
                         f"{tag}: merged P' ledger",
                         oracle_pp,
                         tier.page_counts(),
-                        out,
                     )
-                    report.n_checks += 2
+                    n_checks += 2
                 else:
-                    state_diff = diff_results(
-                        oracle_snapshot, tier.shard_results(0)
-                    )
-                    for line in state_diff[:_DIFF_LIMIT]:
-                        out.append(f"{tag}: shard 0 snapshot — {line}")
-                    report.n_checks += 1
+                    out += [
+                        f"{tag}: shard 0 snapshot — {line}"
+                        for line in diff_results(
+                            oracle_snapshot, tier.shard_results(0)
+                        )
+                    ]
+                    n_checks += 1
             finally:
                 tier.close()
-    return report
+    return Report(
+        "SHARDED PARITY",
+        "every topology matches the single-engine oracle bit-for-bit",
+        header=[
+            f"sharded parity run: {len(stream):,} comments across "
+            f"shard counts [{', '.join(str(n) for n in shard_counts)}] x "
+            f"ingest modes [{', '.join(ingest_modes)}] (seed {seed})",
+            f"  surfaces checked: {n_checks} "
+            f"(top-{k}, {len(sample)} sampled authors, "
+            "components, raw-state probe)",
+        ],
+        facts={"n_comments": len(stream), "n_checks": n_checks},
+        sections={"topologies": out},
+    )

@@ -136,19 +136,31 @@ class TestPageModeTier:
             assert tier.components() == oracle.components()
 
     def test_status_reports_mode_and_exchange_metrics(self):
-        with make_tier(n_shards=2) as tier:
-            tier.run_events(stream(200))
-            tier.top_k_triplets(5)
-            status = tier.status()
-            assert status["ingest_sharding"] == "page"
+        # Spread over 100 pages so the crc32 page hash has something to
+        # balance; stream()'s 6 pages would pin the hottest shard.
+        events = [("u%d" % (i % 18), "p%d" % (i % 100), i) for i in range(400)]
+        for mode, n in [
+            ("page", 2), ("page", 4), ("replicated", 2), ("replicated", 4)
+        ]:
+            with make_tier(n_shards=n, ingest_sharding=mode) as tier:
+                tier.run_events(events)
+                tier.top_k_triplets(5)
+                status = tier.status()
+            assert status["ingest_sharding"] == mode
             counters = status["metrics"]["counters"]
-            assert counters["sharded.exchanges"] >= 1
-            assert counters["sharded.exchange_bytes"] > 0
-            # Page partitioning: per-shard submissions sum to the stream.
-            submitted = sum(
+            per_shard = [
                 s["status"]["submitted_events"] for s in status["shards"]
-            )
-            assert submitted == 200
+            ]
+            if mode == "page":
+                assert counters["sharded.exchanges"] >= 1
+                assert counters["sharded.exchange_bytes"] > 0
+                # Page partitioning: per-shard submissions sum to the
+                # stream, and no shard holds more than 1.6/n of it.
+                assert sum(per_shard) == len(events)
+                assert max(per_shard) <= 1.6 / n * len(events), (n, per_shard)
+            else:
+                # Replicated fan-out: every shard ingests every event.
+                assert per_shard == [len(events)] * n
 
     def test_write_landing_mid_exchange_is_not_cached_away(self, monkeypatch):
         # A write that arrives while an exchange is in flight misses it.

@@ -57,9 +57,9 @@ class TestOnlineParity:
             compact_min=32,
         )
         assert report.ok, report.describe()
-        assert report.n_checks >= 11
-        assert report.n_advances > 0 and report.n_ingested > 0
-        assert report.max_triangles > 0          # the run was not vacuous
+        assert report.facts["n_checks"] >= 11
+        assert report.facts["n_advances"] > 0 and report.facts["n_ingested"] > 0
+        assert report.facts["max_triangles"] > 0          # the run was not vacuous
 
     def test_parity_with_author_filter_and_late_drops(self):
         comments = clustered_corpus(seed=5, n=400)
@@ -76,7 +76,7 @@ class TestOnlineParity:
             max_delay=500,
         )
         assert report.ok, report.describe()
-        assert report.n_late_dropped > 0
+        assert report.facts["n_late_dropped"] > 0
 
     def test_parity_without_hypergraph(self):
         report = run_online_parity(
@@ -97,7 +97,7 @@ class TestOnlineParity:
 
     def test_empty_corpus(self):
         report = run_online_parity([], config(), n_steps=50, seed=0)
-        assert report.ok and report.n_comments == 0
+        assert report.ok and report.facts["n_comments"] == 0
 
     @settings(max_examples=15, deadline=None)
     @given(

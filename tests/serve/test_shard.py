@@ -144,7 +144,7 @@ class TestShardedParity:
         report = run_sharded_parity(
             stream(60), CONFIG, shard_counts=(2,), batch_size=16
         )
-        report.divergences.append("n_shards=2: synthetic mismatch")
+        report.sections["topologies"].append("n_shards=2: synthetic mismatch")
         assert not report.ok
         assert "synthetic mismatch" in report.describe()
 

@@ -30,22 +30,19 @@ KERNELS = {
     },
 }
 
-PARALLEL = {
+LAYERS = {
     "scale": "tiny",
-    "n_rows": 2_000,
-    "n_shards": 16,
-    "cpu_count": 8,
-    "worker_counts": [1, 2, 4],
-    "plans": {
-        "projection": {
-            "serial_seconds": 1.0,
-            "n_shards": 16,
-            "workers": {
-                "1": {"seconds": 1.1, "speedup": 0.9},
-                "2": {"seconds": 0.55, "speedup": 1.8},
-                "4": {"seconds": 0.3, "speedup": 3.3},
-            },
-        }
+    "n_records": 4_000,
+    "extract": {"seconds": 0.08},
+    "layers": {
+        "page": {"events": 4_000, "seconds": 0.40},
+        "link": {"events": 700, "seconds": 0.05},
+    },
+    "fuse": {"seconds": 0.02, "overhead_ratio": 0.05},
+    "recovery_floor": 0.9,
+    "recovery": {
+        "restream": {"precision": 1.0, "recall": 1.0, "f1": 1.0},
+        "linkspam": {"precision": 0.95, "recall": 1.0, "f1": 0.97},
     },
 }
 
@@ -72,11 +69,20 @@ class TestGatePolicy:
         base, res = dirs
         _write(base, "BENCH_kernels.json", KERNELS)
         _write(res, "BENCH_kernels.json", KERNELS)
-        _write(base, "BENCH_parallel.json", PARALLEL)
-        _write(res, "BENCH_parallel.json", PARALLEL)
+        _write(base, "BENCH_layers.json", LAYERS)
+        _write(res, "BENCH_layers.json", LAYERS)
         report = run_gate(base, res)
         assert report.ok, report.describe()
         assert "GATE OK" in report.describe()
+        assert [c.name for c in report.checks] == [
+            "kernels[cooccur_pairs].kernel_seconds",
+            "kernels[window_bounds].kernel_seconds",
+            "kernels[cooccur_pairs].speedup",
+            "layers.extract.seconds",
+            "layers[page].seconds",
+            "layers[link].seconds",
+            "layers.fuse.seconds",
+        ]
 
     def test_seconds_regression_fails(self, dirs):
         base, res = dirs
@@ -121,6 +127,23 @@ class TestGatePolicy:
             for c in report.failures
         )
 
+    def test_sub_unity_speedup_is_still_gated(self, dirs):
+        # A kernel slower than its twin (pair_weights is 0.22x at tiny
+        # scale) still has a ratio to lose: below 1x is not a skip.
+        base, res = dirs
+        slow = _deep(KERNELS)
+        slow["kernels"]["cooccur_pairs"].update(
+            kernel_seconds=0.04, reference_seconds=0.02, speedup=0.5
+        )
+        _write(base, "BENCH_kernels.json", slow)
+        fresh = _deep(slow)
+        fresh["kernels"]["cooccur_pairs"]["speedup"] = 0.2
+        _write(res, "BENCH_kernels.json", fresh)
+        report = run_gate(base, res)
+        assert [c.name for c in report.failures] == [
+            "kernels[cooccur_pairs].speedup"
+        ]
+
     def test_speedup_below_noise_floor_skipped(self, dirs):
         base, res = dirs
         _write(base, "BENCH_kernels.json", KERNELS)
@@ -133,169 +156,89 @@ class TestGatePolicy:
 
     def test_faster_fresh_run_always_passes(self, dirs):
         base, res = dirs
-        _write(base, "BENCH_parallel.json", PARALLEL)
-        fresh = _deep(PARALLEL)
-        fresh["plans"]["projection"]["serial_seconds"] = 0.4
-        fresh["plans"]["projection"]["workers"]["4"]["speedup"] = 8.0
-        _write(res, "BENCH_parallel.json", fresh)
+        _write(base, "BENCH_kernels.json", KERNELS)
+        fresh = _deep(KERNELS)
+        fresh["kernels"]["cooccur_pairs"]["kernel_seconds"] = 0.01
+        fresh["kernels"]["cooccur_pairs"]["speedup"] = 200.0
+        _write(res, "BENCH_kernels.json", fresh)
         assert run_gate(base, res).ok
 
 
-class TestParallelScalingPolicy:
-    def test_lost_scaling_fails(self, dirs):
+class TestLayersPolicy:
+    def test_layer_seconds_regression_fails(self, dirs):
         base, res = dirs
-        _write(base, "BENCH_parallel.json", PARALLEL)
-        fresh = _deep(PARALLEL)
-        fresh["plans"]["projection"]["workers"]["4"]["speedup"] = 1.1
-        _write(res, "BENCH_parallel.json", fresh)
+        _write(base, "BENCH_layers_smoke.json", LAYERS)
+        fresh = _deep(LAYERS)
+        fresh["layers"]["page"]["seconds"] = 0.40 * 2
+        _write(res, "BENCH_layers_smoke.json", fresh)
         report = run_gate(base, res)
-        assert any("workers[4]" in c.name for c in report.failures)
+        assert [c.name for c in report.failures] == ["layers[page].seconds"]
 
-    def test_core_starved_host_skips_scaling(self, dirs):
-        base, res = dirs
-        _write(base, "BENCH_parallel.json", PARALLEL)
-        fresh = _deep(PARALLEL)
-        fresh["cpu_count"] = 1
-        fresh["plans"]["projection"]["workers"]["4"]["speedup"] = 0.1
-        fresh["plans"]["projection"]["workers"]["2"]["speedup"] = 0.1
-        _write(res, "BENCH_parallel.json", fresh)
-        report = run_gate(base, res)
-        assert report.ok
-        assert any("only 1 core" in s for s in report.skipped)
-
-    def test_one_worker_overhead_ratio_is_gated(self, dirs):
-        # The w=1 ratio measures dispatch overhead — always compared,
-        # even though it sits below 1x by construction.
-        base, res = dirs
-        _write(base, "BENCH_parallel.json", PARALLEL)
-        fresh = _deep(PARALLEL)
-        fresh["plans"]["projection"]["workers"]["1"]["speedup"] = 0.2
-        _write(res, "BENCH_parallel.json", fresh)
-        report = run_gate(base, res)
-        assert any("workers[1]" in c.name for c in report.failures)
-
-    def test_unscaled_multiworker_baseline_skips_by_default(self, dirs):
-        base, res = dirs
-        stale = _deep(PARALLEL)
-        stale["plans"]["projection"]["workers"]["2"]["speedup"] = 0.9
-        _write(base, "BENCH_parallel.json", stale)
-        fresh = _deep(PARALLEL)
-        fresh["plans"]["projection"]["workers"]["2"]["speedup"] = 0.01
-        _write(res, "BENCH_parallel.json", fresh)
-        report = run_gate(base, res)
-        assert report.ok
-        assert any("never scaled" in s for s in report.skipped)
-
-    def test_unscaled_multiworker_baseline_errors_under_strict(self, dirs):
-        base, res = dirs
-        stale = _deep(PARALLEL)
-        stale["plans"]["projection"]["workers"]["2"]["speedup"] = 0.9
-        _write(base, "BENCH_parallel.json", stale)
-        _write(res, "BENCH_parallel.json", stale)
-        report = run_gate(base, res, strict=True)
-        assert not report.ok
-        assert any("stale baseline" in e for e in report.errors)
-        # The healthy w=1 and w=4 entries are still gated normally.
-        assert any("workers[4]" in c.name for c in report.checks)
-
-    def test_strict_passes_on_healthy_baseline(self, dirs):
-        base, res = dirs
-        _write(base, "BENCH_parallel.json", PARALLEL)
-        _write(res, "BENCH_parallel.json", PARALLEL)
-        assert run_gate(base, res, strict=True).ok
-
-    def test_core_starved_host_tolerates_dropped_worker_entries(self, dirs):
-        # A 1-core fresh host may not run w=2/4 at all; the missing
-        # entries are a skip, not a missing-results error.
-        base, res = dirs
-        _write(base, "BENCH_parallel.json", PARALLEL)
-        fresh = _deep(PARALLEL)
-        fresh["cpu_count"] = 1
-        del fresh["plans"]["projection"]["workers"]["2"]
-        del fresh["plans"]["projection"]["workers"]["4"]
-        _write(res, "BENCH_parallel.json", fresh)
-        report = run_gate(base, res)
-        assert report.ok, report.describe()
-        assert sum("only 1 core" in s for s in report.skipped) == 2
-
-
-SERVE_DURABLE = {
-    "scale": "tiny",
-    "n_events": 3_000,
-    "memory": {"seconds": 0.40, "events_per_s": 7_500.0},
-    "durable": {
-        "off": {"seconds": 0.42, "events_per_s": 7_100.0, "ratio": 0.95},
-        "interval": {"seconds": 0.45, "events_per_s": 6_700.0, "ratio": 0.89},
-        "always": {"seconds": 0.80, "events_per_s": 3_750.0, "ratio": 0.50},
-    },
-}
-
-
-class TestServeDurablePolicy:
-    def test_identical_results_pass(self, dirs):
-        base, res = dirs
-        _write(base, "BENCH_serve_durable_smoke.json", SERVE_DURABLE)
-        _write(res, "BENCH_serve_durable_smoke.json", SERVE_DURABLE)
-        report = run_gate(base, res)
-        assert report.ok, report.describe()
-
-    def test_durable_seconds_regression_fails(self, dirs):
-        base, res = dirs
-        _write(base, "BENCH_serve_durable_smoke.json", SERVE_DURABLE)
-        fresh = _deep(SERVE_DURABLE)
-        fresh["durable"]["interval"]["seconds"] = 0.45 * 2
-        _write(res, "BENCH_serve_durable_smoke.json", fresh)
-        report = run_gate(base, res)
-        assert any("interval" in c.name for c in report.failures)
-
-    def test_interval_ratio_floor_is_absolute(self, dirs):
+    def test_recovery_floor_is_absolute(self, dirs):
         # Even a fresh run that matches its baseline fails when the
-        # committed claim itself is broken: interval below 70%.
+        # committed claim itself is broken: a planted net below the floor.
         base, res = dirs
-        broken = _deep(SERVE_DURABLE)
-        broken["durable"]["interval"]["ratio"] = 0.55
-        _write(base, "BENCH_serve_durable_smoke.json", broken)
-        _write(res, "BENCH_serve_durable_smoke.json", broken)
+        broken = _deep(LAYERS)
+        broken["recovery"]["linkspam"]["recall"] = 0.6
+        _write(base, "BENCH_layers_smoke.json", broken)
+        _write(res, "BENCH_layers_smoke.json", broken)
         report = run_gate(base, res)
-        assert not report.ok
-        assert any("30% budget" in e for e in report.errors)
+        assert not report.ok and not report.failures
+        assert report.errors == [
+            "layers.recovery[linkspam].recall: 0.60 below the committed "
+            "0.9 floor"
+        ]
+
+    def test_planted_net_missing_from_fresh_is_an_error(self, dirs):
+        base, res = dirs
+        _write(base, "BENCH_layers_smoke.json", LAYERS)
+        fresh = _deep(LAYERS)
+        del fresh["recovery"]["restream"]
+        _write(res, "BENCH_layers_smoke.json", fresh)
+        report = run_gate(base, res)
+        assert any(
+            "recovery[restream]" in e and "missing from fresh" in e
+            for e in report.errors
+        )
 
     def test_scale_mismatch_is_an_error(self, dirs):
         base, res = dirs
-        _write(base, "BENCH_serve_durable_smoke.json", SERVE_DURABLE)
-        fresh = _deep(SERVE_DURABLE)
+        _write(base, "BENCH_layers_smoke.json", LAYERS)
+        fresh = _deep(LAYERS)
         fresh["scale"] = "full"
-        _write(res, "BENCH_serve_durable_smoke.json", fresh)
+        _write(res, "BENCH_layers_smoke.json", fresh)
         report = run_gate(base, res)
         assert any("scale mismatch" in e for e in report.errors)
+        assert not report.checks
 
 
 class TestRequiredVsOptionalBaselines:
     def test_optional_fullscale_baseline_skips_when_fresh_missing(self, dirs):
         base, res = dirs
-        _write(base, "BENCH_parallel.json", PARALLEL)
+        _write(base, "BENCH_layers.json", LAYERS)
         report = run_gate(base, res)
         assert report.ok
         assert any("optional baseline" in s for s in report.skipped)
 
     def test_required_smoke_baseline_errors_when_fresh_missing(self, dirs):
         base, res = dirs
-        _write(base, "BENCH_parallel_smoke.json", PARALLEL)
+        _write(base, "BENCH_layers_smoke.json", LAYERS)
         report = run_gate(base, res)
         assert not report.ok
         assert any(
-            "BENCH_parallel_smoke" in e and "did not run" in e
+            "BENCH_layers_smoke" in e and "did not run" in e
             for e in report.errors
         )
 
-    def test_smoke_baseline_uses_parallel_comparator(self, dirs):
+    def test_smoke_and_full_share_rules(self, dirs):
         base, res = dirs
-        _write(base, "BENCH_parallel_smoke.json", PARALLEL)
-        fresh = _deep(PARALLEL)
-        fresh["plans"]["projection"]["workers"]["4"]["speedup"] = 1.0
-        _write(res, "BENCH_parallel_smoke.json", fresh)
+        fresh = _deep(LAYERS)
+        fresh["fuse"]["seconds"] = 0.5
+        for name in ("BENCH_layers_smoke.json", "BENCH_layers.json"):
+            _write(base, name, LAYERS)
+            _write(res, name, fresh)
         report = run_gate(base, res)
-        assert any("workers[4]" in c.name for c in report.failures)
+        assert [c.name for c in report.failures] == ["layers.fuse.seconds"] * 2
 
 
 class TestGateErrors:
@@ -330,6 +273,18 @@ class TestGateErrors:
         base, res = dirs
         assert not run_gate(base, res).ok
 
+    def test_metric_missing_from_fresh_is_an_error(self, dirs):
+        base, res = dirs
+        _write(base, "BENCH_kernels.json", KERNELS)
+        fresh = _deep(KERNELS)
+        del fresh["kernels"]["window_bounds"]
+        _write(res, "BENCH_kernels.json", fresh)
+        report = run_gate(base, res)
+        assert (
+            "kernels[window_bounds].kernel_seconds: missing from fresh results"
+            in report.errors
+        )
+
     def test_unknown_baseline_file_is_skipped(self, dirs):
         base, res = dirs
         _write(base, "BENCH_kernels.json", KERNELS)
@@ -337,7 +292,7 @@ class TestGateErrors:
         _write(base, "BENCH_mystery.json", {"scale": "tiny"})
         report = run_gate(base, res)
         assert report.ok
-        assert any("no comparator" in s for s in report.skipped)
+        assert any("no rules registered" in s for s in report.skipped)
 
 
 class TestUpdateAndCli:

@@ -45,7 +45,7 @@ class TestChaosSerial:
             backend="serial",
             checkpoint_dir=str(tmp_path),
         )
-        assert report.first_attempt != "failed-untyped", report.describe()
+        assert report.facts["first_attempt"] != "failed-untyped", report.describe()
         assert report.ok, report.describe()
 
     def test_crash_plan_fails_typed_then_recovers(
@@ -58,9 +58,9 @@ class TestChaosSerial:
             fault_plan=FaultPlan.single("crash", rank=0, at_message=3),
             checkpoint_dir=str(tmp_path),
         )
-        assert report.first_attempt == "failed-typed"
-        assert "WorkerDiedError" in report.error
-        assert report.resumed
+        assert report.facts["first_attempt"] == "failed-typed"
+        assert "WorkerDiedError" in report.facts["error"]
+        assert report.facts["resumed"]
         assert report.ok, report.describe()
         assert "CHAOS PARITY OK" in report.describe()
 
@@ -76,8 +76,8 @@ class TestChaosSerial:
             ),
             checkpoint_dir=str(tmp_path),
         )
-        assert report.first_attempt == "completed"
-        assert not report.resumed
+        assert report.facts["first_attempt"] == "completed"
+        assert not report.facts["resumed"]
         assert report.ok, report.describe()
 
 
@@ -92,9 +92,9 @@ class TestChaosMultiprocessing:
             barrier_deadline=30.0,
             checkpoint_dir=str(tmp_path),
         )
-        assert report.first_attempt == "failed-typed", report.describe()
-        assert "rank 1" in report.error
-        assert report.resumed
+        assert report.facts["first_attempt"] == "failed-typed", report.describe()
+        assert "rank 1" in report.facts["error"]
+        assert report.facts["resumed"]
         assert report.ok, report.describe()
 
 
@@ -111,3 +111,21 @@ class TestDiffResults:
         ).run(btm)
         assert diff_results(a, a) == []
         assert diff_results(a, b) != []
+
+    def test_one_ulp_in_t_scores_is_a_divergence(self, chaos_comments):
+        """The contract is bit-for-bit: no tolerance in the check."""
+        import dataclasses
+
+        import numpy as np
+
+        from repro.graph import BipartiteTemporalMultigraph
+
+        btm = BipartiteTemporalMultigraph.from_comments(list(chaos_comments))
+        ref = CoordinationPipeline(
+            PipelineConfig(window=WINDOW, min_triangle_weight=5)
+        ).run(btm)
+        assert ref.t_scores.size
+        nudged = ref.t_scores.copy()
+        nudged[0] = np.nextafter(nudged[0], np.inf)
+        got = dataclasses.replace(ref, t_scores=nudged)
+        assert diff_results(ref, got) == ["T scores differ"]

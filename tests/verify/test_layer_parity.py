@@ -24,18 +24,23 @@ class TestRunLayerParity:
         assert report.ok, report.describe()
 
     def test_covers_every_builtin_layer(self, report):
-        assert report.layers == ["hashtag", "link", "page", "reply", "text"]
-        assert set(report.per_layer) == set(report.layers)
+        layers = ["hashtag", "link", "page", "reply", "text"]
+        assert report.facts["layers"] == layers
+        assert list(report.facts["per_layer"]) == layers
+        assert set(report.sections) == {*layers, "legacy", "fusion"}
 
     def test_every_layer_carries_events(self, report):
-        assert all(report.layer_events[name] > 0 for name in report.layers)
+        assert all(
+            sub.facts["n_comments"] > 0
+            for sub in report.facts["per_layer"].values()
+        )
 
     def test_describe_reports_all_three_checks(self, report):
         text = report.describe()
         assert "legacy byte-identity ok" in text
         assert "fusion determinism ok" in text
         assert "LAYER PARITY OK" in text
-        for name in report.layers:
+        for name in report.facts["layers"]:
             assert f"[{name}]" in text
 
     def test_layer_subset_skips_legacy_check_silently(self):
@@ -44,18 +49,17 @@ class TestRunLayerParity:
             dataset.records, WINDOW, min_edge_weight=5,
             layers=["link", "hashtag"], parallel_workers=1,
         )
-        assert report.layers == ["hashtag", "link"]
+        assert report.facts["layers"] == ["hashtag", "link"]
         assert report.ok, report.describe()
 
 
 class TestFailureReporting:
     def test_divergences_flip_ok_and_describe(self, report):
-        report.legacy_divergences.append("synthetic divergence")
+        report.sections["legacy"].append("synthetic divergence")
         try:
             assert not report.ok
             text = report.describe()
-            assert "LEGACY PATH DIVERGED" in text
-            assert "synthetic divergence" in text
-            assert "LAYER PARITY FAILED" in text
+            assert "    - synthetic divergence" in text
+            assert "LAYER PARITY FAILED — 1 divergence(s):" in text
         finally:
-            report.legacy_divergences.clear()
+            report.sections["legacy"].clear()

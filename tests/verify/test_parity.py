@@ -31,8 +31,8 @@ class TestAgreement:
     def test_all_engines_agree_on_triangle_corpus(self):
         report = run_parity(TRIANGLE_CORPUS, TimeWindow(0, 60), min_edge_weight=1)
         assert report.ok
-        assert report.n_edges == 3
-        assert report.n_triangles == 1
+        assert report.facts["n_edges"] == 3
+        assert report.facts["n_triangles"] == 1
         assert report.counterexample is None
         assert "PARITY OK" in report.describe()
 
@@ -53,11 +53,11 @@ class TestEdgeCases:
 
     def test_empty_corpus(self):
         report = run_parity([], TimeWindow(0, 60))
-        assert report.ok and report.n_edges == 0 and report.n_triangles == 0
+        assert report.ok and report.facts["n_edges"] == 0 and report.facts["n_triangles"] == 0
 
     def test_single_comment(self):
         report = run_parity([("a", "p", 7)], TimeWindow(0, 60))
-        assert report.ok and report.n_edges == 0
+        assert report.ok and report.facts["n_edges"] == 0
 
     def test_degenerate_window_delta1_equals_delta2(self):
         comments = [
@@ -67,14 +67,14 @@ class TestEdgeCases:
         ]
         report = run_parity(comments, TimeWindow(30, 30))
         assert report.ok, report.describe()
-        assert report.n_edges == 1  # only the exact-delay pair
+        assert report.facts["n_edges"] == 1  # only the exact-delay pair
 
     def test_all_equal_timestamps(self):
         comments = [(name, "p", 100) for name in "abcd"]
         report = run_parity(comments, TimeWindow(0, 60), min_edge_weight=1)
         assert report.ok, report.describe()
-        assert report.n_edges == 6  # every pair at delay 0
-        assert report.n_triangles == 4
+        assert report.facts["n_edges"] == 6  # every pair at delay 0
+        assert report.facts["n_triangles"] == 4
 
     def test_ns_scale_timestamps(self):
         # Would overflow the unguarded key encoding (see

@@ -61,16 +61,16 @@ class TestRecoveryMatrix:
             allowed_lateness=20,
             directory=str(tmp_path),
         )
-        assert report.child_exit == -9, "child must die to the planned SIGKILL"
+        assert report.facts["child_exit"] == -9, "child must die to the planned SIGKILL"
         assert report.ok, report.describe()
         if corruption == "torn-tail":
-            assert report.torn_tail, "injected torn tail must be reported"
-        if corruption == "corrupt-snapshot" and report.applied_seq > 12:
+            assert report.facts["torn_tail"], "injected torn tail must be reported"
+        if corruption == "corrupt-snapshot" and report.facts["applied_seq"] > 12:
             # Once several generations exist, the damaged newest one must
             # have been skipped via fallback to an older valid one.  (With
             # a single generation the fallback is a full-journal replay
             # and no skip is reported.)
-            assert report.snapshots_skipped >= 1
+            assert report.facts["snapshots_skipped"] >= 1
 
 
 class TestRecoveryEdges:
@@ -88,7 +88,7 @@ class TestRecoveryEdges:
             directory=str(tmp_path),
         )
         assert report.ok, report.describe()
-        assert report.records_replayed == report.applied_seq
+        assert report.facts["records_replayed"] == report.facts["applied_seq"]
 
     def test_fsync_always_survives_too(self, chaos_events, tmp_path):
         report = run_recovery_chaos(
