@@ -18,7 +18,7 @@ worker death (or the driver itself dying) can be re-invoked with
   written after Step 2's survey.
 
 Resume refuses to mix artifacts across configs: the manifest records the
-window, cutoff, and bucket width, and a mismatch raises
+window, cutoff, bucket width and author filter, and a mismatch raises
 :class:`CheckpointMismatchError` rather than silently blending two runs.
 """
 
@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.projection.ci_graph import CommonInteractionGraph
 from repro.projection.window import TimeWindow
+from repro.store.engine_state import config_fingerprint
 from repro.tripoll.survey import TriangleSet
 from repro.util.ids import Interner
 from repro.util.io import atomic_write_text
@@ -64,10 +65,15 @@ class PipelineCheckpoint:
         return self.directory / "manifest.json"
 
     def _config_fingerprint(self, config) -> dict:
+        # The author filter decides which comments Step 1 projects; its
+        # entries are the store's, so both formats key on the same facts.
+        store = config_fingerprint(config)
         return {
-            "window": [config.window.delta1, config.window.delta2],
-            "min_triangle_weight": config.min_triangle_weight,
+            "window": store["window"],
+            "min_triangle_weight": store["min_triangle_weight"],
             "time_bucket_width": config.time_bucket_width,
+            "filter_names": store["filter_names"],
+            "filter_patterns": store["filter_patterns"],
         }
 
     def begin(self, config) -> None:

@@ -54,18 +54,6 @@ class PipelineConfig:
     layer_weights:
         Optional per-layer fusion multipliers as sorted ``(layer,
         weight)`` pairs; empty means weight 1.0 per layer.
-    ingest_sharding:
-        How the sharded serving tier partitions the event stream:
-        ``"replicated"`` (default) fans every event to every shard so
-        each holds the full live window; ``"page"`` routes each event
-        to the shard its page hashes to
-        (:func:`repro.serve.ingest.page_shard_of`) and answers queries
-        from the cross-shard partial-weight exchange
-        (:mod:`repro.serve.exchange`) — per-shard ingest cost drops
-        from O(stream) to O(stream/N) with bit-identical answers.
-        Ignored outside the serving tier, and deliberately excluded
-        from the snapshot config fingerprint (it changes transport, not
-        detection semantics).
     """
 
     window: TimeWindow = field(default_factory=lambda: TimeWindow(0, 60))
@@ -80,7 +68,6 @@ class PipelineConfig:
     n_workers: int = 0
     layers: tuple[str, ...] = ()
     layer_weights: tuple[tuple[str, float], ...] = ()
-    ingest_sharding: str = "replicated"
 
     def describe(self) -> str:
         """One-line summary for reports."""
@@ -95,13 +82,8 @@ class PipelineConfig:
             else ""
         )
         lay = f", layers=[{','.join(self.layers)}]" if self.layers else ""
-        ing = (
-            f", ingest={self.ingest_sharding}"
-            if self.ingest_sharding != "replicated"
-            else ""
-        )
         return (
             f"window={self.window}, cutoff={self.min_triangle_weight}"
-            f"{bucket}{ex}{lay}{ing}, "
+            f"{bucket}{ex}{lay}, "
             f"filter={'on' if self.author_filter.exact_names else 'off'}"
         )

@@ -34,10 +34,10 @@ Layers (each usable on its own):
   top-k (k-way) and components (boundary-edge union-find); ingest is
   either replicated or partitioned by page hash (:func:`page_shard_of`);
 - :mod:`repro.serve.exchange` — the page-mode partial-weight exchange:
-  ingest shards publish ``w'``/``P'``/incidence partials over the shm
-  output path and :func:`merge_partials` sums them exactly into the
-  ledgers of one :class:`ScoringCore` (the engine's own thresholding,
-  scoring and query code);
+  ingest shards return pickled ``w'``/``P'``/incidence partials over
+  their supervisor pipe and :func:`merge_partials` sums them exactly
+  into the ledgers of one :class:`ScoringCore` (the engine's own
+  thresholding, scoring and query code);
 - :mod:`repro.serve.http` — :class:`HttpGateway`, the stdlib
   ``ThreadingHTTPServer`` front door (``/topk``, ``/user/<id>/score``,
   ``/component/<id>``, ``/status``, ``/metrics`` in Prometheus text

@@ -930,15 +930,6 @@ class DetectionEngine(ScoringCore):
         name_of = self.proj.user_names.key_of
         return sorted(str(name_of(u)) for u in self._user_pages)
 
-    def filtered_names(self) -> tuple[str, ...]:
-        """Author names the filter has excluded so far (first-seen order)."""
-        return tuple(self._filtered_names)
-
-    @property
-    def filtered_comments(self) -> int:
-        """Comments dropped by the author filter so far."""
-        return self._filtered_comments
-
     def live_incidence(self) -> dict[str, dict[str, int]]:
         """Live comment counts as ``{author: {page: count}}``, name-keyed.
 

@@ -13,16 +13,14 @@ sum/union of per-shard partials:
   user-name pair;
 - ``P'`` ledgers — distinct-page counts per user, summed;
 - the live user→page incidence (the ``w_xyz``/``p_x`` substrate of
-  eqs. 2–3) — unioned (page keys never collide across shards);
-- the author-filter census — name union plus comment-count sum.
+  eqs. 2–3) — unioned (page keys never collide across shards).
 
-The exchange itself reuses the :mod:`repro.exec.shm` output path of
-the batch executors: the child packs its partial into
-numeric arrays (strings length-prefix-packed into ``uint8`` blobs),
-publishes them as shared-memory segments
-(:func:`publish_partial_weights`), and the aggregator claims them —
-copy + unlink, so a completed exchange leaves ``/dev/shm`` clean
-(:func:`claim_partial_weights`).  :func:`merge_partials` is idempotent
+A partial travels as one message over the supervisor pipe that already
+carries the shard's events and queries: the child pickles its ledgers
+(:func:`partial_bytes`, one request per shard per exchange, so the
+partial is atomic with respect to that shard's ingest) and the
+aggregator unpickles them (:func:`load_partial`), recording the pickled
+size as the partial's wire cost.  :func:`merge_partials` is idempotent
 under duplicate delivery (partials are deduplicated by ``shard_id``)
 and raises :class:`PartialExchangeError` when a shard's partial is
 missing, so a torn exchange fails typed instead of under-counting.
@@ -38,23 +36,19 @@ modes against the oracle all the same).
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Iterable
 
-import numpy as np
-
-from repro.exec.shm import OutputWriter, claim_output
 from repro.serve.engine import DetectionEngine
 
 __all__ = [
     "MergedWeights",
     "PartialExchangeError",
     "PartialWeights",
-    "claim_partial_weights",
+    "load_partial",
     "merge_partials",
-    "pack_str_array",
-    "publish_partial_weights",
-    "unpack_str_array",
+    "partial_bytes",
 ]
 
 
@@ -67,39 +61,6 @@ class PartialExchangeError(RuntimeError):
     """
 
 
-# ---------------------------------------------------------------------------
-# String packing (shm segments carry numeric dtypes only)
-# ---------------------------------------------------------------------------
-
-
-def pack_str_array(values: Iterable[object]) -> dict[str, np.ndarray]:
-    """Length-prefix-pack strings into shm-safe numeric arrays."""
-    blobs = [str(v).encode("utf-8", "surrogatepass") for v in values]
-    lengths = np.asarray([len(b) for b in blobs], dtype=np.int64)
-    data = (
-        np.frombuffer(b"".join(blobs), dtype=np.uint8).copy()
-        if blobs
-        else np.empty(0, dtype=np.uint8)
-    )
-    return {"packed_data": data, "packed_lengths": lengths}
-
-
-def unpack_str_array(packed: Mapping[str, np.ndarray]) -> list[str]:
-    """Inverse of :func:`pack_str_array`."""
-    data = packed["packed_data"].tobytes()
-    out: list[str] = []
-    offset = 0
-    for n in packed["packed_lengths"].tolist():
-        out.append(data[offset : offset + n].decode("utf-8", "surrogatepass"))
-        offset += n
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The partial itself: publish (child) / claim (aggregator) / merge
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class PartialWeights:
     """One ingest shard's additive contribution to the global CI state."""
@@ -109,10 +70,7 @@ class PartialWeights:
     pair_weights: dict[tuple[str, str], int]
     page_counts: dict[str, int]
     incidence: dict[str, dict[str, int]]
-    filtered_names: tuple[str, ...]
-    filtered_comments: int
-    n_live_comments: int
-    #: Bytes claimed from shared memory for this partial (transport cost).
+    #: Pickled bytes this partial occupied on the pipe (transport cost).
     nbytes: int = 0
 
 
@@ -124,95 +82,36 @@ class MergedWeights:
     pair_weights: dict[tuple[str, str], int]
     page_counts: dict[str, int]
     incidence: dict[str, dict[str, int]]
-    filtered_names: tuple[str, ...]
-    filtered_comments: int
-    n_live_comments: int
-    #: Total shm bytes moved by the exchange (sum over partials).
+    #: Total pickled bytes moved by the exchange (sum over partials).
     exchange_bytes: int = 0
 
 
-def publish_partial_weights(
-    engine: DetectionEngine, shard_id: int, n_shards: int, writer: OutputWriter
-) -> dict[str, Any]:
-    """Child-side half of the exchange: engine partials → shm segments.
+def partial_bytes(
+    engine: DetectionEngine, shard_id: int, n_shards: int
+) -> bytes:
+    """Child-side half of the exchange: the engine's partial, pickled.
 
-    Everything is serialized in sorted order so the payload is a pure
-    function of engine state (deterministic across runs).  Returns a
-    picklable ``{"arrays": ShmRef tree, "meta": ...}`` payload for the
-    pipe; the caller must claim it with :func:`claim_partial_weights`.
+    The ledgers go out in the engine's own insertion order, unsorted:
+    the aggregate core ranks, tie-breaks and lists by name, never by
+    dict order, so sorting would buy nothing — and on a hot page's
+    ~40k pairs it would be two thirds of the child's cost.
     """
-    pairs = sorted(engine.ci_edges().items())
-    pprime = sorted(engine.page_counts().items())
-    incidence = engine.live_incidence()
-    flat_inc = [
-        (user, page, count)
-        for user in sorted(incidence)
-        for page, count in sorted(incidence[user].items())
-    ]
-    arrays: dict[str, Any] = {
-        "pair_a": pack_str_array(a for (a, _b), _w in pairs),
-        "pair_b": pack_str_array(b for (_a, b), _w in pairs),
-        "pair_w": np.asarray([w for _p, w in pairs], dtype=np.int64),
-        "pp_names": pack_str_array(n for n, _c in pprime),
-        "pp_counts": np.asarray([c for _n, c in pprime], dtype=np.int64),
-        "inc_users": pack_str_array(u for u, _p, _c in flat_inc),
-        "inc_pages": pack_str_array(p for _u, p, _c in flat_inc),
-        "inc_counts": np.asarray(
-            [c for _u, _p, c in flat_inc], dtype=np.int64
+    return pickle.dumps(
+        (
+            int(shard_id),
+            int(n_shards),
+            engine.ci_edges(),
+            engine.page_counts(),
+            engine.live_incidence(),
         ),
-        "filtered_names": pack_str_array(sorted(engine.filtered_names())),
-    }
-    meta = {
-        "shard_id": int(shard_id),
-        "n_shards": int(n_shards),
-        "filtered_comments": int(engine.filtered_comments),
-        "n_live_comments": int(engine.n_live_comments),
-    }
-    return {"arrays": writer.share(arrays), "meta": meta}
-
-
-def _tree_nbytes(tree: Any) -> int:
-    if isinstance(tree, np.ndarray):
-        return int(tree.nbytes)
-    if isinstance(tree, Mapping):
-        return sum(_tree_nbytes(v) for v in tree.values())
-    return 0
-
-
-def claim_partial_weights(payload: Mapping[str, Any]) -> PartialWeights:
-    """Aggregator-side half: claim the segments and rebuild the partial.
-
-    Claiming copies and unlinks every segment (the
-    :func:`repro.exec.shm.claim_output` contract), so a completed
-    exchange leaves ``/dev/shm`` clean;
-    :func:`repro.exec.shm.sweep_segments` is the crash backstop.
-    """
-    arrays = claim_output(payload["arrays"])
-    meta = payload["meta"]
-    pair_a = unpack_str_array(arrays["pair_a"])
-    pair_b = unpack_str_array(arrays["pair_b"])
-    pair_w = arrays["pair_w"].tolist()
-    pp_names = unpack_str_array(arrays["pp_names"])
-    pp_counts = arrays["pp_counts"].tolist()
-    inc_users = unpack_str_array(arrays["inc_users"])
-    inc_pages = unpack_str_array(arrays["inc_pages"])
-    inc_counts = arrays["inc_counts"].tolist()
-    incidence: dict[str, dict[str, int]] = {}
-    for user, page, count in zip(inc_users, inc_pages, inc_counts):
-        incidence.setdefault(user, {})[page] = int(count)
-    return PartialWeights(
-        shard_id=int(meta["shard_id"]),
-        n_shards=int(meta["n_shards"]),
-        pair_weights={
-            (a, b): int(w) for a, b, w in zip(pair_a, pair_b, pair_w)
-        },
-        page_counts={n: int(c) for n, c in zip(pp_names, pp_counts)},
-        incidence=incidence,
-        filtered_names=tuple(unpack_str_array(arrays["filtered_names"])),
-        filtered_comments=int(meta["filtered_comments"]),
-        n_live_comments=int(meta["n_live_comments"]),
-        nbytes=_tree_nbytes(arrays),
+        protocol=pickle.HIGHEST_PROTOCOL,
     )
+
+
+def load_partial(blob: bytes) -> PartialWeights:
+    """Aggregator-side half: rebuild the partial :func:`partial_bytes` sent."""
+    shard_id, n_shards, pairs, pages, incidence = pickle.loads(blob)
+    return PartialWeights(shard_id, n_shards, pairs, pages, incidence, len(blob))
 
 
 def merge_partials(
@@ -251,9 +150,6 @@ def merge_partials(
     pair_weights: dict[tuple[str, str], int] = {}
     page_counts: dict[str, int] = {}
     incidence: dict[str, dict[str, int]] = {}
-    filtered: set[str] = set()
-    filtered_comments = 0
-    n_live = 0
     nbytes = 0
     for sid in range(n_shards):
         partial = by_shard[sid]
@@ -267,17 +163,11 @@ def merge_partials(
                 # Pages are disjoint across shards; += keeps the merge
                 # correct even if a caller feeds replicated partials.
                 mine[page] = mine.get(page, 0) + count
-        filtered.update(partial.filtered_names)
-        filtered_comments += partial.filtered_comments
-        n_live += partial.n_live_comments
         nbytes += partial.nbytes
     return MergedWeights(
         n_shards=n_shards,
         pair_weights=pair_weights,
         page_counts=page_counts,
         incidence=incidence,
-        filtered_names=tuple(sorted(filtered)),
-        filtered_comments=filtered_comments,
-        n_live_comments=n_live,
         exchange_bytes=nbytes,
     )

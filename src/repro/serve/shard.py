@@ -24,9 +24,9 @@ is routing and, where answers live in N processes, exact merges.
   is O(stream/N).  Page locality keeps this exact: a page's co-comment
   pairs are computable from that page's timeline alone and pages are
   disjoint across shards, so each shard builds per-page pair ledgers
-  locally and the tier **exchanges partial pair weights** — the shards
-  publish their ``w'``/``P'``/incidence partials through the
-  :mod:`repro.exec.shm` output path and the facade merges them
+  locally and the tier **exchanges partial pair weights** — each shard
+  returns its ``w'``/``P'``/incidence partial, pickled, over the same
+  supervisor pipe that carries its events, and the facade merges them
   (:mod:`repro.serve.exchange`) into the ledgers of one in-process
   :class:`~repro.serve.engine.ScoringCore`, which thresholds, scores
   and answers every query directly — no owner slicing, no merge: the
@@ -79,11 +79,10 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from repro.exec.shm import output_prefix, sweep_segments
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.results import PipelineResult
 from repro.serve.engine import ScoringCore
-from repro.serve.exchange import claim_partial_weights, merge_partials
+from repro.serve.exchange import load_partial, merge_partials
 from repro.serve.ingest import Event, page_shard_of, shard_of
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.supervisor import DegradedError, ServeSupervisor
@@ -294,8 +293,7 @@ class ShardedDetectionService:
     ingest_sharding:
         ``"replicated"`` (every event to every shard) or ``"page"``
         (events route by page hash; queries answered from the
-        partial-weight exchange).  ``None`` (default) reads
-        ``config.ingest_sharding``.
+        partial-weight exchange).
     directory:
         Optional durable root; shard ``s`` journals under
         ``directory/shard-NN``.  ``None`` = volatile shards.
@@ -317,7 +315,7 @@ class ShardedDetectionService:
         config: PipelineConfig | None = None,
         *,
         n_shards: int = 2,
-        ingest_sharding: str | None = None,
+        ingest_sharding: str = "replicated",
         directory: str | Path | None = None,
         metrics: ServiceMetrics | None = None,
         heartbeat_timeout: float = 30.0,
@@ -329,8 +327,6 @@ class ShardedDetectionService:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.config = config if config is not None else PipelineConfig()
-        if ingest_sharding is None:
-            ingest_sharding = self.config.ingest_sharding
         if ingest_sharding not in INGEST_MODES:
             raise ValueError(
                 f"unknown ingest_sharding {ingest_sharding!r} "
@@ -349,7 +345,6 @@ class ShardedDetectionService:
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.query_timeout = float(query_timeout)
         self.directory = Path(directory) if directory is not None else None
-        self._shm_prefix = output_prefix()  # this process claims the partials
         # Page-mode tier state (single producer, like the supervisors'
         # queues): the global watermark broadcast, and the cross-shard
         # aggregate memoized under the ingest generation it was built at.
@@ -519,10 +514,10 @@ class ShardedDetectionService:
         """The memoized cross-shard aggregate (page mode's query engine).
 
         Runs the partial-weight exchange when stale: flush every shard,
-        have each publish its ``w'``/``P'``/incidence partials through
-        the shm output path, claim and merge them, then load the merged
-        ledgers into a :class:`~repro.serve.engine.ScoringCore` — the
-        engine's own thresholding, scoring and query code.  A dead shard
+        fetch each one's ``w'``/``P'``/incidence partial over its pipe,
+        merge them, then load the merged ledgers into a
+        :class:`~repro.serve.engine.ScoringCore` — the engine's own
+        thresholding, scoring and query code.  A dead shard
         raises :class:`ShardUnavailableError` — an exchange needs every
         partition, so page-mode aggregate queries 503 (without waiting)
         until the shard's restart completes.
@@ -542,13 +537,13 @@ class ShardedDetectionService:
             with self.metrics.time("sharded.exchange"):
                 partials = []
                 for shard in self._shards:
-                    payload = self._query(
+                    blob = self._query(
                         shard.sid,
                         lambda sup, sid=shard.sid: sup.partial_state(
-                            self._shm_prefix, sid, self.n_shards
+                            sid, self.n_shards
                         ),
                     )
-                    partials.append(claim_partial_weights(payload))
+                    partials.append(load_partial(blob))
                 merged = merge_partials(partials, self.n_shards)
             self.metrics.counter("sharded.exchanges").inc()
             self.metrics.counter("sharded.exchange_bytes").inc(
@@ -683,12 +678,11 @@ class ShardedDetectionService:
         }
 
     def close(self) -> None:
-        """Stop every shard and sweep any unclaimed exchange segments."""
+        """Stop every shard (waits out active restarts)."""
         for shard in self._shards:
             shard.sup.await_restart(30.0)
             with shard.lock:
                 shard.sup.close()
-        sweep_segments(self._shm_prefix)
 
     def __enter__(self) -> "ShardedDetectionService":
         return self

@@ -58,10 +58,10 @@ from multiprocessing.process import BaseProcess
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.exec.shm import OutputWriter, disown_resource_tracking
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.results import PipelineResult
 from repro.serve.durable import DurableDetectionService
+from repro.serve.exchange import partial_bytes
 from repro.serve.ingest import Event, EventQueue
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.service import DetectionService
@@ -112,10 +112,6 @@ def _child_main(
     # The parent owns lifecycle; a SIGINT meant for the parent's loop
     # must not also unwind the child mid-tick.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # Partial-weight segments are published here but claimed (and
-    # unlinked) by the parent; the shared resource tracker must not
-    # count them against this process.
-    disown_resource_tracking()
     svc: Any  # durable and volatile services differ in journal attributes
     if durable:
         svc = DurableDetectionService(config, **service_kwargs)
@@ -124,7 +120,6 @@ def _child_main(
         svc = DetectionService(config, **service_kwargs)
         recovery = "volatile start (no durable store; a restart loses state)"
     received = 0
-    writer: OutputWriter | None = None  # lazy: only the exchange needs one
 
     def position() -> int:
         return svc.events_journaled if durable else received
@@ -179,19 +174,10 @@ def _child_main(
                     if name not in ENGINE_QUERIES:
                         raise ValueError(f"unknown engine query {name!r}")
                     conn.send(("ok", getattr(svc.engine, name)(*args)))
-                elif op == "partial_shm":
-                    from repro.serve.exchange import publish_partial_weights
-
-                    prefix, shard_id, n_shards = msg[1]
-                    if writer is None:
-                        writer = OutputWriter(prefix)
+                elif op == "partial":
+                    _op, shard_id, n_shards = msg
                     conn.send(
-                        (
-                            "ok",
-                            publish_partial_weights(
-                                svc.engine, shard_id, n_shards, writer
-                            ),
-                        )
+                        ("ok", partial_bytes(svc.engine, shard_id, n_shards))
                     )
                 elif op == "sync":
                     if durable:
@@ -551,17 +537,16 @@ class ServeSupervisor:
         """:meth:`DetectionEngine.component_of` on the child."""
         return self.query("component_of", author)
 
-    def partial_state(self, shm_prefix: str, shard_id: int, n_shards: int) -> dict:
-        """Publish the child's partial CI weights into shared memory.
+    def partial_state(self, shard_id: int, n_shards: int) -> bytes:
+        """The child's partial CI weights, pickled, in one pipe round.
 
-        The page-hash exchange: returns the payload of
-        :func:`repro.serve.exchange.publish_partial_weights`, which the
-        caller must claim
-        (:func:`repro.serve.exchange.claim_partial_weights`) — every
-        claim unlinks its segments, and
-        :func:`repro.exec.shm.sweep_segments` is the crash backstop.
+        The page-hash exchange: returns the bytes of
+        :func:`repro.serve.exchange.partial_bytes`, which the caller
+        rebuilds with :func:`repro.serve.exchange.load_partial`.  One
+        request per exchange keeps the partial atomic with respect to
+        the child's ingest.
         """
-        return self._request("partial_shm", (shm_prefix, shard_id, n_shards))
+        return self._request("partial", shard_id, n_shards)
 
     def status(self) -> dict:
         """Child status (when reachable) + supervision counters."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exec import YgmExecutor
+from repro.graph.filters import AuthorFilter
 from repro.pipeline import (
     CheckpointMismatchError,
     CoordinationPipeline,
@@ -31,7 +32,7 @@ def assert_results_equal(ref, got):
         assert np.array_equal(
             getattr(got.triangles, fld), getattr(ref.triangles, fld)
         ), fld
-    assert np.allclose(got.t_scores, ref.t_scores)
+    assert np.array_equal(got.t_scores, ref.t_scores)
     assert [c.members for c in got.components] == [
         c.members for c in ref.components
     ]
@@ -42,7 +43,7 @@ def assert_results_equal(ref, got):
         assert np.array_equal(
             got.triplet_metrics.w_xyz, ref.triplet_metrics.w_xyz
         )
-        assert np.allclose(
+        assert np.array_equal(
             got.triplet_metrics.c_scores, ref.triplet_metrics.c_scores
         )
     assert got.stats["triangles"] == ref.stats["triangles"]
@@ -86,17 +87,26 @@ class TestCheckpointResume:
         assert resumed.resumed_stages == ("step1.project",)
         assert_results_equal(ref, resumed)
 
+    @pytest.mark.parametrize(
+        "other",
+        [
+            PipelineConfig(window=TimeWindow(0, 120), min_triangle_weight=5),
+            # Same window and cutoff: only the author filter differs, and
+            # the filter decides which comments Step 1 projected.
+            _config(author_filter=AuthorFilter.none()),
+        ],
+        ids=["win", "flt"],
+    )
     def test_resume_under_different_config_refuses(
-        self, small_dataset, tmp_path
+        self, small_dataset, tmp_path, other
     ):
         CoordinationPipeline(_config()).run(
             small_dataset.btm, checkpoint_dir=str(tmp_path)
         )
-        other = CoordinationPipeline(
-            PipelineConfig(window=TimeWindow(0, 120), min_triangle_weight=5)
-        )
         with pytest.raises(CheckpointMismatchError, match="different config"):
-            other.run(small_dataset.btm, resume_from=str(tmp_path))
+            CoordinationPipeline(other).run(
+                small_dataset.btm, resume_from=str(tmp_path)
+            )
 
     def test_resume_from_empty_dir_refuses(self, small_dataset, tmp_path):
         with pytest.raises(CheckpointMismatchError, match="no checkpoint"):

@@ -1,20 +1,25 @@
 """Tests for page-hash ingest sharding and the partial-weight exchange."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.filters import AuthorFilter
 from repro.pipeline.config import PipelineConfig
 from repro.projection import TimeWindow
 from repro.serve import (
+    DetectionEngine,
     DetectionService,
     PartialExchangeError,
     PartialWeights,
+    ScoringCore,
     ShardUnavailableError,
     ShardedDetectionService,
     merge_partials,
     page_shard_of,
     shard_of,
 )
+from repro.serve.exchange import load_partial, partial_bytes
 
 pytestmark = pytest.mark.serve
 
@@ -56,9 +61,6 @@ def partial(sid, n, pairs=(), pages=(), inc=(), nbytes=0):
         pair_weights=dict(pairs),
         page_counts=dict(pages),
         incidence={u: dict(ps) for u, ps in inc},
-        filtered_names=(),
-        filtered_comments=0,
-        n_live_comments=sum(w for _, w in pairs),
         nbytes=nbytes,
     )
 
@@ -95,6 +97,55 @@ class TestMergePartials:
         with pytest.raises(PartialExchangeError, match="out of range"):
             merge_partials([partial(0, 2), partial(5, 2)], 2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c", "d", "é", "x\ud800y"]),
+                st.sampled_from(["p0", "p1", "p2", "p3", "名前", "ページ"]),
+                st.integers(0, 300),
+            ),
+            max_size=60,
+        ),
+        n=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_wire_roundtrip_merge_equals_single_engine(self, events, n, data):
+        # Page-partitioned engines, their partials through the tier's
+        # child-side builder and parent-side loader, delivered shuffled
+        # with duplicates: the merge is the single engine's CI state.
+        events = sorted(events, key=lambda e: e[2])
+        oracle = DetectionEngine(CONFIG)
+        oracle.ingest(events)
+        blobs = []
+        for sid in range(n):
+            engine = DetectionEngine(CONFIG)
+            engine.ingest([e for e in events if page_shard_of(e[1], n) == sid])
+            blobs.append(partial_bytes(engine, sid, n))
+        extra = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+        order = data.draw(st.permutations(list(range(n)) + extra))
+        merged = merge_partials([load_partial(blobs[i]) for i in order], n)
+        assert merged.pair_weights == oracle.ci_edges()
+        assert merged.page_counts == oracle.page_counts()
+        assert merged.incidence == oracle.live_incidence()
+        assert merged.exchange_bytes == sum(len(b) for b in blobs)
+
+    def test_answers_ignore_ledger_insertion_order(self):
+        # Partials travel unsorted.  Two tied triangles in two components
+        # must rank and list the same whichever order the ledgers hold.
+        events = [("a", "p0", 0), ("d", "p1", 0), ("b", "p0", 10),
+                  ("e", "p1", 10), ("c", "p0", 20), ("f", "p1", 20)]
+        oracle = DetectionEngine(CONFIG)
+        oracle.ingest(events)
+        ledgers = (oracle.ci_edges(), oracle.page_counts(), oracle.live_incidence())
+        for order in (list, lambda items: list(reversed(items))):
+            pairs, pages, inc = (dict(order(list(d.items()))) for d in ledgers)
+            core = ScoringCore(
+                CONFIG, pair_weights=pairs, page_counts=pages, incidence=inc
+            )
+            assert core.top_k_triplets(10) == oracle.top_k_triplets(10)
+            assert core.components() == oracle.components()
+
 
 class TestPageModeTier:
     def test_foreign_owner_page_stays_exact(self):
@@ -121,6 +172,18 @@ class TestPageModeTier:
             for author in trio:
                 assert tier.user_score(author) == oracle.user_score(author)
             assert tier.top_k_triplets(10) == oracle.top_k_triplets(10)
+
+    def test_unicode_and_surrogate_names_survive_the_pipe(self):
+        # Author and page names cross the supervisor pipe inside the
+        # pickled partial: non-ASCII and lone-surrogate strings must
+        # come back as the same keys the single engine holds.
+        names = ["名前", "é", "x\ud800y", "plain"]
+        events = [(names[i % 4], names[(i // 4) % 3], i) for i in range(120)]
+        oracle = oracle_service(events)
+        with make_tier(n_shards=2) as tier:
+            tier.run_events(events)
+            assert tier.ci_edges() == oracle.engine.ci_edges()
+            assert {a for pair in tier.ci_edges() for a in pair} == set(names)
 
     def test_eviction_parity_via_watermark_broadcast(self):
         # A narrow horizon forces eviction; page-partitioned shards only

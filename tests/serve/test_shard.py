@@ -13,7 +13,6 @@ from repro.serve import (
     ShardedDetectionService,
     shard_of,
 )
-from repro.serve.exchange import pack_str_array, unpack_str_array
 from repro.serve.shard import (
     merge_components,
     merge_topk,
@@ -119,13 +118,6 @@ class TestMergeComponents:
         f0 = {"vertices": ["a", "b"], "edges": [("a", "b")]}
         assert merged_component_of([f0], "nobody") == []
         assert merged_component_of([f0], "a") == ["a", "b"]
-
-
-class TestStringPacking:
-    def test_roundtrip_unicode_and_empty(self):
-        values = ["alice", "ユーザー", "", "x" * 500]
-        assert unpack_str_array(pack_str_array(values)) == values
-        assert unpack_str_array(pack_str_array([])) == []
 
 
 class TestShardedParity:
