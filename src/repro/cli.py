@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--executor", choices=["serial", "parallel"],
                      default="serial",
                      help="plan executor: serial (in-process) or parallel "
-                     "(shared-memory worker pool; bit-identical results)")
+                     "(forked worker pool; bit-identical results)")
     det.add_argument("--workers", type=int, default=0,
                      help="worker-pool size for --executor parallel "
                      "(0 = cpu count)")

@@ -4,10 +4,11 @@ Engines declare *what* runs — a :class:`~repro.exec.plan.Plan` of kernel
 stages with declared shard keys — and pick *where* it runs by choosing a
 :class:`~repro.exec.executors.SerialExecutor` (in-process), a
 :class:`~repro.exec.parallel.ParallelExecutor` (persistent worker pool
-over shared-memory inputs), or a
+fed over its own queues), or a
 :class:`~repro.exec.executors.YgmExecutor` (across YGM ranks).  The
 canonical plans for the paper's three steps live in
-:mod:`repro.exec.plans`.
+:mod:`repro.exec.plans`; :func:`~repro.exec.shm.leaked_shm_files` is the
+``/dev/shm`` leak audit run after batch and serving runs.
 """
 
 from repro.exec.executors import SerialExecutor, YgmExecutor, finish_reduce
@@ -22,7 +23,7 @@ from repro.exec.plans import (
     position_range_shards,
     triplet_range_shards,
 )
-from repro.exec.shm import ShmArena, leaked_shm_files, live_segment_names
+from repro.exec.shm import leaked_shm_files
 
 __all__ = [
     "KernelStage",
@@ -32,8 +33,6 @@ __all__ = [
     "ParallelExecutor",
     "YgmExecutor",
     "finish_reduce",
-    "ShmArena",
-    "live_segment_names",
     "leaked_shm_files",
     "PROJECTION_PLAN",
     "SURVEY_PLAN",

@@ -1,30 +1,22 @@
-"""Shared-memory parallel executor: one plan, many cores, zero copies.
+"""Parallel executor: one plan, a persistent pool of worker processes.
 
 :class:`ParallelExecutor` is the third executor of the plan layer.  Like
 :class:`~repro.exec.executors.SerialExecutor` it maps every shard through
 the plan's kernel and reduces driver-side in shard order, so results are
 bit-identical by construction; unlike it, shards run on a **persistent
 pool of worker processes** that stays warm across plans — the pipeline
-runs projection, survey, and validation through one pool.
+runs projection, survey and validation of every layer through one pool.
 
-Data movement is the design center, in both directions:
+Data moves over the pool's own queues, as messages between owners (the
+way the paper's YGM substrate moves it):
 
-- Inputs travel through :class:`~repro.exec.shm.ShmArena`: every shard
-  and context array is published once into ``/dev/shm`` and dispatched
-  as a tiny :class:`~repro.exec.shm.ShmRef`; workers map the segments
-  read-only-in-spirit (no copy).
 - Dispatch is **batched**: each worker receives *one* queue item per
-  job carrying its whole ``(index, shard_refs)`` task list, so queue
-  traffic is per-worker, not per-shard, and the worker resolves the
-  plan's ``"module:attr"`` kernel ref and materializes the shared
-  context once per job instead of once per shard.
-- Outputs travel through shared memory too: workers publish result
-  arrays into per-worker output segments
-  (:class:`~repro.exec.shm.OutputWriter`) and send back only tiny ref
-  descriptors; the driver claims each result as it arrives
-  (:func:`~repro.exec.shm.claim_output` — copy out, unlink), overlapping
-  its copies with the workers' remaining compute.  Nothing large is ever
-  pickled through a pipe.
+  job carrying the kernel's ``"module:attr"`` ref, the job's context and
+  its whole ``(index, shard)`` task list, so the context is pickled once
+  per worker per job and queue traffic is per-worker, not per-shard.
+- Each worker puts every kernel result back on the shared result queue
+  as it is; the driver unpickles results as they arrive, overlapping
+  that work with the workers' remaining compute.
 
 Failure semantics reuse the YGM taxonomy end to end
 (:mod:`repro.ygm.errors`): a kernel that raises surfaces as
@@ -43,12 +35,11 @@ Pool lifecycle is defensive about the failure residue of earlier runs:
 (an OOM-killed worker must not quietly swallow its round-robin share of
 the next job), and a job aborted by a typed failure is flushed — a
 shared job-generation cell makes workers skip leftover tasks of dead
-jobs without ever touching their (already unlinked) input arena, and the
-driver discards stale published outputs the moment it sees them.  After
-any typed failure requiring teardown, the same bounded escalation ladder
-as the YGM backend applies (STOP → join deadline → terminate → kill,
-queues closed) followed by a sweep of orphaned output segments; shutdown
-leaks neither children nor ``/dev/shm`` segments.
+jobs, and the driver drops their stale results.  The fault hook, the
+orphan guard (workers exit once the driver is gone, even after a
+SIGKILL) and the teardown ladder (STOP → join deadline → terminate →
+kill, queues closed) are the ones every forked family shares, from
+:mod:`repro.util.procs`.
 """
 
 from __future__ import annotations
@@ -56,30 +47,19 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import queue as queue_mod
-import signal
 import time
 from typing import Any, Sequence
 
 from repro.exec.executors import finish_reduce
 from repro.exec.plan import Plan, resolve_kernel
 from repro.exec.plans import adaptive_shard_count
-from repro.exec.shm import (
-    OutputWriter,
-    SegmentCache,
-    ShmArena,
-    claim_output,
-    disown_resource_tracking,
-    discard_output,
-    materialize,
-    output_prefix,
-    sweep_segments,
-)
+from repro.util.procs import apply_fault, parent_gone, stop
 from repro.ygm.errors import (
     BarrierTimeoutError,
     HandlerError,
     WorkerDiedError,
 )
-from repro.ygm.faults import HANG_SECONDS, FaultInjector, FaultPlan
+from repro.ygm.faults import FaultInjector, FaultPlan
 
 __all__ = ["ParallelExecutor"]
 
@@ -90,69 +70,56 @@ _NO_JOB = 0
 
 
 def _pool_worker(
-    rank: int, task_queue, result_queue, fault_plan, live_job, out_prefix
+    rank: int, task_queue, result_queue, fault_plan, live_job, parent_pid: int
 ) -> None:
-    """Worker loop: drain batched jobs until STOP.
+    """Worker loop: drain batched jobs until STOP or until the driver dies.
 
-    One queue item carries one job's whole task list for this worker.
-    The kernel ref is resolved and the context materialized once per
-    batch; the fault injector ticks once per *task* so message-count
-    fault plans are batching-invariant.  Kernel exceptions are reported,
-    not fatal: the worker stays alive for the next job (mirroring the
-    YGM handler-error contract).  Tasks whose job is no longer the live
-    one (the driver aborted it) are skipped without attaching to the
-    input arena — its segments are already unlinked.
+    Results are put back as they are; the queue's feeder thread is not
+    joined on exit, so a worker told to stop never waits for the driver
+    to read results of a job it already abandoned.
     """
-    disown_resource_tracking()
     injector = (
         FaultInjector(fault_plan, rank) if fault_plan is not None else None
     )
-    writer = OutputWriter(out_prefix)
+    result_queue.cancel_join_thread()
     while True:
-        item = task_queue.get()
+        try:
+            item = task_queue.get(timeout=1.0)
+        except queue_mod.Empty:
+            if parent_gone(parent_pid):
+                return
+            continue
         if item is _STOP:
             return
-        job_id, kernel_ref, context_refs, tasks = item
-        kernel = None
-        context = None
-        have_context = False
-        cache = SegmentCache()
+        _run_batch(rank, injector, live_job, result_queue, *item)
+        del item  # drop this job's inputs before blocking for the next
+
+
+def _run_batch(
+    rank, injector, live_job, result_queue, job_id, kernel_ref, context, tasks
+) -> None:
+    """Run one job's task list, reporting one result per task.
+
+    The kernel ref is resolved once per batch; the fault injector ticks
+    once per *task* so message-count fault plans are batching-invariant.
+    Kernel exceptions are reported, not fatal: the worker stays alive for
+    the next job (the YGM handler-error contract).  Tasks of a job that
+    is no longer the live one (the driver aborted it) are skipped.
+    """
+    kernel = None
+    for index, shard in tasks:
         try:
-            for index, shard_refs in tasks:
-                fault = injector.next_fault() if injector is not None else None
-                if fault is not None:
-                    if fault.kind == "crash":
-                        os.kill(os.getpid(), signal.SIGKILL)
-                    elif fault.kind == "hang":
-                        time.sleep(HANG_SECONDS)
-                    elif fault.kind == "delay":
-                        time.sleep(fault.seconds)
-                    elif fault.kind == "raise":
-                        result_queue.put(
-                            (rank, job_id, index, False,
-                             f"injected fault: {fault.describe()}")
-                        )
-                        continue
-                if job_id != live_job.value:  # aborted job: flush, don't churn
-                    continue
-                try:
-                    if kernel is None:
-                        kernel = resolve_kernel(kernel_ref)
-                    if not have_context:
-                        context = materialize(context_refs, cache)
-                        have_context = True
-                    shard = materialize(shard_refs, cache)
-                    payload = writer.share(kernel(shard, context))
-                    del shard
-                except Exception as exc:
-                    result_queue.put(
-                        (rank, job_id, index, False, f"{kernel_ref}: {exc!r}")
-                    )
-                    continue
-                result_queue.put((rank, job_id, index, True, payload))
-        finally:
-            del context
-            cache.close()
+            fault = injector.next_fault() if injector is not None else None
+            if fault is not None:
+                apply_fault(fault)
+            if job_id != live_job.value:  # aborted job: flush, don't churn
+                continue
+            if kernel is None:
+                kernel = resolve_kernel(kernel_ref)
+            report = (True, kernel(shard, context))
+        except Exception as exc:
+            report = (False, f"{kernel_ref}: {exc!r}")
+        result_queue.put((rank, job_id, index, *report))
 
 
 class ParallelExecutor:
@@ -204,7 +171,6 @@ class ParallelExecutor:
         self._result_queue = None
         self._live_job = None
         self._job_id = 0
-        self._out_prefix = output_prefix()
 
     def shard_count(self, n_items: int, items_per_second: float) -> int:
         """Cost-adaptive: ~100 ms of work per shard, ≥ 1 per worker."""
@@ -239,7 +205,7 @@ class ParallelExecutor:
             self._ctx.Process(
                 target=_pool_worker,
                 args=(rank, self._task_queues[rank], self._result_queue,
-                      self._fault_plan, self._live_job, self._out_prefix),
+                      self._fault_plan, self._live_job, os.getpid()),
                 daemon=True,
             )
             for rank in range(self.n_workers)
@@ -250,10 +216,9 @@ class ParallelExecutor:
     def shutdown(self) -> None:
         """Tear the pool down in bounded time, never raising, never leaking.
 
-        Same escalation ladder as the YGM multiprocessing backend: STOP to
-        every queue → shared join deadline → terminate → kill → close
-        queues — then sweep any output segments the dead workers left
-        unclaimed.  Idempotent; ``run`` respawns a fresh pool afterwards.
+        STOP to every queue, then :func:`repro.util.procs.stop`'s ladder
+        (shared join deadline → terminate → kill), then close the queues.
+        Idempotent; ``run`` respawns a fresh pool afterwards.
         """
         if not self._workers:
             return
@@ -265,18 +230,7 @@ class ParallelExecutor:
                 q.put_nowait(_STOP)
             except Exception:  # full/broken queue: escalation handles it
                 pass
-        self._join_all(workers, self.join_deadline)
-        for w in workers:
-            if w.is_alive():
-                w.terminate()
-        self._join_all(workers, 1.0)
-        for w in workers:
-            if w.is_alive():  # pragma: no cover - needs SIGTERM-immune worker
-                try:
-                    w.kill()
-                except Exception:
-                    pass
-        self._join_all(workers, 1.0)
+        stop(workers, self.join_deadline)
         queues = [*self._task_queues, self._result_queue]
         self._task_queues = []
         self._result_queue = None
@@ -287,22 +241,8 @@ class ParallelExecutor:
                 q.cancel_join_thread()
             except Exception:  # pragma: no cover - defensive
                 pass
-        # Workers are gone: anything still under this driver's output
-        # prefix was published but never claimed (aborted job, crash
-        # between publish and report) and has no owner left.
-        sweep_segments(self._out_prefix)
 
     close = shutdown
-
-    @staticmethod
-    def _join_all(workers, deadline: float) -> None:
-        limit = time.monotonic() + deadline
-        while any(w.is_alive() for w in workers):
-            if time.monotonic() > limit:
-                return
-            time.sleep(0.01)
-        for w in workers:
-            w.join(timeout=0)
 
     def __enter__(self) -> "ParallelExecutor":
         self._ensure_pool()
@@ -322,10 +262,8 @@ class ParallelExecutor:
         """Map shards over the pool, reduce driver-side in shard order.
 
         Shard *i* belongs to worker ``i % n_workers`` (deterministic
-        round-robin); each worker receives its whole task list as one
-        batched queue item.  Inputs ride through a per-run
-        :class:`~repro.exec.shm.ShmArena`, outputs come back through
-        per-worker output segments; the reduce stage sees the original
+        round-robin); each worker receives its whole task list, with the
+        context, as one queue item.  The reduce stage sees the original
         context object, exactly as under ``SerialExecutor``.
         """
         shards = list(shards)
@@ -336,36 +274,22 @@ class ParallelExecutor:
             self._job_id += 1
             self._live_job.value = self._job_id
             try:
-                with ShmArena() as arena:
-                    context_refs = arena.share(context)
-                    kernel_ref = plan.map_stage.kernel
-                    batches: list[list] = [[] for _ in range(self.n_workers)]
-                    for index, shard in enumerate(shards):
-                        batches[index % self.n_workers].append(
-                            (index, arena.share(shard))
-                        )
-                    for rank, tasks in enumerate(batches):
-                        if tasks:
-                            self._task_queues[rank].put(
-                                (self._job_id, kernel_ref, context_refs, tasks)
-                            )
-                    partials = self._gather(len(shards))
+                tasks = list(enumerate(shards))
+                for rank, q in enumerate(self._task_queues):
+                    batch = tasks[rank :: self.n_workers]
+                    if batch:
+                        q.put((self._job_id, plan.map_stage.kernel, context, batch))
+                partials = self._gather(len(shards))
             except BaseException:
                 # Flush the aborted job: workers skip its leftover tasks
-                # (never attaching to the now-unlinked arena) instead of
-                # churning through attach failures.
+                # instead of computing results nobody will read.
                 if self._live_job is not None:
                     self._live_job.value = _NO_JOB
                 raise
         return finish_reduce(plan, partials, context)
 
     def _gather(self, n_shards: int) -> list[Any]:
-        """Collect one result per dispatched shard, typed-failing fast.
-
-        Results are claimed (copied out of shared memory, segments
-        unlinked) as they arrive, so driver-side copies overlap worker
-        compute and no segment outlives its consumption.
-        """
+        """Collect one result per dispatched shard, typed-failing fast."""
         results: list[Any] = [None] * n_shards
         pending = n_shards
         limit = (
@@ -385,17 +309,15 @@ class ParallelExecutor:
                 self._check_liveness(pending)
                 continue
             if job_id != self._job_id:  # stale result from an aborted job
-                if ok:
-                    discard_output(value)
                 continue
             if not ok:
                 # The worker survives a kernel failure (YGM handler-error
                 # contract), so the pool stays up: leftover tasks of this
-                # aborted job are flushed via the live-job cell, stale
-                # results it already published are discarded above.  Only
-                # death and timeout tear the pool down.
+                # aborted job are flushed via the live-job cell and their
+                # stale results dropped above.  Only death and timeout
+                # tear the pool down.
                 raise HandlerError(rank, value)
-            results[index] = claim_output(value)
+            results[index] = value
             pending -= 1
         return results
 

@@ -66,10 +66,10 @@ __all__ = [
 # Adaptive shard sizing
 # ---------------------------------------------------------------------------
 
-#: Serial work one shard should carry.  Big enough that batched dispatch,
-#: arena publishing, and the per-shard result message are amortized into
-#: the noise (each costs well under a millisecond); small enough that a
-#: pool gets several shards per worker to balance skew.
+#: Serial work one shard should carry.  Big enough that batched dispatch
+#: and the per-shard result message are amortized into the noise (each
+#: costs well under a millisecond); small enough that a pool gets
+#: several shards per worker to balance skew.
 SHARD_TARGET_SECONDS = 0.1
 
 #: Measured single-core throughputs of the three map kernels (dev host,

@@ -1,490 +1,28 @@
-"""Shared-memory arena: publish arrays once, attach them zero-copy.
+"""Cross-process ``/dev/shm`` leak audit.
 
-:class:`ShmArena` is the driver-side half of the parallel executor's
-zero-copy input path: every numpy array in a plan's shards and context is
-copied *once* into a POSIX shared-memory segment
-(:mod:`multiprocessing.shared_memory`) and replaced by a tiny picklable
-:class:`ShmRef` descriptor.  Worker processes resolve refs back into
-arrays with :func:`materialize` — an ``np.ndarray`` view straight over
-the mapped segment, no per-task pickling or copying of the data itself.
-
-Ownership rules, enforced here so executors cannot leak ``/dev/shm``:
-
-- Segments are **refcounted per arena**: publishing the same array object
-  twice (e.g. an array appearing in both a shard and the context) reuses
-  one segment; :meth:`ShmArena.close` unlinks everything the arena still
-  owns, and is idempotent.
-- Unlink is **guaranteed on crash**: every live segment is also tracked
-  in a module-level registry drained by an ``atexit`` hook, so a driver
-  that dies with arenas open still removes its segments on interpreter
-  shutdown (a SIGKILLed driver is covered by the stdlib resource
-  tracker, which survives the process).
-- Workers never unlink.  :class:`SegmentCache` attaches by name, keeps
-  the mapping alive while kernel outputs may still reference it, and
-  :meth:`SegmentCache.close` releases the maps (tolerating still-exported
-  buffers — the segment memory is reclaimed when the last map closes).
-
-The **output** path inverts the roles: a worker writes its kernel
-results into fresh segments through an :class:`OutputWriter` (explicit,
-sweepable names — the worker never unlinks), and the driver takes
-ownership on receipt with :func:`claim_output` (copy out, unlink
-immediately).  A worker that dies between publish and claim leaves
-orphans; :func:`sweep_segments` removes everything under a name prefix,
-which is why output names embed the driver pid.
-
-``live_segment_names()`` exposes the registry for leak accounting in
-tests: after every executor shutdown it must be empty.
-``leaked_shm_files()`` is the cross-process complement: it lists what is
-actually left under ``/dev/shm``, so CI can assert a whole bench run
-leaked nothing.
+No executor publishes shared-memory segments: the parallel pool moves
+shards, context and results over its own queues.  What stays is the
+audit the benchmark harness, CI and tests run after a batch or serving
+run: :func:`leaked_shm_files` lists segment files any process (dead
+workers included) left behind, and must be empty.
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-import threading
-from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
 
-import numpy as np
+__all__ = ["leaked_shm_files"]
 
-__all__ = [
-    "ShmRef",
-    "ShmArena",
-    "SegmentCache",
-    "OutputWriter",
-    "materialize",
-    "claim_output",
-    "discard_output",
-    "sweep_segments",
-    "output_prefix",
-    "live_segment_names",
-    "leaked_shm_files",
-    "disown_resource_tracking",
-]
-
-#: Where POSIX shared memory surfaces as files (Linux).  Sweep and leak
-#: audits are no-ops on platforms without it.
+#: Where POSIX shared memory surfaces as files (Linux).  The audit is a
+#: no-op on platforms without it.
 _SHM_DIR = Path("/dev/shm")
 
-#: Name prefix of executor *output* segments: ``rbo<driver-pid>x...``.
-#: The driver pid scopes sweeps to one executor's driver process, so
-#: concurrent test sessions cannot unlink each other's segments.
-_OUT_PREFIX = "rbo"
 
+def leaked_shm_files(prefixes: tuple[str, ...] = ("psm_",)) -> tuple[str, ...]:
+    """Segment files still present under ``/dev/shm``.
 
-def disown_resource_tracking() -> None:
-    """Detach this process from shared-memory resource tracking.
-
-    Call once at the top of a *worker* entrypoint.  Forked workers share
-    the driver's resource-tracker process, so their attach-time
-    registrations and any cleanup messages race the driver's own
-    bookkeeping for the very same segments (stdlib attach registers
-    unconditionally before 3.13's ``track=False``).  Unlink is
-    exclusively the publishing arena's job; workers only ever attach, so
-    they have nothing legitimate to tell the tracker.
-    """
-    resource_tracker.register = lambda *a, **k: None  # type: ignore[assignment]
-    resource_tracker.unregister = lambda *a, **k: None  # type: ignore[assignment]
-
-
-@dataclass(frozen=True)
-class ShmRef:
-    """Picklable descriptor of one published array.
-
-    ``name`` is the shared-memory segment; ``shape``/``dtype`` rebuild
-    the exact array view on the attaching side.
-    """
-
-    name: str
-    shape: tuple[int, ...]
-    dtype: str
-
-
-# Module-level accounting of every segment any arena currently owns, so a
-# crashing driver still unlinks on interpreter exit (and tests can assert
-# zero leaks).  Maps segment name -> SharedMemory handle.
-_LIVE: dict[str, shared_memory.SharedMemory] = {}
-_LIVE_LOCK = threading.Lock()
-
-
-def _unlink_leftovers() -> None:  # pragma: no cover - crash path
-    with _LIVE_LOCK:
-        leftovers = list(_LIVE.values())
-        _LIVE.clear()
-    for shm in leftovers:
-        try:
-            shm.close()
-            shm.unlink()
-        except Exception:
-            pass
-
-
-atexit.register(_unlink_leftovers)
-
-
-def live_segment_names() -> tuple[str, ...]:
-    """Names of all segments currently owned by any open arena."""
-    with _LIVE_LOCK:
-        return tuple(sorted(_LIVE))
-
-
-class ShmArena:
-    """Owns a set of refcounted shared-memory segments for one run.
-
-    Use as a context manager (or call :meth:`close` in a ``finally``):
-    the arena unlinks everything it published, exactly once, even when
-    the run it served failed.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> with ShmArena() as arena:
-    ...     ref = arena.publish(np.arange(4))
-    ...     cache = SegmentCache()
-    ...     got = materialize(ref, cache)
-    ...     int(got.sum())
-    6
-    >>> cache.close()
-    >>> arena.n_segments
-    0
-    """
-
-    def __init__(self) -> None:
-        # name -> (handle, refcount); id(array) -> (array, ref) for
-        # publish dedup.  The array object itself is pinned in the value:
-        # keying on a bare id() would let a collected array's id be
-        # recycled by a *different* array and falsely dedup to the wrong
-        # segment.
-        self._segments: dict[str, tuple[shared_memory.SharedMemory, int]] = {}
-        self._by_array: dict[int, tuple[np.ndarray, ShmRef]] = {}
-        self._closed = False
-
-    # -- publishing ---------------------------------------------------------
-    def publish(self, array: np.ndarray) -> ShmRef:
-        """Copy *array* into a fresh segment (or bump an existing ref).
-
-        The same array *object* published twice shares one segment; the
-        copy happens only on first publish.
-        """
-        if self._closed:
-            raise RuntimeError("arena is closed")
-        arr = np.ascontiguousarray(array)
-        key = id(array)
-        entry = self._by_array.get(key)
-        if entry is not None:
-            _pinned, ref = entry
-            shm, count = self._segments[ref.name]
-            self._segments[ref.name] = (shm, count + 1)
-            return ref
-        # Zero-size arrays still need a valid (1-byte) segment to attach.
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(1, arr.nbytes)
-        )
-        if arr.nbytes:
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-            view[...] = arr
-            del view
-        ref = ShmRef(shm.name, tuple(arr.shape), arr.dtype.str)
-        self._segments[shm.name] = (shm, 1)
-        self._by_array[key] = (array, ref)
-        with _LIVE_LOCK:
-            _LIVE[shm.name] = shm
-        return ref
-
-    def share(self, obj):
-        """Deep-swap every ndarray in *obj* for a :class:`ShmRef`.
-
-        Recurses through dicts, lists, and tuples (the shapes plan shards
-        and contexts actually take); scalars and other leaves pass
-        through untouched, so the result pickles small.
-        """
-        if isinstance(obj, np.ndarray):
-            return self.publish(obj)
-        if isinstance(obj, dict):
-            return {k: self.share(v) for k, v in obj.items()}
-        if isinstance(obj, tuple):
-            return tuple(self.share(v) for v in obj)
-        if isinstance(obj, list):
-            return [self.share(v) for v in obj]
-        return obj
-
-    # -- release ------------------------------------------------------------
-    def release(self, ref: ShmRef) -> None:
-        """Drop one reference to *ref*'s segment; unlink at zero."""
-        entry = self._segments.get(ref.name)
-        if entry is None:
-            return
-        shm, count = entry
-        if count > 1:
-            self._segments[ref.name] = (shm, count - 1)
-            return
-        del self._segments[ref.name]
-        self._by_array = {
-            k: (arr, r)
-            for k, (arr, r) in self._by_array.items()
-            if r.name != ref.name
-        }
-        self._unlink(shm)
-
-    def close(self) -> None:
-        """Unlink every segment the arena still owns (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        segments = [shm for shm, _count in self._segments.values()]
-        self._segments.clear()
-        self._by_array.clear()
-        for shm in segments:
-            self._unlink(shm)
-
-    @staticmethod
-    def _unlink(shm: shared_memory.SharedMemory) -> None:
-        with _LIVE_LOCK:
-            _LIVE.pop(shm.name, None)
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - exported driver-side view
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-    @property
-    def n_segments(self) -> int:
-        """Number of segments the arena currently owns."""
-        return len(self._segments)
-
-    def __enter__(self) -> "ShmArena":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - best effort
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-class SegmentCache:
-    """Worker-side attachment cache: one map per segment per task.
-
-    Keeps the :class:`~multiprocessing.shared_memory.SharedMemory`
-    handles alive while materialized arrays are in use; :meth:`close`
-    releases the maps.  A segment whose buffer is still exported (a
-    kernel returned a view into it) is skipped rather than raising — the
-    OS reclaims the memory when the process drops the map.
-    """
-
-    def __init__(self) -> None:
-        self._attached: dict[str, shared_memory.SharedMemory] = {}
-
-    def get(self, ref: ShmRef) -> np.ndarray:
-        """The array behind *ref*, as a zero-copy view over the segment."""
-        shm = self._attached.get(ref.name)
-        if shm is None:
-            shm = shared_memory.SharedMemory(name=ref.name)
-            self._attached[ref.name] = shm
-        return np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=shm.buf)
-
-    def close(self) -> None:
-        """Release all attachments (idempotent, never raises)."""
-        attached = list(self._attached.values())
-        self._attached.clear()
-        for shm in attached:
-            try:
-                shm.close()
-            except BufferError:  # view still exported: let process exit reap
-                pass
-
-
-def materialize(obj, cache: SegmentCache):
-    """Inverse of :meth:`ShmArena.share`: swap refs back into arrays."""
-    if isinstance(obj, ShmRef):
-        return cache.get(obj)
-    if isinstance(obj, dict):
-        return {k: materialize(v, cache) for k, v in obj.items()}
-    if isinstance(obj, tuple):
-        return tuple(materialize(v, cache) for v in obj)
-    if isinstance(obj, list):
-        return [materialize(v, cache) for v in obj]
-    return obj
-
-
-# ---------------------------------------------------------------------------
-# Output path: worker-published result segments, driver-claimed
-# ---------------------------------------------------------------------------
-
-
-def output_prefix(driver_pid: int | None = None) -> str:
-    """Segment-name prefix under which one driver's outputs live.
-
-    Every output segment a worker creates on behalf of driver *pid*
-    starts with this prefix, so :func:`sweep_segments` can reclaim the
-    orphans of a crashed worker without knowing how many it published.
-    """
-    pid = os.getpid() if driver_pid is None else int(driver_pid)
-    return f"{_OUT_PREFIX}{pid}x"
-
-
-class OutputWriter:
-    """Worker-side publisher of kernel results into named segments.
-
-    Each published array gets a fresh segment named
-    ``<prefix><worker-pid>x<seq>`` — unique across pool respawns (a
-    respawned worker has a new pid, so it can never collide with an
-    orphan of its dead predecessor).  The writer closes its mapping
-    before returning: the worker keeps nothing attached, and ownership
-    passes to whichever driver claims the ref.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> w = OutputWriter(output_prefix())
-    >>> ref = w.publish(np.arange(3)[::-1])  # non-contiguous is fine
-    >>> claim_output(ref)
-    array([2, 1, 0])
-    """
-
-    def __init__(self, prefix: str) -> None:
-        self.prefix = f"{prefix}{os.getpid()}x"
-        self._seq = 0
-
-    def publish(self, array: np.ndarray) -> ShmRef:
-        """Copy *array* into a fresh named segment; return its ref.
-
-        Non-contiguous inputs are copied through ``ascontiguousarray``,
-        so the materialized view always reproduces the original values.
-        """
-        arr = np.ascontiguousarray(array)
-        name = f"{self.prefix}{self._seq}"
-        self._seq += 1
-        try:
-            shm = shared_memory.SharedMemory(
-                name=name, create=True, size=max(1, arr.nbytes)
-            )
-        except FileExistsError:
-            # An orphan of a dead predecessor that recycled our pid (or a
-            # second writer in one process).  The name contract makes the
-            # stale segment ours to reclaim.
-            if _SHM_DIR.is_dir():
-                (_SHM_DIR / name).unlink(missing_ok=True)
-            shm = shared_memory.SharedMemory(
-                name=name, create=True, size=max(1, arr.nbytes)
-            )
-        try:
-            if arr.nbytes:
-                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-                view[...] = arr
-                del view
-        finally:
-            shm.close()
-        return ShmRef(name, tuple(arr.shape), arr.dtype.str)
-
-    def share(self, obj):
-        """Deep-swap every ndarray in *obj* for a published ref."""
-        if isinstance(obj, np.ndarray):
-            return self.publish(obj)
-        if isinstance(obj, dict):
-            return {k: self.share(v) for k, v in obj.items()}
-        if isinstance(obj, tuple):
-            return tuple(self.share(v) for v in obj)
-        if isinstance(obj, list):
-            return [self.share(v) for v in obj]
-        return obj
-
-
-def claim_output(obj):
-    """Driver-side inverse of :meth:`OutputWriter.share`: copy + unlink.
-
-    Every ref is resolved into a private in-process copy and its segment
-    unlinked immediately — after a claim, the result owns its memory and
-    ``/dev/shm`` holds nothing for it.
-    """
-    if isinstance(obj, ShmRef):
-        shm = shared_memory.SharedMemory(name=obj.name)
-        try:
-            arr = np.empty(obj.shape, dtype=np.dtype(obj.dtype))
-            if arr.nbytes:
-                view = np.ndarray(obj.shape, dtype=arr.dtype, buffer=shm.buf)
-                arr[...] = view
-                del view
-        finally:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already swept
-                pass
-        return arr
-    if isinstance(obj, dict):
-        return {k: claim_output(v) for k, v in obj.items()}
-    if isinstance(obj, tuple):
-        return tuple(claim_output(v) for v in obj)
-    if isinstance(obj, list):
-        return [claim_output(v) for v in obj]
-    return obj
-
-
-def discard_output(obj) -> None:
-    """Unlink every output segment in *obj* without materializing it.
-
-    For stale results of an aborted job: the data is unwanted, only the
-    segments must go.  Missing segments (already swept) are fine.
-    """
-    if isinstance(obj, ShmRef):
-        if _SHM_DIR.is_dir():
-            (_SHM_DIR / obj.name).unlink(missing_ok=True)
-        else:  # pragma: no cover - non-Linux fallback
-            try:
-                shm = shared_memory.SharedMemory(name=obj.name)
-                shm.close()
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            discard_output(v)
-    elif isinstance(obj, (tuple, list)):
-        for v in obj:
-            discard_output(v)
-
-
-def sweep_segments(prefix: str) -> tuple[str, ...]:
-    """Unlink every ``/dev/shm`` segment whose name starts with *prefix*.
-
-    The crash backstop of the output path: a worker killed between
-    publishing and the driver's claim leaves orphans that nothing holds
-    a ref to; the driver sweeps its own prefix after tearing the pool
-    down.  Returns the names removed (for diagnostics and tests).
-    """
-    if not _SHM_DIR.is_dir():  # pragma: no cover - non-Linux
-        return ()
-    removed = []
-    for path in _SHM_DIR.glob(f"{prefix}*"):
-        try:
-            path.unlink()
-            removed.append(path.name)
-        except OSError:  # pragma: no cover - raced by another unlink
-            pass
-    return tuple(sorted(removed))
-
-
-def leaked_shm_files(
-    prefixes: tuple[str, ...] = (_OUT_PREFIX, "psm_")
-) -> tuple[str, ...]:
-    """Segment files still present under ``/dev/shm`` (cross-process audit).
-
-    Unlike :func:`live_segment_names` (this process's open arenas), this
-    inspects the filesystem, so it sees leaks from *any* process —
-    including dead workers.  CI asserts it is empty after the bench
-    jobs; the default prefixes cover executor outputs (``rbo``) and
-    stdlib-named arena segments (``psm_``), which assumes no unrelated
-    shared-memory user on the host.
+    The default prefix is the stdlib's segment naming (``psm_``), which
+    assumes no unrelated shared-memory user on the host.
     """
     if not _SHM_DIR.is_dir():  # pragma: no cover - non-Linux
         return ()

@@ -204,11 +204,17 @@ class MultiLayerPipeline:
         cfg = self.config
         timings = StageTimings()
         results: dict[str, PipelineResult] = {}
-        for key in self.keys:  # resolve_layers sorted these by name
-            with timings.stage(f"layer.{key.name}"):
-                result = CoordinationPipeline(cfg).run(btms[key.name])
-            result.layer = key.name
-            results[key.name] = result
+        # One executor (one warm pool, under ``parallel``) for every layer.
+        pipeline = CoordinationPipeline(cfg)
+        executor = pipeline.build_executor()
+        try:
+            for key in self.keys:  # resolve_layers sorted these by name
+                with timings.stage(f"layer.{key.name}"):
+                    result = pipeline.run(btms[key.name], executor=executor)
+                result.layer = key.name
+                results[key.name] = result
+        finally:
+            executor.close()
         with timings.stage("fuse"):
             fused = fuse_layers(
                 {name: res.ci_thresholded for name, res in results.items()},

@@ -50,6 +50,9 @@ RETRY_AFTER_S = 1
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave as separate writes; without TCP_NODELAY a
+    # keep-alive client waits out a delayed ACK (~40 ms) on every reply.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging is the metrics registry's job

@@ -32,6 +32,11 @@ instead of waiting out the backoff.  While a loop runs on another
 thread the supervisor is :attr:`~ServeSupervisor.restarting`: requests
 raise :class:`DegradedError` and producer events only buffer.
 
+The child's orphan guard (it exits once the parent is gone, even after
+a SIGKILL), its ``crash`` test hook and every teardown of it (join →
+terminate → kill) come from :mod:`repro.util.procs`, shared with the
+parallel executor's pool and the YGM multiprocessing backend.
+
 The child never sheds: its queue uses the ``reject`` policy and the
 drive loop ticks until admission, so the journal holds an exact prefix
 of the delivered stream and the resume arithmetic stays trivial.
@@ -65,6 +70,8 @@ from repro.serve.exchange import partial_bytes
 from repro.serve.ingest import Event, EventQueue
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.service import DetectionService
+from repro.util.procs import apply_fault, parent_gone, stop
+from repro.ygm.faults import FaultSpec
 
 __all__ = ["DegradedError", "ServeSupervisor"]
 
@@ -97,6 +104,7 @@ def _child_main(
     config: PipelineConfig | None,
     durable: bool,
     service_kwargs: dict[str, Any],
+    parent_pid: int,
 ) -> None:
     """Child process body: detection service + request loop on *conn*.
 
@@ -134,7 +142,6 @@ def _child_main(
             },
         )
     )
-    parent_pid = os.getppid()
     try:
         while True:
             # A blocking recv() would never see EOF if sibling shards
@@ -142,7 +149,7 @@ def _child_main(
             # SIGKILLed parent would orphan every child forever.  Poll
             # and watch the parent pid instead.
             while not conn.poll(1.0):
-                if os.getppid() != parent_pid:
+                if parent_gone(parent_pid):
                     return
             msg = conn.recv()
             op = msg[0]
@@ -184,7 +191,7 @@ def _child_main(
                         svc.wal.sync()
                     conn.send(("ok", position()))
                 elif op == "crash":  # test hook: die exactly like a SIGKILL
-                    os.kill(os.getpid(), signal.SIGKILL)
+                    apply_fault(FaultSpec("crash", 0, 1))
                 elif op == "close":
                     svc.drain_all()
                     if durable:
@@ -297,15 +304,15 @@ class ServeSupervisor:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_child_main,
-            args=(child_conn, self.config, self.durable, self._service_kwargs),
+            args=(child_conn, self.config, self.durable, self._service_kwargs,
+                  os.getpid()),
             daemon=True,
         )
         proc.start()
         child_conn.close()
         if not parent_conn.poll(self.heartbeat_timeout):
             parent_conn.close()
-            proc.kill()
-            proc.join()
+            stop([proc], 0.0)
             raise _ChildUnresponsive("child did not complete its handshake")
         tag, hello = parent_conn.recv()
         assert tag == "hello", tag
@@ -362,8 +369,7 @@ class ServeSupervisor:
             self._conn.close()
             self._conn = None
         if self._proc is not None:
-            self._proc.kill()
-            self._proc.join()
+            stop([self._proc], 0.0)
             self._proc = None
         self.child_pid = None
 
@@ -607,10 +613,7 @@ class ServeSupervisor:
                 self._conn.close()
                 self._conn = None
             if self._proc is not None:
-                self._proc.join(self.heartbeat_timeout)
-                if self._proc.is_alive():  # pragma: no cover - hang guard
-                    self._proc.kill()
-                    self._proc.join()
+                stop([self._proc], self.heartbeat_timeout)
                 self._proc = None
             self.child_pid = None
 

@@ -387,7 +387,7 @@ def run_parity(
     n_ranks:
         Logical world size for the YGM executor (serial backend).
     parallel_workers:
-        Worker-pool size for the shared-memory parallel executor.
+        Worker-pool size for the parallel executor.
     projection_engines / triangle_engines / validation_engines:
         Override the registries; the **first** entry of each dict is
         treated as the oracle the rest are diffed against.  Validation

@@ -18,11 +18,14 @@ liveness check, so a worker killed mid-message raises a typed
 :class:`~repro.ygm.errors.WorkerDiedError` instead of spinning forever on a
 counter no survivor will ever decrement.  Optional deadlines bound the
 barrier and exec waits (:class:`~repro.ygm.errors.BarrierTimeoutError` /
-:class:`~repro.ygm.errors.ExecTimeoutError`), and :meth:`shutdown`
-escalates join → terminate → kill concurrently across ranks with queue
-teardown, so even a wedged world is torn down in bounded time without
-leaking children.  A :class:`~repro.ygm.faults.FaultPlan` can be injected
-at construction to rehearse all of the above deterministically.
+:class:`~repro.ygm.errors.ExecTimeoutError`).  The fault hook, the orphan
+guard (a worker exits once its driver is gone, even after a SIGKILL) and
+the :meth:`shutdown` ladder (join → terminate → kill, concurrently across
+ranks) are the ones every forked family shares, from
+:mod:`repro.util.procs`, so even a wedged world is torn down in bounded
+time without leaking children.  A :class:`~repro.ygm.faults.FaultPlan`
+can be injected at construction to rehearse all of the above
+deterministically.
 
 Constraints inherited from pickling (the same constraints mpi4py imposes on
 object communication): handler references must be registered names or
@@ -36,10 +39,10 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import queue as queue_mod
-import signal
 import time
 from typing import Any
 
+from repro.util.procs import apply_fault, parent_gone, stop
 from repro.ygm.backend import Backend, HandlerContext
 from repro.ygm.errors import (
     BarrierTimeoutError,
@@ -48,7 +51,7 @@ from repro.ygm.errors import (
     WorkerDiedError,
     YgmError,
 )
-from repro.ygm.faults import HANG_SECONDS, FaultInjector, FaultPlan, InjectedFault
+from repro.ygm.faults import FaultInjector, FaultPlan
 from repro.ygm.handlers import handler_ref as _wire, resolve_handler
 
 __all__ = ["MultiprocessingBackend"]
@@ -60,22 +63,6 @@ _MSG = "msg"
 _EXEC = "exec"
 
 
-def _apply_fault(fault) -> None:
-    """Manifest a fault spec inside a worker (see :mod:`repro.ygm.faults`)."""
-    if fault.kind == "crash":
-        # Die the way an OOM kill does: no cleanup, no decrement, no
-        # goodbye.  The driver's liveness check must pick up the pieces.
-        os.kill(os.getpid(), signal.SIGKILL)
-    elif fault.kind == "hang":
-        # Stall *inside* the message: outstanding stays incremented, so
-        # only a barrier deadline (or shutdown escalation) resolves this.
-        time.sleep(HANG_SECONDS)
-    elif fault.kind == "delay":
-        time.sleep(fault.seconds)
-    elif fault.kind == "raise":
-        raise InjectedFault(f"injected fault: {fault.describe()}")
-
-
 def _worker_main(
     rank: int,
     n_ranks: int,
@@ -85,12 +72,14 @@ def _worker_main(
     error_queue,
     error_count,
     fault_plan,
+    parent_pid: int,
 ) -> None:
     """Worker process entry point: drain this rank's queue until STOP.
 
     Handler exceptions do not kill the worker: they are reported to the
     driver through *error_queue* (raised at the next barrier), so a
-    failing message cannot silently wedge or tear down the world.
+    failing message cannot silently wedge or tear down the world.  A
+    worker whose driver is gone (even SIGKILLed) exits on its own.
     """
     states: dict[str, Any] = {}
     injector = (
@@ -105,7 +94,12 @@ def _worker_main(
     ctx = HandlerContext(rank, n_ranks, nested_send, states)
     my_queue = queues[rank]
     while True:
-        item = my_queue.get()
+        try:
+            item = my_queue.get(timeout=1.0)
+        except queue_mod.Empty:
+            if parent_gone(parent_pid):
+                return
+            continue
         kind = item[0]
         try:
             if kind == _STOP:
@@ -120,7 +114,7 @@ def _worker_main(
                 try:
                     fault = injector.next_fault() if injector else None
                     if fault is not None:
-                        _apply_fault(fault)
+                        apply_fault(fault)
                     resolve_handler(href)(ctx, states[container_id], payload)
                 except Exception as exc:
                     # Count first, then enqueue: the driver reads the
@@ -210,6 +204,7 @@ class MultiprocessingBackend(Backend):
                     self._error_queue,
                     self._error_count,
                     fault_plan if fault_plan else None,
+                    os.getpid(),
                 ),
                 daemon=True,
             )
@@ -345,17 +340,12 @@ class MultiprocessingBackend(Backend):
     def shutdown(self) -> None:
         """Tear the world down in bounded time, never raising, never leaking.
 
-        Escalation ladder, applied to all ranks *concurrently* (a crashed
-        run must not pay ``join_deadline`` once per rank):
-
-        1. post STOP to every queue (best effort — a full or broken queue
-           is skipped, terminate will handle its owner);
-        2. poll-join all workers under one shared ``join_deadline``;
-        3. ``terminate()`` (SIGTERM) survivors, grant a short grace;
-        4. ``kill()`` (SIGKILL) anything *still* alive — a handler stuck
-           in native code ignores SIGTERM;
-        5. close all queues and cancel their feeder joins so the driver
-           process can exit even with undelivered buffered data.
+        STOP to every queue (best effort — a full or broken queue is
+        skipped, the ladder handles its owner), then
+        :func:`repro.util.procs.stop`'s ladder across all ranks at once
+        (a crashed run must not pay ``join_deadline`` once per rank),
+        then close every queue and cancel its feeder join so the driver
+        can exit even with undelivered buffered data.
         """
         if not self._alive:
             return
@@ -365,35 +355,13 @@ class MultiprocessingBackend(Backend):
                 q.put_nowait((_STOP,))
             except Exception:  # full/broken queue: escalation handles it
                 pass
-        self._join_all(self.join_deadline)
-        for w in self._workers:
-            if w.is_alive():
-                w.terminate()
-        self._join_all(1.0)
-        for w in self._workers:
-            if w.is_alive():  # pragma: no cover - needs SIGTERM-immune worker
-                try:
-                    w.kill()
-                except Exception:
-                    pass
-        self._join_all(1.0)
+        stop(self._workers, self.join_deadline)
         for q in [*self._queues, self._result_queue, self._error_queue]:
             try:
                 q.close()
                 q.cancel_join_thread()
             except Exception:  # pragma: no cover - defensive
                 pass
-
-    def _join_all(self, deadline: float) -> None:
-        """Wait up to *deadline* seconds total for every worker to exit."""
-        limit = time.monotonic() + deadline
-        while any(w.is_alive() for w in self._workers):
-            if time.monotonic() > limit:
-                return
-            time.sleep(0.01)
-        # Reap exit statuses now that everyone is down.
-        for w in self._workers:
-            w.join(timeout=0)
 
     def __del__(self) -> None:  # pragma: no cover - best effort cleanup
         try:

@@ -1,5 +1,5 @@
-"""Tests for the shared-memory parallel executor: parity, pool lifecycle,
-leak accounting, and the typed fault taxonomy."""
+"""Tests for the parallel executor: parity, queue round trips, pool
+lifecycle, leak accounting, and the typed fault taxonomy."""
 
 import os
 
@@ -10,10 +10,11 @@ from repro.exec import (
     PROJECTION_PLAN,
     SURVEY_PLAN,
     VALIDATION_PLAN,
+    KernelStage,
     ParallelExecutor,
+    Plan,
     SerialExecutor,
     leaked_shm_files,
-    live_segment_names,
     page_aligned_shards,
     position_range_shards,
     triplet_range_shards,
@@ -94,6 +95,108 @@ def plan_inputs():
     }
 
 
+def _echo(shard, context):
+    """Map kernel that sends its inputs straight back through the queue."""
+    return shard, context
+
+
+def _describe(shard, context):
+    """Map kernel that reports what reached the worker as plain values."""
+    return [(a.shape, a.dtype.str, a.tobytes()) for a in (shard, context["ctx"])]
+
+
+def _build(shard, context):
+    """Map kernel that creates its result on the worker from an index."""
+    if context == "nested":
+        n = int(shard)
+        return {"w": np.arange(n), "parts": [(np.ones(2), 3)], "n": n}
+    return AWKWARD_ARRAYS[shard]
+
+
+ECHO_PLAN = Plan("echo", KernelStage("echo", f"{__name__}:_echo", "item"))
+DESCRIBE_PLAN = Plan(
+    "describe", KernelStage("describe", f"{__name__}:_describe", "item")
+)
+BUILD_PLAN = Plan("build", KernelStage("build", f"{__name__}:_build", "item"))
+
+# Arrays that stress pickling through the pool's queues in both
+# directions: plain dtypes, strided views and zero-size shapes.
+ROUNDTRIP_ARRAYS = [
+    np.arange(10, dtype=np.int64),
+    np.linspace(0.0, 1.0, 7, dtype=np.float32),
+    np.zeros((3, 4), dtype=np.uint32),
+    np.array([], dtype=np.int64),
+    np.array([True, False, True]),
+    np.arange(20, dtype=np.int64)[::2],
+    np.arange(12, dtype=np.float64).reshape(3, 4).T,
+    np.arange(30, dtype=np.int32).reshape(5, 6)[1:4, 2:5],
+    np.empty((0,), dtype=np.int64),
+    np.empty((0, 3), dtype=np.float32),
+]
+ROUNDTRIP_IDS = [
+    "int64", "float32", "2d", "empty", "bool",
+    "strided", "transposed", "inner-slice", "zero-1d", "zero-2d",
+]
+AWKWARD_ARRAYS = ROUNDTRIP_ARRAYS[5:]
+AWKWARD_IDS = ROUNDTRIP_IDS[5:]
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with ParallelExecutor(2) as ex:
+        yield ex
+    assert leaked_shm_files() == ()
+
+
+class TestRoundtrip:
+    @pytest.mark.parametrize("array", ROUNDTRIP_ARRAYS, ids=ROUNDTRIP_IDS)
+    def test_array_roundtrips_bit_identical(self, array):
+        shards = [array, array[::-1], array]
+        serial = SerialExecutor().run(ECHO_PLAN, shards, {"ctx": array})
+        with ParallelExecutor(2) as ex:
+            par = ex.run(ECHO_PLAN, shards, {"ctx": array})
+        assert _equal(serial, par)
+        for (s_shard, s_ctx), (p_shard, p_ctx) in zip(serial, par):
+            for want, got in ((s_shard, p_shard), (s_ctx["ctx"], p_ctx["ctx"])):
+                assert (got.shape, got.dtype) == (want.shape, want.dtype)
+
+    def test_nested_shards_and_context_roundtrip(self):
+        shards = [
+            {"w": np.arange(4), "parts": [(np.ones(2), 3)], "n": 7},
+            {"w": np.arange(0), "parts": [], "n": 0},
+        ]
+        ctx = {"nested": {"w": np.ones(2)}, "scalar": 7}
+        serial = SerialExecutor().run(ECHO_PLAN, shards, ctx)
+        with ParallelExecutor(2) as ex:
+            assert _equal(serial, ex.run(ECHO_PLAN, shards, ctx))
+        assert leaked_shm_files() == ()
+
+    @pytest.mark.parametrize("array", AWKWARD_ARRAYS, ids=AWKWARD_IDS)
+    def test_task_queue_delivers_array_intact(self, pool, array):
+        shards = [array, array]
+        serial = SerialExecutor().run(DESCRIBE_PLAN, shards, {"ctx": array})
+        par = pool.run(DESCRIBE_PLAN, shards, {"ctx": array})
+        assert par == serial
+        assert par[0][0] == (array.shape, array.dtype.str, array.tobytes())
+
+    @pytest.mark.parametrize("index", range(len(AWKWARD_IDS)), ids=AWKWARD_IDS)
+    def test_result_queue_returns_array_intact(self, pool, index):
+        want = AWKWARD_ARRAYS[index]
+        serial = SerialExecutor().run(BUILD_PLAN, [index, index])
+        par = pool.run(BUILD_PLAN, [index, index])
+        assert _equal(serial, par)
+        for got in par:
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert np.array_equal(got, want)
+
+    def test_nested_results_roundtrip(self, pool):
+        serial = SerialExecutor().run(BUILD_PLAN, [4, 0], "nested")
+        par = pool.run(BUILD_PLAN, [4, 0], "nested")
+        assert _equal(serial, par)
+        assert np.array_equal(par[0]["w"], np.arange(4))
+        assert par[0]["parts"][0][1] == 3 and par[1]["n"] == 0
+
+
 class TestParity:
     @pytest.mark.parametrize("plan_name", ["projection", "survey", "validation"])
     def test_bit_identical_to_serial(self, plan_inputs, plan_name):
@@ -144,7 +247,7 @@ class TestPoolLifecycle:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
-        assert live_segment_names() == ()
+        assert leaked_shm_files() == ()
         ex.shutdown()  # idempotent
 
     def test_pool_respawns_after_shutdown(self, plan_inputs):
@@ -183,7 +286,7 @@ class TestPoolLifecycle:
             assert victim not in ex.worker_pids()
         finally:
             ex.shutdown()
-        assert live_segment_names() == ()
+        assert leaked_shm_files() == ()
 
     def test_repeated_runs_leave_no_shm_files(self, plan_inputs):
         before = leaked_shm_files()
@@ -193,7 +296,6 @@ class TestPoolLifecycle:
                 for _ in range(3):
                     ex.run(plan, shards, ctx)
         assert leaked_shm_files() == before
-        assert live_segment_names() == ()
 
 
 @pytest.mark.faults
@@ -209,7 +311,7 @@ class TestFaults:
             with pytest.raises(WorkerDiedError) as exc_info:
                 ex.run(plan, shards, ctx)
             assert exc_info.value.rank == 0
-            assert live_segment_names() == ()
+            assert leaked_shm_files() == ()
         finally:
             ex.shutdown()
 
@@ -240,7 +342,7 @@ class TestFaults:
                 ex.run(plan, shards, ctx)
         finally:
             ex.shutdown()
-        assert live_segment_names() == ()
+        assert leaked_shm_files() == ()
 
     def test_delay_fault_changes_nothing(self, plan_inputs):
         plan, shards, ctx = plan_inputs["projection"]
@@ -258,8 +360,7 @@ class TestFaults:
         # One queue item now carries a rank's whole task list (5 shards
         # over 2 workers: rank 0 holds tasks 1..3).  The fault clock must
         # tick per *task*, so a crash can land mid-batch — and the driver
-        # must still notice the death and sweep the dead worker's
-        # already-published outputs.
+        # must still notice the death.
         plan, shards, ctx = plan_inputs["projection"]
         assert len(shards) == 5
         ex = ParallelExecutor(
@@ -273,7 +374,6 @@ class TestFaults:
             assert exc_info.value.rank == 0
         finally:
             ex.shutdown()
-        assert live_segment_names() == ()
         assert leaked_shm_files() == ()
 
     @pytest.mark.parametrize("at_message", [2, 3])
@@ -291,13 +391,11 @@ class TestFaults:
             with pytest.raises(HandlerError) as exc_info:
                 ex.run(plan, shards, ctx)
             assert exc_info.value.rank == 0
-            # The aborted job's leftover tasks are flushed, not executed
-            # against its unlinked arena: the same pool serves the next
-            # run and nothing is left in /dev/shm afterwards.
+            # The aborted job's leftover tasks are flushed and its stale
+            # results dropped: the same pool serves the next run.
             assert _equal(serial, ex.run(plan, shards, ctx))
         finally:
             ex.shutdown()
-        assert live_segment_names() == ()
         assert leaked_shm_files() == ()
 
     def test_hang_mid_batch_bounded_by_deadline(self, plan_inputs):
@@ -313,7 +411,6 @@ class TestFaults:
                 ex.run(plan, shards, ctx)
         finally:
             ex.shutdown()
-        assert live_segment_names() == ()
         assert leaked_shm_files() == ()
 
     def test_executor_usable_after_failure(self, plan_inputs):

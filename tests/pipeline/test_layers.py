@@ -1,10 +1,13 @@
 """Tests for the multi-layer pipeline and its legacy byte-identity."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.actions.base import available_layers
 from repro.datagen import RedditDatasetBuilder
+from repro.exec import leaked_shm_files
 from repro.graph.io import IngestStats, btms_from_ndjson
 from repro.pipeline import (
     CoordinationPipeline,
@@ -101,6 +104,36 @@ class TestMultiLayerPipeline:
         text = result.summary()
         assert "[page]" in text and "[link]" in text
         assert "fused" in text
+
+
+class TestSharedExecutor:
+    def test_parallel_run_uses_one_pool_for_every_layer(
+        self, dataset, monkeypatch
+    ):
+        layers = available_layers()
+        assert len(layers) == 5
+        seen = []
+        run = CoordinationPipeline.run
+
+        def spy(self, btm, *, executor=None, **kw):
+            result = run(self, btm, executor=executor, **kw)
+            seen.append((id(executor), executor.worker_pids()))
+            return result
+
+        monkeypatch.setattr(CoordinationPipeline, "run", spy)
+        parallel = replace(CONFIG, executor="parallel", n_workers=2)
+        got = MultiLayerPipeline(parallel, layers=layers).run_records(
+            dataset.records
+        )
+        monkeypatch.undo()
+        assert len(seen) == 5 and len(set(seen)) == 1, seen
+        want = MultiLayerPipeline(CONFIG, layers=layers).run_records(
+            dataset.records
+        )
+        for name in layers:
+            assert diff_results(want.layers[name], got.layers[name]) == []
+        assert got.fused == want.fused
+        assert leaked_shm_files() == ()
 
 
 class TestBtmsFromRecords:

@@ -1,6 +1,8 @@
 """Tests for the stdlib HTTP gateway (routing, errors, metrics, 503s)."""
 
+import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -47,6 +49,23 @@ def get_json(gw, path):
 def get_text(gw, path):
     with urllib.request.urlopen(gw.url + path, timeout=10) as resp:
         return resp.status, resp.read().decode("utf-8")
+
+
+class TestKeepAlive:
+    def test_sequential_gets_on_one_connection_do_not_stall(self, gateway):
+        # Each reply is two writes (headers, body); with Nagle on, every
+        # one of them waits out the client's delayed ACK (~40 ms).
+        conn = http.client.HTTPConnection(*gateway.address, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200 and resp.read() == b"ok"
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.150, f"10 keep-alive GETs took {elapsed:.3f}s"
 
 
 class TestEndpoints:
