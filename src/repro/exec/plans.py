@@ -143,8 +143,9 @@ def project_shard(shard, context):
 def project_reduce(partials, context):
     """Reduce stage: fold shard triples into ``w'`` and the ``P'`` ledger.
 
-    Shards hold disjoint pages, so the global merge is a concatenate +
-    dedup; ``context["n_users"]`` sizes the dense ledger.  Returns a dict
+    Shards hold disjoint pages in ascending order, so every seam is
+    strictly increasing and the global merge is a concatenate;
+    ``context["n_users"]`` sizes the dense ledger.  Returns a dict
     of arrays the engine wraps into a
     :class:`~repro.projection.ci_graph.CommonInteractionGraph`.
     """

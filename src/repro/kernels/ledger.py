@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.util.grouping import unique_pair_weights
+from repro.util.keys import unique_rows
 
 __all__ = [
     "pair_weights",
@@ -59,14 +60,14 @@ def pair_ledger(
     ``pg, a, b`` are *deduplicated* ``(page, lo_user, hi_user)`` triples;
     the result is a dense int64 array of length ``n_users`` counting, for
     each author, the distinct pages on which they had at least one
-    in-window pair.
+    in-window pair.  A user id ``>= n_users`` raises ``IndexError``.
     """
-    page_counts = np.zeros(n_users, dtype=np.int64)
-    if pg.shape[0]:
-        pu = np.concatenate((pg, pg))
-        uu = np.concatenate((a, b))
-        dp, du, _ = unique_pair_weights(pu, uu)
-        np.add.at(page_counts, du, 1)
+    (_pages, users), _runs, _ = unique_rows(
+        (np.concatenate((pg, pg)), np.concatenate((a, b)))
+    )
+    page_counts = np.bincount(users, minlength=n_users)
+    if page_counts.shape[0] > n_users:
+        raise IndexError(f"user id {users.max()} out of range for {n_users} users")
     return page_counts
 
 

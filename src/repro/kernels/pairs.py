@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.kernels.windows import window_bounds, window_deltas
 from repro.util.grouping import group_boundaries
+from repro.util.keys import unique_rows
 
 __all__ = [
     "dedup_triples",
@@ -27,27 +28,28 @@ def dedup_triples(
     pg: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deduplicate ``(page, a, b)`` triples (a < b assumed), sorted output."""
-    if pg.shape[0] == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    order = np.lexsort((b, a, pg))
-    pg, a, b = pg[order], a[order], b[order]
-    keep = np.empty(pg.shape[0], dtype=bool)
-    keep[0] = True
-    keep[1:] = (pg[1:] != pg[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    return pg[keep], a[keep], b[keep]
+    return unique_rows((pg, a, b))[0]
 
 
 def merge_triples(
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Union triple batches (possibly overlapping) into one sorted dedup set."""
-    if not parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    pg = np.concatenate([t[0] for t in parts])
-    a = np.concatenate([t[1] for t in parts])
-    b = np.concatenate([t[2] for t in parts])
+    """Union sorted, distinct triple batches into one sorted dedup set.
+
+    Parts are sorted and distinct, as :func:`cooccur_pairs` yields.  If
+    each seam is strictly increasing (page-aligned shards) the union is
+    their concatenation; otherwise one :func:`dedup_triples`.
+    """
+    parts = [tuple(p[:3]) for p in parts if p[0].shape[0]]
+    if len(parts) == 1:
+        return parts[0]
+    empty = [np.empty(0, dtype=np.int64)]
+    pg, a, b = (np.concatenate([p[i] for p in parts] or empty) for i in range(3))
+    if all(
+        tuple(int(c[-1]) for c in p) < tuple(int(c[0]) for c in q)
+        for p, q in zip(parts, parts[1:])
+    ):
+        return pg, a, b
     return dedup_triples(pg, a, b)
 
 
@@ -89,18 +91,20 @@ def cooccur_pairs(
         rows = np.repeat(
             np.arange(start_row, stop_row, dtype=np.int64), batch_counts
         )
-        offsets = (
-            np.arange(batch_total, dtype=np.int64)
-            - np.repeat(cum[start_row:stop_row] - cum[start_row], batch_counts)
-        )
-        cols = lo[rows] + offsets
-        mask = (cols != rows) & (users[rows] != users[cols])
-        ux = users[rows[mask]]
-        uy = users[cols[mask]]
+        # Built in place and dropped early to bound the batch's peak.
+        cols = np.arange(batch_total, dtype=np.int64)
+        cols -= np.repeat(cum[start_row:stop_row] - cum[start_row], batch_counts)
+        cols += lo[rows]
+        ux, uy = users[rows], users[cols]
+        mask = (cols != rows) & (ux != uy)
+        del cols
         pgc = pages[rows[mask]]
+        del rows
+        ux, uy = ux[mask], uy[mask]
         a = np.minimum(ux, uy)
-        b = np.maximum(ux, uy)
-        yield (*dedup_triples(pgc, a, b), int(mask.sum()))
+        b = np.maximum(ux, uy, out=uy)
+        del ux
+        yield (*unique_rows((pgc, a, b), sorted_first=True)[0], pgc.shape[0])
         start_row = stop_row
 
 

@@ -13,12 +13,13 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.util.keys import unique_rows
+
 __all__ = [
     "group_boundaries",
     "group_slices",
     "run_lengths",
     "counts_from_sorted",
-    "lexsort_pairs",
     "unique_pair_weights",
 ]
 
@@ -72,15 +73,6 @@ def counts_from_sorted(sorted_keys: np.ndarray, domain: int) -> np.ndarray:
     return np.bincount(sorted_keys, minlength=domain).astype(np.int64, copy=False)
 
 
-def lexsort_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return the permutation sorting pairs ``(a[i], b[i])`` lexicographically.
-
-    ``np.lexsort`` takes the *primary* key last; wrapping it avoids the
-    classic argument-order bug at every call site.
-    """
-    return np.lexsort((b, a))
-
-
 def unique_pair_weights(
     a: np.ndarray, b: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,22 +103,14 @@ def unique_pair_weights(
             np.empty(0, dtype=np.int64),
         )
     if weights is None:
-        weights = np.ones(n, dtype=np.int64)
-    else:
-        weights = np.asarray(weights)
-        if weights.shape[0] != n:
-            raise ValueError("weights must match key arrays in length")
-    order = lexsort_pairs(a, b)
-    sa = a[order]
-    sb = b[order]
+        (ua, ub), runs, _ = unique_rows((a, b))
+        return ua, ub, runs[1:] - runs[:-1]
+    weights = np.asarray(weights)
+    if weights.shape[0] != n:
+        raise ValueError("weights must match key arrays in length")
+    (ua, ub), runs, order = unique_rows((a, b), with_order=True)
     sw = weights[order]
-    # A run boundary occurs wherever either component of the pair changes.
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    np.logical_or(sa[1:] != sa[:-1], sb[1:] != sb[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
     # Summing weights per run via cumsum-difference keeps everything in numpy.
     csum = np.concatenate(([0], np.cumsum(sw)))
-    stops = np.concatenate((starts[1:], [n]))
-    w = csum[stops] - csum[starts]
-    return sa[starts], sb[starts], w.astype(sw.dtype, copy=False)
+    w = csum[runs[1:]] - csum[runs[:-1]]
+    return ua, ub, w.astype(sw.dtype, copy=False)

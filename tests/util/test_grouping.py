@@ -9,7 +9,6 @@ from repro.util.grouping import (
     counts_from_sorted,
     group_boundaries,
     group_slices,
-    lexsort_pairs,
     run_lengths,
     unique_pair_weights,
 )
@@ -58,15 +57,6 @@ class TestRunLengths:
             0,
             0,
         ]
-
-
-class TestLexsortPairs:
-    def test_primary_key_is_first_argument(self):
-        a = np.array([2, 1, 1])
-        b = np.array([0, 9, 1])
-        order = lexsort_pairs(a, b)
-        assert a[order].tolist() == [1, 1, 2]
-        assert b[order].tolist() == [1, 9, 0]
 
 
 class TestUniquePairWeights:

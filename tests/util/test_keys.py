@@ -5,10 +5,12 @@ import pytest
 
 from repro.util.keys import (
     INT64_MAX,
+    PACK_MIN_ROWS,
     compress_ids,
     decode_strided,
     encode_strided,
     strided_key_fits,
+    unique_rows,
 )
 
 
@@ -83,3 +85,26 @@ class TestCompressIds:
     def test_requires_an_array(self):
         with pytest.raises(ValueError):
             compress_ids()
+
+
+class TestUniqueRows:
+    def test_primary_key_is_first_column(self):
+        a = np.array([2, 1, 1])
+        b = np.array([0, 9, 1])
+        _rows, _runs, order = unique_rows((a, b), with_order=True)
+        assert a[order].tolist() == [1, 1, 2]
+        assert b[order].tolist() == [1, 9, 0]
+
+    def test_empty_input(self):
+        (a, b), runs, order = unique_rows((np.array([]), np.array([])), with_order=True)
+        assert a.dtype == np.int64 and a.size == b.size == order.size == 0
+        assert runs.tolist() == [0]
+
+    def test_negative_ids_take_the_lexsort_path(self):
+        rng = np.random.default_rng(0)
+        a = rng.integers(-5, 5, PACK_MIN_ROWS)
+        b = rng.integers(0, 5, PACK_MIN_ROWS)
+        (ua, ub), runs, order = unique_rows((a, b), with_order=True)
+        assert np.array_equal(order, np.lexsort((b, a)))
+        assert sorted(set(zip(a.tolist(), b.tolist()))) == list(zip(ua.tolist(), ub.tolist()))
+        assert runs[-1] == PACK_MIN_ROWS
