@@ -49,6 +49,8 @@ N_PAGES = 20 if TINY else 1_000
 N_VERTICES = 30 if TINY else 300
 N_EDGES = 80 if TINY else 4_000
 N_TRIPLETS = 50 if TINY else 5_000
+N_HUB_PAGES = 20_000
+N_DENSE_USERS = 30 if TINY else 300
 
 
 def _timed(fn):
@@ -70,6 +72,23 @@ def _set_dedup(pg, a, b):
     triples = sorted(set(zip(pg.tolist(), a.tolist(), b.tolist())))
     arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     return arr[:, 0], arr[:, 1], arr[:, 2]
+
+
+def _csr(slices):
+    """``(indptr, page_ids)`` of per-user sorted distinct page arrays."""
+    indptr = np.cumsum([0] + [s.shape[0] for s in slices]).astype(np.int64)
+    return indptr, np.concatenate(slices).astype(np.int64)
+
+
+def _hyperedge_row(name, indptr, page_ids, trips):
+    """One ``hyperedge_count`` bench row: kernel and twin on *trips*."""
+    ta, tb, tc = (np.ascontiguousarray(col) for col in trips.T)
+    w_fast, fast_s = _timed(lambda: hyperedge_count(indptr, page_ids, ta, tb, tc))
+    w_ref, ref_s = _timed(
+        lambda: hyperedge_count_reference(indptr, page_ids, ta, tb, tc)
+    )
+    assert np.array_equal(w_fast, w_ref)
+    return name, fast_s, ref_s
 
 
 def test_bench_kernels(report_sink):
@@ -144,25 +163,41 @@ def test_bench_kernels(report_sink):
     assert n_fast == ref_tri[0].shape[0]
     rows.append(("triangle_enum", fast_s, ref_s))
 
-    # hyperedge_count — vectorized membership vs per-triplet intersection.
-    indptr_l = [0]
-    page_rows = []
-    for _u in range(N_USERS):
-        ps = np.unique(rng.integers(0, N_PAGES, 8))
-        page_rows.append(ps)
-        indptr_l.append(indptr_l[-1] + ps.shape[0])
-    indptr = np.asarray(indptr_l, dtype=np.int64)
-    page_ids = np.concatenate(page_rows).astype(np.int64)
-    trips = np.sort(rng.integers(0, N_USERS, (N_TRIPLETS, 3)), axis=1)
-    ta, tb, tc = trips[:, 0], trips[:, 1], trips[:, 2]
-    w_fast, fast_s = _timed(
-        lambda: hyperedge_count(indptr, page_ids, ta, tb, tc)
+    # hyperedge_count — vectorized membership vs per-triplet intersection,
+    # in the sparse regime the probe path wins: two light authors (8
+    # pages) and one of three hubs (every one of N_HUB_PAGES pages) per
+    # triplet, so the smallest slices are short while the live pages would
+    # make bitset rows long.
+    light = [np.unique(rng.integers(0, N_PAGES, 8)) for _u in range(N_USERS)]
+    hubs = [np.arange(N_HUB_PAGES)] * 3
+    indptr, page_ids = _csr(light + hubs)
+    pairs = np.sort(rng.integers(0, N_USERS, (N_TRIPLETS, 2)), axis=1)
+    hub = N_USERS + rng.integers(0, 3, (N_TRIPLETS, 1))
+    rows.append(
+        _hyperedge_row("hyperedge_count", indptr, page_ids, np.hstack([pairs, hub]))
     )
-    w_ref, ref_s = _timed(
-        lambda: hyperedge_count_reference(indptr, page_ids, ta, tb, tc)
+
+    # hyperedge_count_dense — Step 3 at a dense cutoff: a few hundred
+    # authors with long page lists, triplets in canonical order with 20
+    # per (a, b) pair (batch-dense has ~22), so the kernel takes the
+    # bitset path.
+    n_dense, run = N_DENSE_USERS, 20
+    indptr, page_ids = _csr(
+        [
+            np.sort(rng.choice(10 * n_dense, 2 * n_dense, replace=False))
+            for _u in range(n_dense)
+        ]
     )
-    assert np.array_equal(w_fast, w_ref)
-    rows.append(("hyperedge_count", fast_s, ref_s))
+    first = np.sort(rng.integers(0, n_dense - run - 1, N_TRIPLETS // run))
+    second = first + 1 + rng.integers(0, n_dense - run - 1 - first)
+    trips = np.column_stack(
+        [
+            np.repeat(first, run),
+            np.repeat(second, run),
+            (second[:, None] + np.arange(1, run + 1)).reshape(-1),
+        ]
+    )
+    rows.append(_hyperedge_row("hyperedge_count_dense", indptr, page_ids, trips))
 
     # -- report ------------------------------------------------------------
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -78,7 +78,11 @@ SHARD_TARGET_SECONDS = 0.1
 #: dispatch overhead and still load-balance.
 PROJECTION_ROWS_PER_SECOND = 400_000
 SURVEY_WEDGES_PER_SECOND = 2_500_000
-VALIDATION_TRIPLETS_PER_SECOND = 750_000
+#: :func:`hyperedge_shard` on a 2-core x86 host runs 5.1 M triplets/s on
+#: batch-dense's page layer (bitset path) and 0.77 M/s on the kernel
+#: bench's hub row (probe path, 8-page smallest slices); 2 M/s is within
+#: 2.6x of both.
+VALIDATION_TRIPLETS_PER_SECOND = 2_000_000
 
 
 def adaptive_shard_count(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.bipartite import BipartiteTemporalMultigraph
-from repro.util.grouping import group_boundaries
+from repro.util.grouping import group_slices
 
 __all__ = ["UserPageIncidence"]
 
@@ -76,22 +76,17 @@ class UserPageIncidence:
 
     def users_per_page(self) -> dict[int, np.ndarray]:
         """Inverse view: page id → sorted distinct user ids (brute oracles)."""
-        order = np.argsort(
-            self.page_ids
-            + np.repeat(np.arange(self.n_users), self.page_counts()) * 0,
-            kind="stable",
-        )
+        # page_ids is user-major, so a stable sort leaves each page's
+        # users ascending.
+        order = np.argsort(self.page_ids, kind="stable")
         users_flat = np.repeat(
             np.arange(self.n_users, dtype=np.int64), self.page_counts()
         )
-        pages_sorted = self.page_ids[order]
         users_sorted = users_flat[order]
-        bounds = group_boundaries(pages_sorted)
-        out: dict[int, np.ndarray] = {}
-        for i in range(bounds.shape[0] - 1):
-            start, stop = int(bounds[i]), int(bounds[i + 1])
-            out[int(pages_sorted[start])] = np.sort(users_sorted[start:stop])
-        return out
+        return {
+            page: users_sorted[start:stop]
+            for page, start, stop in group_slices(self.page_ids[order])
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -7,7 +7,8 @@ plan on {serial, parallel, ygm} — ``project_reference`` vs
 ``PROJECTION_PLAN`` (plus the ``IncrementalProjector`` serving uses and
 the ``project_bucketed`` / ``project_streaming`` adapters), brute force
 vs ``SURVEY_PLAN`` (plus TriPoll's streaming ``survey_triangles``), and
-``hyperedge_count_reference`` vs ``VALIDATION_PLAN``.  All are thin
+``hyperedge_count_reference`` vs ``VALIDATION_PLAN`` (plus the kernel's
+bitset and probe paths, each forced).  All are thin
 orchestration over the same :mod:`repro.kernels` layer, so agreement is
 by construction, and this harness makes the claim executable: it runs
 one comment corpus through every engine, structurally diffs the outputs
@@ -33,7 +34,7 @@ from repro.graph.bipartite import BipartiteTemporalMultigraph
 from repro.graph.edgelist import EdgeList
 from repro.hypergraph.incidence import UserPageIncidence
 from repro.hypergraph.triplets import evaluate_triplets
-from repro.kernels import hyperedge_count_reference
+from repro.kernels import hyperedge_count_reference, hyperedges
 from repro.projection.buckets import project_bucketed
 from repro.projection.incremental import IncrementalProjector
 from repro.projection.project import (
@@ -203,16 +204,18 @@ def default_triangle_engines(
 def default_validation_engines(
     n_ranks: int = 2, parallel_workers: int = 2
 ) -> dict[str, ValidationEngine]:
-    """Step 3: the reference count first, then ``VALIDATION_PLAN`` on
-    every executor.  Engines return ``w_xyz`` aligned to the triangles."""
+    """Step 3: the reference count first, then both paths of
+    :func:`~repro.kernels.hyperedge_count` by name (whichever one its
+    dispatch would pick), then ``VALIDATION_PLAN`` on every executor.
+    Engines return ``w_xyz`` aligned to the triangles."""
 
-    def _reference(inc, triangles):
-        return hyperedge_count_reference(
-            inc.indptr, inc.page_ids, triangles.a, triangles.b, triangles.c
-        )
+    def _kernel(count):
+        return lambda inc, tri: count(inc.indptr, inc.page_ids, tri.a, tri.b, tri.c)
 
     return {
-        "reference": _reference,
+        "reference": _kernel(hyperedge_count_reference),
+        "bitset": _kernel(hyperedges._bitset_path),
+        "probe": _kernel(hyperedges._probe_path),
         **_on_every_executor(
             lambda ex, inc, triangles: evaluate_triplets(
                 inc, triangles, executor=ex

@@ -60,4 +60,8 @@ class TestCrossBackendParity:
             "streaming",
         }
         assert set(default_triangle_engines()) == plans | {"brute", "streaming"}
-        assert set(default_validation_engines()) == plans | {"reference"}
+        assert set(default_validation_engines()) == plans | {
+            "reference",
+            "bitset",
+            "probe",
+        }
