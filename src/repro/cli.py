@@ -48,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.analysis import (
@@ -413,35 +414,62 @@ def _load_btm(args: argparse.Namespace, out):
     return btm
 
 
-def _parse_layer_weights(spec: str | None) -> tuple[tuple[str, float], ...]:
+class _UsageError(Exception):
+    """A bad flag combination or value: ``main`` prints it and exits 2."""
+
+
+def _parse_layer_weights(
+    spec: str | None, layers: str | None
+) -> tuple[tuple[str, float], ...]:
     if not spec:
         return ()
+    if not layers:
+        raise _UsageError("--layer-weights requires --layers LIST")
     pairs = []
     for item in spec.split(","):
         name, _, value = item.partition("=")
-        if not name.strip() or not value.strip():
-            raise SystemExit(
+        try:
+            if not name.strip():
+                raise ValueError(item)
+            pairs.append((name.strip(), float(value)))
+        except ValueError:
+            raise _UsageError(
                 f"bad --layer-weights entry {item!r} (want name=weight)"
-            )
-        pairs.append((name.strip(), float(value)))
+            ) from None
     return tuple(pairs)
 
 
-def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    """The one place ``detect``'s flags become a :class:`PipelineConfig`."""
-    return PipelineConfig(
+def _pipeline_config(args: argparse.Namespace, **fixed) -> PipelineConfig:
+    """The one place a subcommand's flags become a :class:`PipelineConfig`.
+
+    A field whose flag the subcommand lacks keeps its default; *fixed*
+    pins fields whatever the flags say.
+    """
+    flag = vars(args).get
+    fields = dict(
         window=TimeWindow(args.delta1, args.delta2),
         min_triangle_weight=args.cutoff,
-        author_filter=AuthorFilter.none() if args.no_filter else AuthorFilter(),
-        compute_hypergraph=not args.no_hypergraph,
-        time_bucket_width=args.buckets,
-        executor=args.executor,
-        n_workers=args.workers,
-        layer_weights=_parse_layer_weights(args.layer_weights),
+        author_filter=AuthorFilter.none() if flag("no_filter") else AuthorFilter(),
+        compute_hypergraph=not flag("no_hypergraph"),
+        time_bucket_width=flag("buckets"),
+        executor=flag("executor", "serial"),
+        n_workers=flag("workers", 0),
+        layer_weights=_parse_layer_weights(flag("layer_weights"), flag("layers")),
     )
+    return PipelineConfig(**{**fields, **fixed})
 
 
-def _cmd_detect_layers(args: argparse.Namespace, out) -> int:
+def _print_scores(out, title: str, scores: dict) -> None:
+    print("", file=out)
+    print(title, file=out)
+    for name, s in sorted(scores.items()):
+        print(
+            f"  {name:<12} P={s.precision:.2f} R={s.recall:.2f} F1={s.f1:.2f}",
+            file=out,
+        )
+
+
+def _cmd_detect_layers(args: argparse.Namespace, config, out) -> int:
     """``detect --layers``: one framework pass per layer, plus fusion."""
     from repro.actions import available_layers
     from repro.pipeline import MultiLayerPipeline
@@ -452,7 +480,7 @@ def _cmd_detect_layers(args: argparse.Namespace, out) -> int:
         if spec.lower() == "all"
         else [n.strip() for n in spec.split(",") if n.strip()]
     )
-    pipeline = MultiLayerPipeline(_pipeline_config(args), layers=names)
+    pipeline = MultiLayerPipeline(config, layers=names)
     result = pipeline.run_ndjson(
         args.input,
         errors="skip" if args.skip_malformed else "raise",
@@ -475,24 +503,17 @@ def _cmd_detect_layers(args: argparse.Namespace, out) -> int:
             file=out,
         )
     if args.truth:
-        truth = _load_truth(args.truth)
-        scores = score_detection(truth, result.fused_components)
-        print("", file=out)
-        print("ground-truth scoring (fused components):", file=out)
-        for name, s in sorted(scores.items()):
-            print(
-                f"  {name:<12} P={s.precision:.2f} R={s.recall:.2f} "
-                f"F1={s.f1:.2f}",
-                file=out,
-            )
+        scores = score_detection(_load_truth(args.truth), result.fused_components)
+        _print_scores(out, "ground-truth scoring (fused components):", scores)
     return 0
 
 
 def _cmd_detect(args: argparse.Namespace, out) -> int:
+    config = _pipeline_config(args)
     if args.layers:
-        return _cmd_detect_layers(args, out)
+        return _cmd_detect_layers(args, config, out)
     btm = _load_btm(args, out)
-    result = CoordinationPipeline(_pipeline_config(args)).run(btm)
+    result = CoordinationPipeline(config).run(btm)
     print(result.summary(), file=out)
 
     truth = _load_truth(args.truth) if args.truth else None
@@ -507,14 +528,7 @@ def _cmd_detect(args: argparse.Namespace, out) -> int:
     )
     if truth is not None:
         scores = score_detection(truth, result.component_name_lists())
-        print("", file=out)
-        print("ground-truth scoring:", file=out)
-        for name, s in sorted(scores.items()):
-            print(
-                f"  {name:<12} P={s.precision:.2f} R={s.recall:.2f} "
-                f"F1={s.f1:.2f}",
-                file=out,
-            )
+        _print_scores(out, "ground-truth scoring:", scores)
     if args.export_dot:
         written = result_to_dot(result, args.export_dot)
         print(f"\nwrote {len(written)} DOT files to {args.export_dot}", file=out)
@@ -528,10 +542,7 @@ def _cmd_detect(args: argparse.Namespace, out) -> int:
 
 def _cmd_figures(args: argparse.Namespace, out) -> int:
     btm = _load_btm(args, out)
-    config = PipelineConfig(
-        window=TimeWindow(args.delta1, args.delta2),
-        min_triangle_weight=args.cutoff,
-    )
+    config = _pipeline_config(args)
     result = CoordinationPipeline(config).run(btm)
     sf = score_figure(result)
     wf = weight_figure(result)
@@ -546,20 +557,22 @@ def _cmd_figures(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _check_invariants(args: argparse.Namespace, btm, window) -> list[str]:
+def _check_invariants(args: argparse.Namespace, btm) -> list[str]:
     """Run the paper's invariants on one projection; names of those run."""
     from repro import verify
     from repro.projection import project
     from repro.tripoll import survey_triangles, t_scores
 
-    executor = CoordinationPipeline(
-        PipelineConfig(executor=args.executor, n_workers=args.workers)
-    ).build_executor()
+    config = _pipeline_config(args)
+    window = config.window
+    executor = CoordinationPipeline(config).build_executor()
     try:
         proj = project(btm, window, executor=executor)
     finally:
         executor.close()
-    triangles = survey_triangles(proj.ci.edges, min_edge_weight=args.cutoff)
+    triangles = survey_triangles(
+        proj.ci.edges, min_edge_weight=config.min_triangle_weight
+    )
     ran = verify.check_projection_invariants(
         proj.ci,
         triangles=triangles,
@@ -588,14 +601,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
         ).build()
         report = verify.run_layer_parity(dataset.records, window, **sweep)
     else:
-        builder = (
-            RedditDatasetBuilder.jan2020_like(seed=args.seed, scale=args.scale)
-            if args.preset == "jan2020"
-            else RedditDatasetBuilder.oct2016_like(
-                seed=args.seed, scale=args.scale
-            )
-        )
-        btm = builder.build().btm
+        btm = _PRESETS[args.preset](seed=args.seed, scale=args.scale).build().btm
         comments = list(
             zip(btm.users.tolist(), btm.pages.tolist(), btm.times.tolist())
         )
@@ -603,7 +609,8 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
             (str(btm.user_names.key_of(u)), str(btm.page_names.key_of(p)), t)
             for u, p, t in comments
         ]
-        config = PipelineConfig(window=window, min_triangle_weight=args.cutoff)
+        # --executor/--workers drive the invariant check alone.
+        config = _pipeline_config(args, executor="serial", n_workers=0)
         if args.online:
             report = verify.run_online_parity(
                 named_comments,
@@ -641,7 +648,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
         else:
             report = verify.run_parity(comments, window, **sweep)
             try:
-                ran = _check_invariants(args, btm, window)
+                ran = _check_invariants(args, btm)
                 epilogue = f"invariants ok: {', '.join(ran)}"
             except verify.InvariantViolation as exc:
                 report.sections["invariants"] = [f"invariant violated: {exc}"]
@@ -696,53 +703,54 @@ def _print_shutdown(
         )
 
 
-def _cmd_serve(args: argparse.Namespace, out) -> int:
-    from contextlib import nullcontext
+def _durability(args: argparse.Namespace) -> dict:
+    """The ``durability`` flag group as the durable services' kwargs."""
+    names = ("fsync", "fsync_interval", "snapshot_every", "keep_snapshots",
+             "wal_segment_bytes")
+    return {name: getattr(args, name) for name in names}
 
+
+def _supervision(args: argparse.Namespace) -> dict:
+    """The ``supervision`` flag group's restart policy as kwargs."""
+    names = ("heartbeat_timeout", "max_restarts", "restart_window",
+             "backoff_base", "backoff_cap")
+    return {name: getattr(args, name) for name in names}
+
+
+def _input_lines(args: argparse.Namespace):
+    """``--input`` as a line source: stdin for ``-``, else the file."""
+    if args.input == "-":
+        return nullcontext(sys.stdin)
+    return open(args.input, "r", encoding="utf-8")
+
+
+def _cmd_serve(args: argparse.Namespace, out) -> int:
     from repro.serve import DetectionService, DurableDetectionService
 
-    config = PipelineConfig(
-        window=TimeWindow(args.delta1, args.delta2),
-        min_triangle_weight=args.cutoff,
-        author_filter=AuthorFilter.none() if args.no_filter else AuthorFilter(),
-        compute_hypergraph=not args.no_hypergraph,
-    )
+    config = _pipeline_config(args)
+    if args.linger and args.http is None:
+        raise _UsageError("--linger requires --http PORT")
     if args.shards > 1 or args.http is not None:
         return _serve_sharded(args, config, out)
-    if args.linger:
-        print("--linger requires --http PORT", file=out)
-        return 2
     if args.supervise:
         if not args.durable:
-            print("--supervise requires --durable DIR", file=out)
-            return 2
+            raise _UsageError("--supervise requires --durable DIR")
         return _serve_supervised(args, config, out)
     sink = _StatusSink(args, out)
+    service_kwargs = dict(
+        window_horizon=args.horizon,
+        allowed_lateness=args.lateness,
+        batch_size=args.batch_size,
+        queue_capacity=args.queue_capacity,
+        queue_policy=args.queue_policy,
+    )
     if args.durable:
         service = DurableDetectionService(
-            config,
-            directory=args.durable,
-            fsync=args.fsync,
-            fsync_interval=args.fsync_interval,
-            snapshot_every=args.snapshot_every,
-            keep_snapshots=args.keep_snapshots,
-            wal_segment_bytes=args.wal_segment_bytes,
-            window_horizon=args.horizon,
-            allowed_lateness=args.lateness,
-            batch_size=args.batch_size,
-            queue_capacity=args.queue_capacity,
-            queue_policy=args.queue_policy,
+            config, directory=args.durable, **_durability(args), **service_kwargs
         )
         print(service.recovery.describe(), file=out)
     else:
-        service = DetectionService(
-            config,
-            window_horizon=args.horizon,
-            allowed_lateness=args.lateness,
-            batch_size=args.batch_size,
-            queue_capacity=args.queue_capacity,
-            queue_policy=args.queue_policy,
-        )
+        service = DetectionService(config, **service_kwargs)
 
     def on_tick(svc, report) -> None:
         ticks = svc.metrics.counter("service.ticks").value
@@ -765,12 +773,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
 
     sink.bind(service.status)
     try:
-        source = (
-            nullcontext(sys.stdin)
-            if args.input == "-"
-            else open(args.input, "r", encoding="utf-8")
-        )
-        with source as lines:
+        with _input_lines(args) as lines:
             consumed = service.run_ndjson(
                 lines, on_tick=on_tick, max_events=args.max_events
             )
@@ -865,8 +868,6 @@ class _StatusSink:
 
 def _serve_supervised(args: argparse.Namespace, config, out) -> int:
     """``serve --durable DIR --supervise``: watchdog parent + durable child."""
-    from contextlib import nullcontext
-
     from repro.graph.io import IngestStats
     from repro.serve import ServeSupervisor
     from repro.serve.ingest import iter_ndjson_events
@@ -877,16 +878,8 @@ def _serve_supervised(args: argparse.Namespace, config, out) -> int:
         queue_capacity=args.queue_capacity,
         queue_policy=args.queue_policy,
         forward_batch=args.batch_size,
-        heartbeat_timeout=args.heartbeat_timeout,
-        max_restarts=args.max_restarts,
-        restart_window=args.restart_window,
-        backoff_base=args.backoff_base,
-        backoff_cap=args.backoff_cap,
-        fsync=args.fsync,
-        fsync_interval=args.fsync_interval,
-        snapshot_every=args.snapshot_every,
-        keep_snapshots=args.keep_snapshots,
-        wal_segment_bytes=args.wal_segment_bytes,
+        **_supervision(args),
+        **_durability(args),
         window_horizon=args.horizon,
         allowed_lateness=args.lateness,
         batch_size=args.batch_size,
@@ -897,12 +890,7 @@ def _serve_supervised(args: argparse.Namespace, config, out) -> int:
     print(supervisor.last_recovery, file=out)
     try:
         stats = IngestStats()
-        source = (
-            nullcontext(sys.stdin)
-            if args.input == "-"
-            else open(args.input, "r", encoding="utf-8")
-        )
-        with source as lines:
+        with _input_lines(args) as lines:
             consumed = supervisor.run_events(
                 iter_ndjson_events(lines, stats), max_events=args.max_events
             )
@@ -939,42 +927,25 @@ def _serve_sharded(args: argparse.Namespace, config, out) -> int:
     """
     import signal
     import time
-    from contextlib import nullcontext
 
     from repro.graph.io import IngestStats
     from repro.serve import HttpGateway, ShardedDetectionService
     from repro.serve.ingest import iter_ndjson_events
     from repro.serve.shard import ShardUnavailableError
 
-    if args.linger and args.http is None:
-        print("--linger requires --http PORT", file=out)
-        return 2
-    durable_kwargs = {}
-    if args.durable:
-        durable_kwargs = dict(
-            fsync=args.fsync,
-            fsync_interval=args.fsync_interval,
-            snapshot_every=args.snapshot_every,
-            keep_snapshots=args.keep_snapshots,
-            wal_segment_bytes=args.wal_segment_bytes,
-        )
     sink = _StatusSink(args, out)
     service = ShardedDetectionService(
         config,
         n_shards=max(1, args.shards),
         ingest_sharding=args.ingest_sharding,
         directory=args.durable,
-        heartbeat_timeout=args.heartbeat_timeout,
-        max_restarts=args.max_restarts,
-        restart_window=args.restart_window,
-        backoff_base=args.backoff_base,
-        backoff_cap=args.backoff_cap,
+        **_supervision(args),
         forward_batch=args.batch_size,
         queue_capacity=args.queue_capacity,
         window_horizon=args.horizon,
         allowed_lateness=args.lateness,
         batch_size=args.batch_size,
-        **durable_kwargs,
+        **(_durability(args) if args.durable else {}),
     )
     sink.bind(service.status)
     mode = "durable" if args.durable else "volatile"
@@ -1015,12 +986,7 @@ def _serve_sharded(args: argparse.Namespace, config, out) -> int:
             sink.checkpoint()
             print(f"http gateway listening on {gateway.url}", file=out)
         stats = IngestStats()
-        source = (
-            nullcontext(sys.stdin)
-            if args.input == "-"
-            else open(args.input, "r", encoding="utf-8")
-        )
-        with source as lines:
+        with _input_lines(args) as lines:
             consumed = service.run_events(
                 iter_ndjson_events(lines, stats), max_events=args.max_events
             )
@@ -1082,7 +1048,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "verify": _cmd_verify,
         "serve": _cmd_serve,
     }
-    return handlers[args.command](args, out)
+    try:
+        return handlers[args.command](args, out)
+    except _UsageError as exc:
+        print(exc, file=out)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,45 +1,42 @@
 """Stage-level checkpointing for pipeline runs.
 
-A :class:`PipelineCheckpoint` is a directory that accumulates the expensive
-intermediate artifacts of one framework run, so a run interrupted by a
-worker death (or the driver itself dying) can be re-invoked with
-``resume_from=`` and pay only for the stages that had not completed:
-
-- ``manifest.json`` — format version, the config fingerprint the artifacts
-  were produced under, which stages have completed, and the projection
-  stats (restored verbatim on resume so a resumed result is
-  element-for-element identical to an uninterrupted one);
-- ``ci.npz`` — the full CI graph (edge list + ``P'`` ledger + author
-  names), written after Step 1;
-- ``ci_thr.npz`` — the thresholded edge list, written after Step 2's
-  threshold (cheap to recompute, but persisting it keeps the on-disk
-  bundle self-describing and lets external tools consume it);
-- ``triangles.npz`` — the canonical triangle survey plus ``T`` scores,
-  written after Step 2's survey.
-
-Resume refuses to mix artifacts across configs: the manifest records the
-window, cutoff, bucket width and author filter, and a mismatch raises
-:class:`CheckpointMismatchError` rather than silently blending two runs.
+A :class:`PipelineCheckpoint` lets a run interrupted by a worker death
+(or the driver dying) be re-invoked with ``resume_from=`` and pay only
+for the stages that had not completed.  Its directory is a
+:class:`~repro.store.snapshots.SnapshotStore`: generation 0 is the run's
+header (written by ``begin``) and stage *k* is generation *k* — 1 ``ci``
+(edges, ``P'`` ledger, author names, and the projection stats in its
+meta, so a resumed result matches an uninterrupted one exactly), 2
+``ci_thr`` (the thresholded edges), 3 ``triangles`` (the canonical
+survey plus ``T`` scores).  Each generation is atomic, checksummed and
+stamped with the config fingerprint.  ``resume`` loads generations in
+order and stops at the first one missing or damaged: that stage and all
+later ones are recomputed, never loaded.  A fingerprint mismatch, or a
+directory with no generations, raises :class:`CheckpointMismatchError`.
 """
 
 from __future__ import annotations
 
-import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from repro.graph.edgelist import EdgeList
+from repro.pipeline.config import PipelineConfig
 from repro.projection.ci_graph import CommonInteractionGraph
 from repro.projection.window import TimeWindow
 from repro.store.engine_state import config_fingerprint
+from repro.store.errors import CorruptSnapshotError
+from repro.store.snapshots import SnapshotStore
 from repro.tripoll.survey import TriangleSet
 from repro.util.ids import Interner
-from repro.util.io import atomic_write_text
 
 __all__ = ["CheckpointMismatchError", "PipelineCheckpoint"]
 
-_FORMAT = 1
-_STAGES = ("ci", "ci_thr", "triangles")
+_STAGES = ("ci", "ci_thr", "triangles")  # generations 1, 2, 3
+_EDGE_FIELDS = ("src", "dst", "weight")
+_TRIANGLE_FIELDS = ("a", "b", "c", "w_ab", "w_ac", "w_bc")
 
 
 class CheckpointMismatchError(RuntimeError):
@@ -51,178 +48,120 @@ class PipelineCheckpoint:
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._manifest: dict = {
-            "format": _FORMAT,
-            "config": {},
-            "stages": {},
-            "stats": {},
-        }
+        self._store = SnapshotStore(self.directory, keep=len(_STAGES) + 1)
+        self._fingerprint: dict = {}
+        self._stats: dict[str, int] = {}
+        # Stage -> arrays of each generation resumed or saved so far.
+        self._stages: dict[str, dict[str, np.ndarray]] = {}
 
-    # -- manifest -----------------------------------------------------------
-    @property
-    def _manifest_path(self) -> Path:
-        return self.directory / "manifest.json"
-
-    def _config_fingerprint(self, config) -> dict:
+    @staticmethod
+    def _config_fingerprint(config: PipelineConfig) -> dict:
         # The author filter decides which comments Step 1 projects; its
         # entries are the store's, so both formats key on the same facts.
         store = config_fingerprint(config)
-        return {
-            "window": store["window"],
-            "min_triangle_weight": store["min_triangle_weight"],
-            "time_bucket_width": config.time_bucket_width,
-            "filter_names": store["filter_names"],
-            "filter_patterns": store["filter_patterns"],
-        }
+        keys = ("window", "min_triangle_weight", "filter_names", "filter_patterns")
+        return {"time_bucket_width": config.time_bucket_width,
+                **{k: store[k] for k in keys}}
 
-    def begin(self, config) -> None:
-        """Start a *fresh* run: record the config, clear stage flags."""
-        self._manifest = {
-            "format": _FORMAT,
-            "config": self._config_fingerprint(config),
-            "stages": {},
-            "stats": {},
-        }
-        self._flush()
+    def begin(self, config: PipelineConfig) -> None:
+        """Start a *fresh* run: drop every generation, write the header."""
+        self._fingerprint = self._config_fingerprint(config)
+        self._stages = {}
+        self._store.truncate()
+        self._store.save(0, {}, {"fingerprint": self._fingerprint})
 
-    def resume(self, config) -> None:
-        """Load an existing manifest and validate it against *config*."""
-        if not self._manifest_path.exists():
+    def resume(self, config: PipelineConfig) -> None:
+        """Load the intact stage prefix and validate it against *config*."""
+        if not self._store.generations():
             raise CheckpointMismatchError(
-                f"no checkpoint manifest at {self._manifest_path}"
+                f"no checkpoint generations in {self.directory}"
             )
-        self._manifest = json.loads(
-            self._manifest_path.read_text(encoding="utf-8")
-        )
-        if self._manifest.get("format") != _FORMAT:
-            raise CheckpointMismatchError(
-                f"checkpoint format {self._manifest.get('format')!r} != {_FORMAT}"
-            )
-        expected = self._config_fingerprint(config)
-        found = self._manifest.get("config", {})
-        if found != expected:
-            raise CheckpointMismatchError(
-                "checkpoint was written under a different config: "
-                f"{found} != {expected}"
-            )
-
-    def _flush(self) -> None:
-        # Atomic: a crash mid-flush must leave the previous manifest, not
-        # a truncated one that poisons every later resume.
-        atomic_write_text(
-            self._manifest_path, json.dumps(self._manifest, indent=2)
-        )
+        self._fingerprint = self._config_fingerprint(config)
+        self._stages = {}
+        intact = -1
+        for seq in range(len(_STAGES) + 1):
+            try:
+                arrays, meta = self._store.load(seq)
+            except CorruptSnapshotError:
+                break
+            if meta.get("fingerprint") != self._fingerprint:
+                raise CheckpointMismatchError(
+                    "checkpoint was written under a different config: "
+                    f"{meta.get('fingerprint')} != {self._fingerprint}"
+                )
+            if seq:
+                self._stages[_STAGES[seq - 1]] = arrays
+                self._stats = meta.get("stats", self._stats)
+            intact = seq
+        if intact < 0:  # damaged header: nothing here can be trusted
+            self.begin(config)
+        else:
+            # Stages past the first gap are recomputed; their old
+            # generations must not outlive the ones rewritten before them.
+            self._store.truncate(intact)
 
     def has(self, stage: str) -> bool:
-        """Whether *stage*'s artifact completed (and its file survives)."""
+        """Whether *stage*'s generation was resumed intact (or saved)."""
         if stage not in _STAGES:
             raise ValueError(f"unknown stage {stage!r}; expected one of {_STAGES}")
-        return bool(self._manifest["stages"].get(stage)) and (
-            self.directory / f"{stage}.npz"
-        ).exists()
+        return stage in self._stages
 
     def completed_stages(self) -> tuple[str, ...]:
-        """The stages whose artifacts are present, in pipeline order."""
-        return tuple(s for s in _STAGES if self.has(s))
+        """The stages whose generations are intact, in pipeline order."""
+        return tuple(s for s in _STAGES if s in self._stages)
 
-    def _mark(self, stage: str) -> None:
-        self._manifest["stages"][stage] = True
-        self._flush()
+    def _save(self, stage: str, arrays: dict[str, np.ndarray], **meta: object) -> None:
+        meta["fingerprint"] = self._fingerprint
+        self._store.save(_STAGES.index(stage) + 1, arrays, meta)
+        self._stages[stage] = arrays
 
-    # -- projection stats (restored so resumed results match exactly) ------
-    def save_stats(self, stats: dict) -> None:
-        """Record the projection stage's integer stats in the manifest."""
-        self._manifest["stats"] = {k: int(v) for k, v in stats.items()}
-        self._flush()
+    def save_stats(self, stats: dict[str, int]) -> None:
+        """Record the projection stats; :meth:`save_ci` persists them, so
+        call this first."""
+        self._stats = {k: int(v) for k, v in stats.items()}
 
-    def load_stats(self) -> dict:
+    def load_stats(self) -> dict[str, int]:
         """The stats recorded by :meth:`save_stats` (empty dict if none)."""
-        return dict(self._manifest.get("stats", {}))
+        return dict(self._stats)
 
-    # -- Step 1: CI graph ---------------------------------------------------
     def save_ci(self, ci: CommonInteractionGraph) -> None:
         """Persist the Step 1 CI graph (edges, ``P'`` ledger, names)."""
-        names = (
-            np.asarray([str(k) for k in ci.user_names], dtype=object)
-            if ci.user_names is not None
-            else np.asarray([], dtype=object)
-        )
-        np.savez_compressed(
-            self.directory / "ci.npz",
-            src=ci.edges.src,
-            dst=ci.edges.dst,
-            weight=ci.edges.weight,
-            page_counts=ci.page_counts,
-            window=np.asarray([ci.window.delta1, ci.window.delta2]),
-            user_names=names,
-            has_user_names=np.asarray(ci.user_names is not None),
-        )
-        self._mark("ci")
+        arrays = {f: getattr(ci.edges, f) for f in _EDGE_FIELDS}
+        arrays["page_counts"] = ci.page_counts
+        arrays["window"] = np.asarray([ci.window.delta1, ci.window.delta2])
+        if ci.user_names is not None:
+            # Fixed-width unicode, not objects: the payload holds no pickle.
+            arrays["user_names"] = np.asarray([str(k) for k in ci.user_names], dtype=str)
+        self._save("ci", arrays, stats=self._stats)
 
     def load_ci(self) -> CommonInteractionGraph:
         """Rehydrate the CI graph written by :meth:`save_ci`."""
-        from repro.graph.edgelist import EdgeList
+        data = self._stages["ci"]
+        names = data.get("user_names")
+        d1, d2 = (int(v) for v in data["window"])
+        return CommonInteractionGraph(
+            edges=EdgeList(*(data[f] for f in _EDGE_FIELDS)),
+            page_counts=data["page_counts"],
+            window=TimeWindow(d1, d2),
+            user_names=Interner(names.tolist()) if names is not None else None,
+        )
 
-        with np.load(self.directory / "ci.npz", allow_pickle=True) as data:
-            names = (
-                Interner(data["user_names"].tolist())
-                if bool(data["has_user_names"])
-                else None
-            )
-            d1, d2 = (int(v) for v in data["window"])
-            return CommonInteractionGraph(
-                edges=EdgeList(data["src"], data["dst"], data["weight"]),
-                page_counts=data["page_counts"],
-                window=TimeWindow(d1, d2),
-                user_names=names,
-            )
-
-    # -- Step 2a: thresholded edges ----------------------------------------
     def save_thresholded(self, ci_thr: CommonInteractionGraph) -> None:
         """Persist the cutoff-thresholded edge list (Step 2a)."""
-        from repro.graph.io import save_edgelist_npz
+        self._save("ci_thr", {f: getattr(ci_thr.edges, f) for f in _EDGE_FIELDS})
 
-        save_edgelist_npz(self.directory / "ci_thr.npz", ci_thr.edges)
-        self._mark("ci_thr")
-
-    def load_thresholded(
-        self, ci: CommonInteractionGraph
-    ) -> CommonInteractionGraph:
+    def load_thresholded(self, ci: CommonInteractionGraph) -> CommonInteractionGraph:
         """Rehydrate the thresholded view (``P''``/names come from *ci*)."""
-        from repro.graph.io import load_edgelist_npz
+        data = self._stages["ci_thr"]
+        return replace(ci, edges=EdgeList(*(data[f] for f in _EDGE_FIELDS)))
 
-        return CommonInteractionGraph(
-            edges=load_edgelist_npz(self.directory / "ci_thr.npz"),
-            page_counts=ci.page_counts,
-            window=ci.window,
-            user_names=ci.user_names,
-        )
-
-    # -- Step 2b: triangle survey -------------------------------------------
     def save_triangles(self, triangles: TriangleSet, t_scores: np.ndarray) -> None:
         """Persist the canonical triangle survey plus ``T`` scores (Step 2b)."""
-        np.savez_compressed(
-            self.directory / "triangles.npz",
-            a=triangles.a,
-            b=triangles.b,
-            c=triangles.c,
-            w_ab=triangles.w_ab,
-            w_ac=triangles.w_ac,
-            w_bc=triangles.w_bc,
-            t_scores=np.asarray(t_scores, dtype=np.float64),
-        )
-        self._mark("triangles")
+        arrays = {f: getattr(triangles, f) for f in _TRIANGLE_FIELDS}
+        arrays["t_scores"] = np.asarray(t_scores, dtype=np.float64)
+        self._save("triangles", arrays)
 
     def load_triangles(self) -> tuple[TriangleSet, np.ndarray]:
         """Rehydrate the survey written by :meth:`save_triangles`."""
-        with np.load(self.directory / "triangles.npz") as data:
-            triangles = TriangleSet(
-                data["a"], data["b"], data["c"],
-                data["w_ab"], data["w_ac"], data["w_bc"],
-            )
-            return triangles, data["t_scores"]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        done = ",".join(self.completed_stages()) or "none"
-        return f"PipelineCheckpoint({str(self.directory)!r}, completed={done})"
+        data = self._stages["triangles"]
+        return TriangleSet(*(data[f] for f in _TRIANGLE_FIELDS)), data["t_scores"]

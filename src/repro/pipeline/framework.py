@@ -100,13 +100,14 @@ class CoordinationPipeline:
             it afterwards; a passed executor is used as given and stays
             the caller's to close.
         checkpoint_dir:
-            When set, persist each expensive stage artifact here as it
-            completes (starting a fresh manifest: any stale stage flags
-            are cleared).
+            When set, persist each expensive stage artifact here as a
+            checksummed snapshot generation as it completes (starting
+            fresh: generations from an earlier run are dropped).
         resume_from:
-            A directory previously populated by ``checkpoint_dir=``; stages
-            whose artifacts are present are loaded instead of recomputed
-            (and any remaining stages keep checkpointing into it).
+            A directory previously populated by ``checkpoint_dir=``; its
+            stages are loaded in order up to the first missing or
+            damaged generation, and that stage and every later one are
+            recomputed (and keep checkpointing into it).
             Checkpoints are executor-agnostic; one written under a
             different config raises
             :class:`~repro.pipeline.checkpoint.CheckpointMismatchError`.
@@ -156,8 +157,8 @@ class CoordinationPipeline:
                 timings.merge(proj.timings)
                 proj_stats = dict(proj.stats)
                 if cp is not None:
-                    cp.save_ci(ci)
                     cp.save_stats(proj_stats)
+                    cp.save_ci(ci)
 
             if cp is not None and cp.has("ci_thr"):
                 with timings.stage("step2.threshold[resumed]"):

@@ -9,7 +9,7 @@ grid efficiently — one projection *per window*, re-thresholded per cutoff
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.datagen.ground_truth import GroundTruth, score_detection
 from repro.graph.bipartite import BipartiteTemporalMultigraph
@@ -86,15 +86,11 @@ def run_sweep(
     points: list[SweepPoint] = []
     for window in windows:
         for cutoff in sorted(cutoffs):
-            config = PipelineConfig(
+            config = replace(
+                base,
                 window=window,
                 min_triangle_weight=cutoff,
-                min_component_size=base.min_component_size,
-                author_filter=base.author_filter,
-                pair_batch=base.pair_batch,
-                wedge_batch=base.wedge_batch,
                 compute_hypergraph=False,
-                time_bucket_width=base.time_bucket_width,
             )
             result = CoordinationPipeline(config).run(btm)
             points.append(_to_point(result, truth))

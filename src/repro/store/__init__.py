@@ -1,11 +1,13 @@
 """Durable state for long-running detection: snapshots + recovery.
 
-The batch tier checkpoints *stages* (:mod:`repro.pipeline.checkpoint`);
-the serve tier needs more — a process that can die at any instant and
-come back **bit-identical**.  This package is that durability layer:
+This package is the repo's one on-disk state format.  The batch tier's
+stage checkpoints (:mod:`repro.pipeline.checkpoint`) are snapshot
+generations, one per stage; the serve tier needs more — a process that
+can die at any instant and come back **bit-identical**:
 
 - :mod:`repro.store.snapshots` — :class:`SnapshotStore`, N atomic
-  checksummed generations of ``manifest.json`` + ``state.npz``;
+  checksummed generations of ``manifest.json`` + ``state.npz`` (the
+  format both tiers write);
 - :mod:`repro.store.engine_state` — the
   :class:`~repro.serve.engine.DetectionEngine` ⇄ arrays codec (interners
   in id order, live comments in page order, filter bookkeeping);

@@ -16,11 +16,12 @@ anything off raises :class:`~repro.store.errors.CorruptSnapshotError`,
 and :meth:`load_newest_valid` turns that into generation fallback — the
 newest clean snapshot wins, corrupt ones are reported, not fatal.
 
-This generalizes the single-generation stage persistence of
-:class:`repro.pipeline.checkpoint.PipelineCheckpoint` into the form the
-online serve tier needs (many generations, explicit corruption taxonomy,
-retention pruning); the checkpoint keeps its stage-oriented API on top of
-the same atomic-write primitives.
+Two subsystems persist through it: the online serve tier's
+:class:`~repro.store.store.DurableStore` (one generation per snapshot,
+newest-valid fallback, retention pruning) and the batch pipeline's
+:class:`~repro.pipeline.checkpoint.PipelineCheckpoint` (generation *k*
+holds stage *k*; :meth:`SnapshotStore.truncate` drops the stages a
+fresh or resumed run will rewrite).
 """
 
 from __future__ import annotations
@@ -126,6 +127,14 @@ class SnapshotStore:
     def _sweep_tmp(self) -> None:
         for orphan in self.directory.glob("snap-*.tmp"):
             shutil.rmtree(orphan, ignore_errors=True)
+
+    def truncate(self, after: int = -1) -> None:
+        """Delete every generation whose seq is above *after* (default: all)."""
+        for seq in self.generations():
+            if seq > after:
+                shutil.rmtree(
+                    self.directory / _generation_name(seq), ignore_errors=True
+                )
 
     # -- reads -------------------------------------------------------------
     def generations(self) -> list[int]:

@@ -1,8 +1,8 @@
 """Crash-safe filesystem primitives shared by every durable writer.
 
 Anything the repo persists with an integrity expectation — bench-result
-``BENCH_*.json`` files feeding the CI regression gate, checkpoint and
-snapshot manifests, ``serve --status-json`` dumps — goes through these
+``BENCH_*.json`` files feeding the CI regression gate, snapshot manifests
+(stage checkpoints included), ``serve --status-json`` dumps — goes through these
 helpers so a crash (or a SIGKILL from the chaos harness) can never leave
 a half-written file under the final name.  The pattern is the standard
 one: write the full content under a temporary sibling name, optionally

@@ -1,5 +1,6 @@
 """Checkpoint/resume and the YGM executor's retry policy."""
 
+import json
 from contextlib import closing
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.pipeline import (
     PipelineConfig,
 )
 from repro.projection import TimeWindow
+from repro.store import SnapshotStore
 from repro.ygm import FaultPlan, WorkerDiedError, YgmWorld
 
 
@@ -80,9 +82,8 @@ class TestCheckpointResume:
     ):
         pipe = CoordinationPipeline(_config())
         ref = pipe.run(small_dataset.btm, checkpoint_dir=str(tmp_path))
-        # Simulate a run that died after Step 1: drop the later artifacts.
-        (tmp_path / "triangles.npz").unlink()
-        (tmp_path / "ci_thr.npz").unlink()
+        # Simulate a run that died after Step 1: drop the later generations.
+        SnapshotStore(tmp_path).truncate(1)
         resumed = pipe.run(small_dataset.btm, resume_from=str(tmp_path))
         assert resumed.resumed_stages == ("step1.project",)
         assert_results_equal(ref, resumed)
@@ -120,9 +121,69 @@ class TestCheckpointResume:
         pipe = CoordinationPipeline(_config())
         pipe.run(small_dataset.btm, checkpoint_dir=str(tmp_path))
         # A fresh (non-resume) run into the same dir must not trust the old
-        # stage flags.
+        # stage generations.
         got = pipe.run(small_dataset.btm, checkpoint_dir=str(tmp_path))
         assert got.resumed_stages == ()
+
+    def test_pre_generation_layout_refuses(self, small_dataset, tmp_path):
+        # The flat manifest.json + ci.npz layout never resumes; it is
+        # refused typed, not blended.
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"format": 1, "stages": {"ci": True}})
+        )
+        (tmp_path / "ci.npz").write_bytes(b"PK")
+        with pytest.raises(CheckpointMismatchError, match="no checkpoint"):
+            CoordinationPipeline(_config()).run(
+                small_dataset.btm, resume_from=str(tmp_path)
+            )
+
+
+def _flip_payload_byte(gen):
+    payload = gen / "state.npz"
+    data = bytearray(payload.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    payload.write_bytes(bytes(data))
+
+
+def _truncate_payload(gen):
+    payload = gen / "state.npz"
+    payload.write_bytes(payload.read_bytes()[: payload.stat().st_size // 2])
+
+
+def _drop_manifest(gen):
+    (gen / "manifest.json").unlink()
+
+
+_RESUMED = ("step1.project", "step2.threshold", "step2.survey")
+
+
+class TestCheckpointCorruption:
+    """A damaged stage generation is never loaded: resume keeps only the
+    stages before it and recomputes the rest, bit-identical to a run that
+    never checkpointed.  Generation 0 is the run's header; damaging it
+    recomputes every stage."""
+
+    @pytest.mark.parametrize("stage", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "damage",
+        [_flip_payload_byte, _truncate_payload, _drop_manifest],
+        ids=["flipped-byte", "truncated-payload", "missing-manifest"],
+    )
+    def test_resume_stops_at_first_damaged_stage(
+        self, small_dataset, tmp_path, damage, stage
+    ):
+        pipe = CoordinationPipeline(_config())
+        ref = pipe.run(small_dataset.btm)
+        pipe.run(small_dataset.btm, checkpoint_dir=str(tmp_path))
+        damage(tmp_path / f"snap-{stage:016d}")
+        resumed = pipe.run(small_dataset.btm, resume_from=str(tmp_path))
+        assert resumed.resumed_stages == _RESUMED[: max(stage - 1, 0)]
+        assert_results_equal(ref, resumed)
+        # The resumed run rewrote what it recomputed: the checkpoint is
+        # whole again.
+        cp = PipelineCheckpoint(tmp_path)
+        cp.resume(pipe.config)
+        assert cp.completed_stages() == ("ci", "ci_thr", "triangles")
 
 
 @pytest.mark.faults

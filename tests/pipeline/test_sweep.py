@@ -65,6 +65,25 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(small_dataset.btm, [TimeWindow(0, 60)], [])
 
+    def test_base_config_executor_is_kept(self, small_dataset, monkeypatch):
+        used = []
+        build = CoordinationPipeline.build_executor
+
+        def spy(pipeline):
+            used.append((pipeline.config.executor, pipeline.config.n_workers))
+            return build(pipeline)
+
+        monkeypatch.setattr(CoordinationPipeline, "build_executor", spy)
+        points = run_sweep(
+            small_dataset.btm,
+            [TimeWindow(0, 60)],
+            [10, 15],
+            base_config=PipelineConfig(executor="parallel", n_workers=2),
+        )
+        assert used == [("parallel", 2)] * 2
+        serial = run_sweep(small_dataset.btm, [TimeWindow(0, 60)], [10, 15])
+        assert [p.n_triangles for p in points] == [p.n_triangles for p in serial]
+
     def test_row_rendering(self, small_dataset):
         points = run_sweep(small_dataset.btm, [TimeWindow(0, 60)], [15])
         row = points[0].row()

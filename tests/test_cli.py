@@ -191,6 +191,29 @@ class TestDetect:
         assert code == 0
         assert "buckets=60s" in out.getvalue()
 
+    def test_non_numeric_layer_weight_exits_2(self, corpus):
+        ndjson, _ = corpus
+        out = io.StringIO()
+        code = main(
+            ["detect", "--input", str(ndjson), "--layers", "page",
+             "--layer-weights", "page=abc"],
+            out=out,
+        )
+        assert code == 2
+        assert out.getvalue() == (
+            "bad --layer-weights entry 'page=abc' (want name=weight)\n"
+        )
+
+    def test_layer_weights_without_layers_exits_2(self, corpus):
+        ndjson, _ = corpus
+        out = io.StringIO()
+        code = main(
+            ["detect", "--input", str(ndjson), "--layer-weights", "page=2"],
+            out=out,
+        )
+        assert code == 2
+        assert out.getvalue() == "--layer-weights requires --layers LIST\n"
+
 
 class TestVerify:
     def test_parity_smoke(self):
