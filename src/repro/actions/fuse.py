@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from repro.graph.components import named_components
 from repro.projection.ci_graph import CommonInteractionGraph
 
 __all__ = ["FusedEdge", "FusedGraph", "fuse_layers", "fuse_edge_maps"]
@@ -108,28 +109,8 @@ class FusedGraph:
         list of components sorts by size descending, then members — the
         candidate multi-layer coordination networks.
         """
-        adj: dict[str, set[str]] = {}
-        for edge in self.edges:
-            adj.setdefault(edge.a, set()).add(edge.b)
-            adj.setdefault(edge.b, set()).add(edge.a)
-        seen: set[str] = set()
-        out: list[list[str]] = []
-        for root in sorted(adj):
-            if root in seen:
-                continue
-            stack, members = [root], []
-            seen.add(root)
-            while stack:
-                v = stack.pop()
-                members.append(v)
-                for nbr in adj[v]:
-                    if nbr not in seen:
-                        seen.add(nbr)
-                        stack.append(nbr)
-            if len(members) >= min_size:
-                out.append(sorted(members))
-        out.sort(key=lambda m: (-len(m), m))
-        return out
+        edges = self.edges
+        return named_components([e.a for e in edges], [e.b for e in edges], min_size)
 
     def summary(self) -> str:
         """One line for reports."""

@@ -11,8 +11,8 @@ on:
 - :class:`~repro.graph.bipartite.BipartiteTemporalMultigraph` — the
   paper's ``B = (U, P, E, t)``: authors × pages with timestamped comment
   edges (a multigraph: repeat comments are distinct edges).
-- :mod:`~repro.graph.components` — union-find connected components plus a
-  distributed label-propagation variant on the YGM runtime.
+- :mod:`~repro.graph.components` — connected components (through the one
+  kernel) plus a distributed label-propagation variant on the YGM runtime.
 - :mod:`~repro.graph.ordering` — degree-based edge orientation used by the
   triangle engine.
 - :mod:`~repro.graph.filters` — the paper's helpful-bot / deleted-author

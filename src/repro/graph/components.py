@@ -1,18 +1,21 @@
-"""Connected components: union-find plus a distributed YGM variant.
+"""Connected components of edge lists and name-keyed graphs, plus a YGM variant.
 
 The paper reports coordinated botnets as *connected components* of the
-threshold-pruned common-interaction graph ("one of 39 connected components",
-§3.1.1).  The driver-side implementation is a weighted-union path-halving
-union-find over the edge list; the distributed implementation runs
-asynchronous min-label propagation on a :class:`~repro.ygm.DistMap`, and
-the two are cross-checked in tests (against networkx as a third oracle).
+threshold-pruned common-interaction graph (§3.1.1).  Every in-process
+computation goes through the one kernel, :mod:`repro.kernels.components`.
+The distributed variant runs asynchronous min-label propagation on a
+:class:`~repro.ygm.DistMap` and converges to the smallest-id labels of
+:func:`connected_components`; tests cross-check both against networkx.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.graph.edgelist import EdgeList
+from repro.kernels.components import UnionFind, component_members
 from repro.ygm.handlers import ygm_handler
 from repro.ygm.partition import HashPartitioner
 
@@ -20,69 +23,24 @@ __all__ = [
     "UnionFind",
     "connected_components",
     "components_as_lists",
+    "named_components",
     "distributed_components",
 ]
-
-
-class UnionFind:
-    """Array-based union-find with union by size and path halving."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        """Representative of *x*'s set (with path halving)."""
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return int(x)
-
-    def union(self, a: int, b: int) -> int:
-        """Merge the sets of *a* and *b*; return the surviving root."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra
-
-    def connected(self, a: int, b: int) -> bool:
-        """Whether *a* and *b* share a component."""
-        return self.find(a) == self.find(b)
-
-    def component_labels(self) -> np.ndarray:
-        """Root id of every element (fully path-compressed)."""
-        # Iterate until fixpoint; each pass halves remaining path lengths.
-        parent = self.parent
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                return parent.copy()
-            parent[:] = grand
 
 
 def connected_components(
     edges: EdgeList, n_vertices: int | None = None
 ) -> np.ndarray:
-    """Component label (root id) for each vertex ``0..n_vertices-1``.
+    """Component label (smallest member id) for each vertex ``0..n_vertices-1``.
 
     Vertices touching no edge form singleton components labelled by
     themselves.
     """
-    if n_vertices is None:
-        n_vertices = edges.max_vertex + 1
-    uf = UnionFind(int(n_vertices))
-    for s, d in zip(edges.src, edges.dst):
-        uf.union(int(s), int(d))
-    return uf.component_labels()
+    n = edges.max_vertex + 1 if n_vertices is None else int(n_vertices)
+    labels = np.arange(n, dtype=np.int64)
+    members, bounds = component_members(edges.src, edges.dst, n)
+    labels[members] = np.repeat(members[bounds[:-1]], np.diff(bounds))
+    return labels
 
 
 def components_as_lists(
@@ -93,18 +51,31 @@ def components_as_lists(
     Only vertices incident to an edge are considered (matching the paper,
     which inspects components of the *thresholded* CI graph).
     """
-    if edges.n_edges == 0:
-        return []
-    labels = connected_components(edges, n_vertices)
-    active = np.unique(np.concatenate((edges.src, edges.dst)))
-    by_label: dict[int, list[int]] = {}
-    for v in active:
-        by_label.setdefault(int(labels[v]), []).append(int(v))
-    comps = [
-        sorted(members) for members in by_label.values() if len(members) >= min_size
-    ]
-    comps.sort(key=lambda c: (-len(c), c))
-    return comps
+    n = edges.max_vertex + 1 if n_vertices is None else int(n_vertices)
+    members, bounds = component_members(edges.src, edges.dst, n, min_size)
+    return _split(members.tolist(), bounds)
+
+
+def named_components(
+    src: Sequence[str], dst: Sequence[str], min_size: int = 1
+) -> list[list[str]]:
+    """Components of the edges ``src[i]``–``dst[i]`` between names, canonically.
+
+    Names are interned in sorted order, so id order is name order and the
+    kernel's output (members ascending, largest first, ties on members)
+    is already canonical by name.
+    """
+    names = sorted(set(src).union(dst))
+    ids = {name: i for i, name in enumerate(names)}
+    src_ids, dst_ids = np.array([ids[v] for v in src]), np.array([ids[v] for v in dst])
+    members, bounds = component_members(src_ids, dst_ids, len(names), min_size)
+    return _split([names[i] for i in members.tolist()], bounds)
+
+
+def _split(flat: list, bounds: np.ndarray) -> list[list]:
+    """``flat`` cut at the kernel's component *bounds*."""
+    cuts = bounds.tolist()
+    return [flat[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.components import UnionFind
 from repro.hypergraph.triplets import TripletMetrics
+from repro.kernels.components import component_members
+from repro.util.keys import unique_rows
 
 __all__ = ["CandidateGroup", "agglomerate_groups"]
 
@@ -79,31 +80,27 @@ def agglomerate_groups(
     if n == 0:
         return []
 
-    # Union triplets that share an unordered author pair.
-    uf = UnionFind(n)
-    pair_to_first: dict[tuple[int, int], int] = {}
+    # Groups are the components of the triplet–pair bipartite graph:
+    # triplet i links to node n + j for each of its three author pairs j.
     tri = kept.triangles
-    for i in range(n):
-        a, b, c = int(tri.a[i]), int(tri.b[i]), int(tri.c[i])
-        for pair in ((a, b), (a, c), (b, c)):
-            j = pair_to_first.setdefault(pair, i)
-            if j != i:
-                uf.union(i, j)
-
-    by_root: dict[int, list[int]] = {}
-    for i in range(n):
-        by_root.setdefault(uf.find(i), []).append(i)
-
+    pairs = (np.r_[tri.a, tri.a, tri.b], np.r_[tri.b, tri.c, tri.c])
+    _, runs, order = unique_rows(pairs, with_order=True)
+    n_pairs = runs.shape[0] - 1
+    pair_id = np.empty(3 * n, dtype=np.int64)
+    pair_id[order] = np.repeat(np.arange(n_pairs), np.diff(runs))
+    triplet_id = np.tile(np.arange(n, dtype=np.int64), 3)
     groups: list[CandidateGroup] = []
-    for triplet_ids in by_root.values():
-        idx = np.asarray(triplet_ids, dtype=np.int64)
+    nodes, bounds = component_members(triplet_id, n + pair_id, n + n_pairs)
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        idx = nodes[lo:hi]
+        idx = idx[idx < n]  # ascending triplet ids, as mean_c_score sums them
         members = np.unique(
             np.concatenate((tri.a[idx], tri.b[idx], tri.c[idx]))
         )
         groups.append(
             CandidateGroup(
                 members=tuple(int(m) for m in members),
-                n_triplets=len(triplet_ids),
+                n_triplets=int(idx.shape[0]),
                 mean_c_score=float(kept.c_scores[idx].mean()),
                 min_w_xyz=int(kept.w_xyz[idx].min()),
                 max_w_xyz=int(kept.w_xyz[idx].max()),

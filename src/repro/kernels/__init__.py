@@ -2,11 +2,12 @@
 
 Every counting loop the paper's three steps need — window bounds, pair
 merging, the ``P'`` ledger, triangle enumeration, hyperedge counting,
-score normalization — lives *here*, once, as a pure numpy kernel with a
-slow reference twin.  The projection, survey, validation, and serving
-engines are thin orchestration over these kernels (partitioning and
-plumbing only); cross-engine agreement is therefore structural, not
-merely asserted after the fact by the parity harness.
+score normalization, connected components — lives *here*, once, as a
+pure array kernel with a slow reference twin.  The projection, survey,
+validation, and serving engines are thin orchestration over these
+kernels (partitioning and plumbing only); cross-engine agreement is
+therefore structural, not merely asserted after the fact by the parity
+harness.
 
 Design rules (enforced by the ``tests/kernels`` property suite and the
 ``_window_bounds``-style grep checks in CI):
@@ -51,6 +52,7 @@ from repro.kernels.hyperedges import (
     hyperedge_count_reference,
     intersect3_sorted,
 )
+from repro.kernels.components import component_members, component_members_reference
 from repro.kernels.scores import (
     normalized_score_scalar,
     normalized_scores,
@@ -79,4 +81,6 @@ __all__ = [
     "normalized_scores",
     "normalized_scores_reference",
     "normalized_score_scalar",
+    "component_members",
+    "component_members_reference",
 ]

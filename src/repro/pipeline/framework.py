@@ -31,6 +31,8 @@ run.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.exec.executors import SerialExecutor
 from repro.exec.parallel import ParallelExecutor
 from repro.graph.bipartite import BipartiteTemporalMultigraph
@@ -243,30 +245,31 @@ def component_reports(
     if not comps:
         return []
     csr = ci_thr.to_csr()
-    return [_describe_component(ci_thr, csr, comp) for comp in comps]
-
-
-def _describe_component(
-    ci: CommonInteractionGraph, csr: CSRGraph, members: list[int]
-) -> ComponentReport:
-    member_set = set(members)
-    weights: list[int] = []
-    for v in members:
-        for nbr, w in zip(csr.neighbors(v), csr.neighbor_weights(v)):
-            if int(nbr) in member_set and int(nbr) > v:
-                weights.append(int(w))
-    n = len(members)
-    n_edges = len(weights)
-    density = 2.0 * n_edges / (n * (n - 1)) if n > 1 else 0.0
-    return ComponentReport(
-        members=tuple(members),
-        member_names=tuple(ci.author_name(v) for v in members),
-        n_edges=n_edges,
-        weight_min=min(weights) if weights else 0,
-        weight_max=max(weights) if weights else 0,
-        density=density,
-        max_clique_lower_bound=_greedy_clique(csr, members),
-    )
+    # One pass over the edges, labelled by their component's report index
+    # (len(comps): under the size floor, sorted last).  Every report has
+    # an edge, so run i of the sorted labels is report i.
+    report_of = np.full(csr.n_vertices, len(comps), dtype=np.int64)
+    for i, members in enumerate(comps):
+        report_of[members] = i
+    edges = csr.to_edgelist()
+    order = np.argsort(report_of[edges.src], kind="stable")
+    label, weight = report_of[edges.src[order]], edges.weight[order]
+    n_edges = np.bincount(label)
+    starts = np.flatnonzero(np.diff(label, prepend=-1))
+    weight_min = np.minimum.reduceat(weight, starts)
+    weight_max = np.maximum.reduceat(weight, starts)
+    return [
+        ComponentReport(
+            members=tuple(members),
+            member_names=tuple(ci_thr.author_name(v) for v in members),
+            n_edges=int(n_edges[i]),
+            weight_min=int(weight_min[i]),
+            weight_max=int(weight_max[i]),
+            density=2.0 * int(n_edges[i]) / (len(members) * (len(members) - 1)),
+            max_clique_lower_bound=_greedy_clique(csr, members),
+        )
+        for i, members in enumerate(comps)
+    ]
 
 
 def _greedy_clique(csr: CSRGraph, members: list[int]) -> int:

@@ -31,7 +31,7 @@ Layers (each usable on its own):
 - :mod:`repro.serve.shard` — :class:`ShardedDetectionService`, N
   supervised engine shards partitioning the query keyspace by stable
   user hash (:func:`shard_of`), with exact gateway-side merges for
-  top-k (k-way) and components (boundary-edge union-find); ingest is
+  top-k (k-way) and components (fragments labelled as one graph); ingest is
   either replicated or partitioned by page hash (:func:`page_shard_of`);
 - :mod:`repro.serve.exchange` — the page-mode partial-weight exchange:
   ingest shards return pickled ``w'``/``P'``/incidence partials over

@@ -41,6 +41,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
+from repro.graph.components import named_components
 from repro.graph.filters import FilterReport
 from repro.hypergraph.triplets import TripletMetrics
 from repro.kernels import normalized_score_scalar
@@ -423,17 +424,13 @@ class ScoringCore:
         """All candidate networks (components ≥ ``min_component_size``),
         each as a sorted name list, largest first."""
         with self.metrics.time("engine.query"):
-            seen: set[_Key] = set()
-            out: list[list[str]] = []
-            for start in sorted(self._adj):
-                if start in seen:
-                    continue
-                comp = self._reachable(start)
-                seen |= comp
-                if len(comp) >= self.config.min_component_size:
-                    out.append(sorted(map(self._name_of, comp)))
-            out.sort(key=lambda names: (-len(names), names))
-            return out
+            name_of = self._name_of
+            pairs = [(u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v]
+            return named_components(
+                [name_of(u) for u, _ in pairs],
+                [name_of(v) for _, v in pairs],
+                self.config.min_component_size,
+            )
 
     def owned_top_k_triplets(
         self, k: int, shard_id: int, n_shards: int, by: str = "t"
@@ -461,27 +458,24 @@ class ScoringCore:
     ) -> dict[str, list]:
         """This shard's fragment of the thresholded graph, name-keyed.
 
-        ``vertices`` are the owned users present in the thresholded
-        adjacency; ``edges`` every edge incident to an owned vertex as a
-        sorted name pair — *including* boundary edges whose far end
-        another shard owns.  Unioning all shards' fragments (gateway
-        union-find, :func:`repro.serve.shard.merge_components`) rebuilds
-        the full component structure exactly: every vertex appears in
-        one fragment, every edge in at least one.
+        ``edges`` holds every edge incident to an owned user as a sorted
+        name pair — *including* boundary edges whose far end another
+        shard owns.  Labelling all shards' fragments as one graph at the
+        gateway (:func:`repro.serve.shard.merge_components`) rebuilds the
+        full component structure exactly: every vertex of the thresholded
+        adjacency has an edge, and every edge is in at least one fragment.
         """
         with self.metrics.time("engine.query"):
             name_of = self._name_of
-            vertices: list[str] = []
             edges: set[tuple[str, str]] = set()
             for u, nbrs in self._adj.items():
                 un = name_of(u)
                 if shard_of(un, n_shards) != shard_id:
                     continue
-                vertices.append(un)
                 for v in nbrs:
                     vn = name_of(v)
                     edges.add((un, vn) if un <= vn else (vn, un))
-            return {"vertices": sorted(vertices), "edges": sorted(edges)}
+            return {"edges": sorted(edges)}
 
     @property
     def n_triangles(self) -> int:

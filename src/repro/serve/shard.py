@@ -14,11 +14,11 @@ is routing and, where answers live in N processes, exact merges.
   (:func:`repro.serve.ingest.shard_of`): ``user_score`` routes to the
   owner; global top-k is the k-way merge of per-shard *owned* candidate
   lists (a triplet is owned by the shard of its lexicographically-first
-  author, so each appears exactly once); components are rebuilt by a
-  gateway-side union-find over per-shard owned-vertex fragments whose
-  boundary edges stitch the cuts back together.  Maximally available (a
-  dead shard 503s only its keyspace) but every shard pays O(stream)
-  ingest.
+  author, so each appears exactly once); components are rebuilt by
+  labelling per-shard fragments (the edges at owned users) as one graph
+  at the gateway, whose boundary edges stitch the cuts back together.
+  Maximally available (a dead shard 503s only its keyspace) but every
+  shard pays O(stream) ingest.
 - ``"page"`` — each event routes only to the shard its page hashes to
   (:func:`repro.serve.ingest.page_shard_of`), so per-shard ingest cost
   is O(stream/N).  Page locality keeps this exact: a page's co-comment
@@ -79,6 +79,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from repro.graph.components import named_components
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.results import PipelineResult
 from repro.serve.engine import ScoringCore
@@ -146,75 +147,26 @@ def merge_topk(per_shard: Iterable[list[dict]], k: int, by: str) -> list[dict]:
     return list(islice(merged, max(int(k), 0)))
 
 
-class _UnionFind:
-    """Small path-compressing union-find over vertex names."""
-
-    def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
-
-    def add(self, v: str) -> None:
-        self.parent.setdefault(v, v)
-
-    def find(self, v: str) -> str:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        self.add(a)
-        self.add(b)
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def groups(self) -> list[list[str]]:
-        by_root: dict[str, list[str]] = {}
-        for v in self.parent:
-            by_root.setdefault(self.find(v), []).append(v)
-        return [sorted(members) for members in by_root.values()]
-
-
-def _fragments_union(fragments: Iterable[dict]) -> _UnionFind:
-    uf = _UnionFind()
-    for frag in fragments:
-        for v in frag["vertices"]:
-            uf.add(v)
-        for a, b in frag["edges"]:
-            uf.union(a, b)
-    return uf
-
-
 def merge_components(
     fragments: Iterable[dict], min_component_size: int = 1
 ) -> list[list[str]]:
-    """Union per-shard graph fragments into global components.
+    """Label per-shard graph fragments as one graph: global components.
 
-    Boundary edges are reported by both incident shards; the union-find
+    Boundary edges are reported by both incident shards; the labelling
     is idempotent under the duplication.  Output matches
     :meth:`DetectionEngine.components` exactly: sorted name lists,
     floored at *min_component_size*, largest first with lexicographic
     tie-break.
     """
-    groups = [
-        g
-        for g in _fragments_union(fragments).groups()
-        if len(g) >= min_component_size
-    ]
-    groups.sort(key=lambda names: (-len(names), names))
-    return groups
+    edges = [edge for frag in fragments for edge in frag["edges"]]
+    return named_components(
+        [a for a, _ in edges], [b for _, b in edges], min_component_size
+    )
 
 
 def merged_component_of(fragments: Iterable[dict], author: str) -> list[str]:
     """*author*'s component across fragments (empty when absent/isolated)."""
-    uf = _fragments_union(fragments)
-    if author not in uf.parent:
-        return []
-    root = uf.find(author)
-    return sorted(v for v in uf.parent if uf.find(v) == root)
+    return next((c for c in merge_components(fragments) if author in c), [])
 
 
 # ---------------------------------------------------------------------------

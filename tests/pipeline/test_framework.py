@@ -1,11 +1,13 @@
 """Tests for the end-to-end pipeline orchestration."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from repro.graph import AuthorFilter
+from repro.graph import AuthorFilter, EdgeList
 from repro.pipeline import CoordinationPipeline, PipelineConfig
-from repro.projection import TimeWindow, project
+from repro.pipeline.framework import component_reports
+from repro.projection import CommonInteractionGraph, TimeWindow, project
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +154,31 @@ class TestDetection:
         assert reshare_comps
         # The 5-account core reacts to every trigger: a dense clique.
         assert reshare_comps[0].max_clique_lower_bound >= 4
+
+
+class TestComponentReports:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("min_size", [2, 3])
+    def test_fields_match_networkx_induced_subgraph(self, seed, min_size):
+        # Sparse edges over a wide id space: component ids are scattered.
+        rng = np.random.default_rng(seed)
+        n = 300
+        src, dst = rng.integers(0, n, (2, 120))
+        keep = src != dst
+        edges = EdgeList(src[keep], dst[keep], rng.integers(1, 50, int(keep.sum())))
+        edges = edges.accumulate()
+        ci = CommonInteractionGraph(edges, np.ones(n, np.int64), TimeWindow(0, 60))
+        g = nx.Graph()
+        for s, d, w in zip(edges.src.tolist(), edges.dst.tolist(), edges.weight.tolist()):
+            g.add_edge(s, d, weight=w)
+        reports = component_reports(ci, min_size)
+        assert [list(r.members) for r in reports] == ci.components(min_size)
+        assert any(
+            np.diff(r.members).max() > 1 for r in reports
+        ), "no component has non-contiguous ids"
+        for r in reports:
+            sub = g.subgraph(r.members)
+            weights = [w for _, _, w in sub.edges(data="weight")]
+            assert r.n_edges == sub.number_of_edges()
+            assert (r.weight_min, r.weight_max) == (min(weights), max(weights))
+            assert r.density == nx.density(sub)

@@ -101,13 +101,13 @@ class TestMergeComponents:
     def test_boundary_edges_stitch_and_duplicate_safely(self):
         # Both incident shards report the cut edge (a, b); the union
         # must not double-count or split the component.
-        f0 = {"vertices": ["a"], "edges": [("a", "b")]}
-        f1 = {"vertices": ["b", "c"], "edges": [("a", "b"), ("b", "c")]}
+        f0 = {"edges": [("a", "b")]}
+        f1 = {"edges": [("a", "b"), ("b", "c")]}
         assert merge_components([f0, f1]) == [["a", "b", "c"]]
 
     def test_min_size_floor_and_ordering(self):
-        f0 = {"vertices": ["a", "b", "z"], "edges": [("a", "b")]}
-        f1 = {"vertices": ["c", "d", "e"], "edges": [("c", "d"), ("d", "e")]}
+        f0 = {"edges": [("a", "b")]}
+        f1 = {"edges": [("c", "d"), ("d", "e")]}
         comps = merge_components([f0, f1], min_component_size=2)
         assert comps == [["c", "d", "e"], ["a", "b"]]  # largest first
         assert merge_components([f0, f1], min_component_size=3) == [
@@ -115,7 +115,7 @@ class TestMergeComponents:
         ]
 
     def test_component_of_absent_author(self):
-        f0 = {"vertices": ["a", "b"], "edges": [("a", "b")]}
+        f0 = {"edges": [("a", "b")]}
         assert merged_component_of([f0], "nobody") == []
         assert merged_component_of([f0], "a") == ["a", "b"]
 
