@@ -3,16 +3,21 @@
 Engines declare *what* runs — a :class:`~repro.exec.plan.Plan` of kernel
 stages with declared shard keys — and pick *where* it runs by choosing a
 :class:`~repro.exec.executors.SerialExecutor` (in-process), a
-:class:`~repro.exec.parallel.ParallelExecutor` (persistent worker pool
-fed over its own queues), or a
-:class:`~repro.exec.executors.YgmExecutor` (across YGM ranks).  The
+:class:`~repro.exec.executors.YgmExecutor` (across the ranks of a YGM
+world), or a :class:`~repro.exec.executors.ParallelExecutor` (a
+``YgmExecutor`` on a multiprocessing world it owns, one forked worker
+per core, with cost-sized shards).  The
 canonical plans for the paper's three steps live in
 :mod:`repro.exec.plans`; :func:`~repro.exec.shm.leaked_shm_files` is the
 ``/dev/shm`` leak audit run after batch and serving runs.
 """
 
-from repro.exec.executors import SerialExecutor, YgmExecutor, finish_reduce
-from repro.exec.parallel import ParallelExecutor
+from repro.exec.executors import (
+    ParallelExecutor,
+    SerialExecutor,
+    YgmExecutor,
+    finish_reduce,
+)
 from repro.exec.plan import KernelStage, Plan, resolve_kernel
 from repro.exec.plans import (
     PROJECTION_PLAN,

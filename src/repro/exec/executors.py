@@ -19,21 +19,25 @@ fresh world.
 once per rank (not once per shard).  The map function travels as a plain
 module-level callable — pickled by reference and re-imported on the
 worker — so it resolves even on worker processes forked before
-:mod:`repro.exec` was first imported.
+:mod:`repro.exec` was first imported.  :class:`ParallelExecutor` is a
+:class:`YgmExecutor` that owns its world: forked workers of the
+multiprocessing backend, one rank per core, kept warm across plans.
 """
 
 from __future__ import annotations
 
+import os
 import time
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence, cast
 
 from repro.exec.plan import Plan, resolve_kernel
-from repro.ygm.errors import YgmError
+from repro.exec.plans import adaptive_shard_count
+from repro.ygm.backend_mp import MultiprocessingBackend
+from repro.ygm.errors import BarrierTimeoutError, WorkerDiedError, YgmError
+from repro.ygm.faults import FaultPlan
+from repro.ygm.world import YgmWorld
 
-if TYPE_CHECKING:
-    from repro.ygm.world import YgmWorld
-
-__all__ = ["SerialExecutor", "YgmExecutor", "finish_reduce"]
+__all__ = ["SerialExecutor", "YgmExecutor", "ParallelExecutor", "finish_reduce"]
 
 #: Shards per YGM rank: >1 so uneven pages, skewed wedges and ragged
 #: triplet ranges still balance; fixed (not cost-adaptive) so the message
@@ -95,10 +99,13 @@ class YgmExecutor:
         execute many plans — a pipeline run sends all three through it.
         A typed failure propagates; :meth:`close` leaves it alone.
     world_factory:
-        ``factory(attempt) -> YgmWorld``, called with ``0`` for the
-        initial world and ``k`` for the *k*-th retry of a run; the
-        executor owns these worlds and :meth:`close` shuts the current
-        one down.  With ``max_retries > 0``, a run failing with a typed
+        ``factory(attempt) -> YgmWorld``, called with ``0`` for a run's
+        first world and ``k`` for the *k*-th retry of a run; the
+        executor owns these worlds.  The first is built by the first
+        run, and one that is shut down or has lost a worker is rebuilt
+        before the next; a worker death or barrier timeout tears it down
+        before the error propagates, and :meth:`close` shuts it down.
+        With ``max_retries > 0``, a run failing with a typed
         :class:`~repro.ygm.errors.YgmError` (worker death, barrier
         timeout, handler error) tears the failed world down, sleeps
         ``retry_backoff * 2**k`` seconds and re-attempts the *same*
@@ -114,9 +121,7 @@ class YgmExecutor:
         max_retries: int = 0,
         retry_backoff: float = 0.1,
     ) -> None:
-        if world is None and world_factory is not None:
-            world = world_factory(0)
-        elif world is None or world_factory is not None:
+        if (world is None) == (world_factory is None):
             raise ValueError("pass exactly one of `world` or `world_factory`")
         self._factory = world_factory
         self.world = world
@@ -126,7 +131,7 @@ class YgmExecutor:
 
     def shard_count(self, n_items: int, items_per_second: float) -> int:
         """A fixed number of shards per rank, whatever the input size."""
-        return int(self.world.n_ranks) * _SHARDS_PER_RANK
+        return int(self._live_world().n_ranks) * _SHARDS_PER_RANK
 
     def run(self, plan: Plan, shards: Sequence[Any], context: Any = None) -> Any:
         """Scatter shards over ranks, map remotely, reduce driver-side."""
@@ -139,24 +144,42 @@ class YgmExecutor:
                 # The failed world may hold dead workers or undrained
                 # queues: tear it down (best effort, bounded) and back
                 # off before the fresh attempt.
-                _safe_shutdown(self.world)
+                self.close()
                 self.retries += 1
                 time.sleep(self.retry_backoff * (2**k))
                 self.world = self._factory(k + 1)
         return self._run_once(plan, shards, context)
 
+    def _live_world(self) -> YgmWorld:
+        """The world to run on; an owned one is (re)built when missing,
+        shut down, or short of a worker."""
+        factory, world = self._factory, self.world
+        if factory is not None and (world is None or not world.backend.alive):
+            self.close()
+            world = self.world = factory(0)
+        assert world is not None  # a borrowed world is never dropped
+        return world
+
     def _run_once(self, plan: Plan, shards: Sequence[Any], context: Any) -> Any:
         from repro.ygm.containers.bag import DistBag
 
-        bag = DistBag(self.world)
+        world = self._live_world()
+        bag = DistBag(world)
         try:
             # One message per shard (not one batch per rank): keeps the
             # per-rank delivery stream fine-grained, so fault plans keyed
             # on message counts retain a realistic injection surface.
             for item in enumerate(shards):
                 bag.async_insert(item)
-            self.world.barrier()
+            world.barrier()
             gathered = bag.map_gather(_map_item, plan.map_stage.kernel, context)
+        except (WorkerDiedError, BarrierTimeoutError):
+            if self._factory is not None:
+                # An owned world that lost a worker or hung goes down
+                # now; releasing the bag first would only wait on it a
+                # second time.
+                world.backend.shutdown()
+            raise
         finally:
             bag.release()
         gathered.sort(key=lambda pair: pair[0])
@@ -165,13 +188,85 @@ class YgmExecutor:
 
     def close(self) -> None:
         """Shut down the current world if this executor built it."""
-        if self._factory is not None:
-            _safe_shutdown(self.world)
+        if self._factory is not None and self.world is not None:
+            world, self.world = self.world, None
+            try:
+                world.shutdown()
+            except Exception:  # pragma: no cover - shutdown is best-effort
+                pass
 
 
-def _safe_shutdown(world: YgmWorld) -> None:
-    """Shut a (possibly already failed) world down without raising."""
-    try:
-        world.shutdown()
-    except Exception:  # pragma: no cover - shutdown is already best-effort
-        pass
+class ParallelExecutor(YgmExecutor):
+    """Run plans on forked worker processes kept warm across plans.
+
+    A :class:`YgmExecutor` owning its world: ``n_workers`` ranks of the
+    :class:`~repro.ygm.backend_mp.MultiprocessingBackend`, started by
+    ``__enter__``, the first :meth:`run` or :meth:`worker_pids`, and
+    reused by every plan until :meth:`shutdown`.  Shards are sized by
+    cost (:func:`~repro.exec.plans.adaptive_shard_count`), not by the
+    fixed count per rank that seeded fault plans need.  A raising kernel
+    surfaces as :class:`~repro.ygm.errors.HandlerError` and leaves the
+    workers up.
+
+    Parameters
+    ----------
+    n_workers:
+        Worker count; ``None`` uses ``os.cpu_count()``.
+    fault_plan:
+        Optional :class:`~repro.ygm.faults.FaultPlan`; each worker's
+        message clock ticks once per shard it receives.
+    deadline:
+        Seconds any one barrier or result wait may block before raising
+        :class:`~repro.ygm.errors.BarrierTimeoutError`.  ``None`` waits
+        forever — dead workers are still detected by liveness polling;
+        the deadline exists to catch hangs.
+    join_deadline:
+        Seconds the workers get, together, to exit on shutdown before
+        they are terminated, then killed.
+    """
+
+    def __init__(
+        self,
+        n_workers: int | None = None,
+        *,
+        fault_plan: FaultPlan | None = None,
+        deadline: float | None = None,
+        join_deadline: float = 5.0,
+    ) -> None:
+        n = self.n_workers = max(1, int(n_workers or os.cpu_count() or 1))
+
+        def spawn(attempt: int) -> YgmWorld:
+            return YgmWorld(
+                backend=MultiprocessingBackend(
+                    n,
+                    barrier_deadline=deadline,
+                    exec_deadline=deadline,
+                    join_deadline=join_deadline,
+                    fault_plan=fault_plan,
+                )
+            )
+
+        super().__init__(world_factory=spawn)
+
+    def shard_count(self, n_items: int, items_per_second: float) -> int:
+        """Cost-adaptive: ~100 ms of work per shard, ≥ 1 per worker."""
+        return adaptive_shard_count(n_items, self.n_workers, items_per_second)
+
+    @property
+    def alive(self) -> bool:
+        """Whether the workers are running, every one of them."""
+        return self.world is not None and self.world.backend.alive
+
+    def worker_pids(self) -> tuple[int, ...]:
+        """PIDs of the live workers (starting them if needed)."""
+        backend = cast(MultiprocessingBackend, self._live_world().backend)
+        return backend.worker_pids()
+
+    shutdown = YgmExecutor.close
+
+    def __enter__(self) -> "ParallelExecutor":
+        self._live_world()
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()

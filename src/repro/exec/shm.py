@@ -1,7 +1,8 @@
 """Cross-process ``/dev/shm`` leak audit.
 
-No executor publishes shared-memory segments: the parallel pool moves
-shards, context and results over its own queues.  What stays is the
+No executor publishes shared-memory segments: the multiprocessing YGM
+world the parallel executor runs on moves shards, context and results
+over its queues.  What stays is the
 audit the benchmark harness, CI and tests run after a batch or serving
 run: :func:`leaked_shm_files` lists segment files any process (dead
 workers included) left behind, and must be empty.

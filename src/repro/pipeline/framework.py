@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exec.executors import SerialExecutor
-from repro.exec.parallel import ParallelExecutor
+from repro.exec.executors import ParallelExecutor, SerialExecutor
 from repro.graph.bipartite import BipartiteTemporalMultigraph
 from repro.graph.csr import CSRGraph
 from repro.hypergraph.incidence import UserPageIncidence

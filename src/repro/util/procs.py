@@ -1,8 +1,9 @@
 """Process lifecycle shared by every forked worker family.
 
-The YGM multiprocessing backend, the parallel executor's pool and the
-serving supervisor's child all fork workers; they share one fault hook,
-one orphan guard and one teardown ladder from here:
+The YGM multiprocessing backend (whose worlds the parallel executor also
+runs on) and the serving supervisor's child both fork workers; they
+share one fault hook, one orphan guard and one teardown ladder from
+here:
 
 - :func:`apply_fault` manifests a :class:`~repro.ygm.faults.FaultSpec`
   inside a worker;

@@ -28,8 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.exec.executors import SerialExecutor, YgmExecutor
-from repro.exec.parallel import ParallelExecutor
+from repro.exec.executors import ParallelExecutor, SerialExecutor, YgmExecutor
 from repro.graph.bipartite import BipartiteTemporalMultigraph
 from repro.graph.edgelist import EdgeList
 from repro.hypergraph.incidence import UserPageIncidence
@@ -114,7 +113,7 @@ def _on_every_executor(
     run: Callable, n_ranks: int, parallel_workers: int
 ) -> dict[str, Callable]:
     """*run* ``(executor, *args)`` as one engine per executor kind, each
-    on a fresh executor torn down (pool / world) when the call returns."""
+    on a fresh executor whose world is torn down when the call returns."""
 
     def serial(*args):
         return run(SerialExecutor(), *args)

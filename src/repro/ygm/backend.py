@@ -100,6 +100,15 @@ class Backend:
     def shutdown(self) -> None:
         """Release backend resources (idempotent)."""
 
+    @property
+    def alive(self) -> bool:
+        """Whether every rank can still take messages.
+
+        The in-process backend always can; one with worker processes
+        cannot once it is shut down or has lost a worker.
+        """
+        return True
+
     # -- statistics ---------------------------------------------------------
     @property
     def messages_delivered(self) -> int:

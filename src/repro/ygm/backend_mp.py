@@ -18,14 +18,16 @@ liveness check, so a worker killed mid-message raises a typed
 :class:`~repro.ygm.errors.WorkerDiedError` instead of spinning forever on a
 counter no survivor will ever decrement.  Optional deadlines bound the
 barrier and exec waits (:class:`~repro.ygm.errors.BarrierTimeoutError` /
-:class:`~repro.ygm.errors.ExecTimeoutError`).  The fault hook, the orphan
-guard (a worker exits once its driver is gone, even after a SIGKILL) and
-the :meth:`shutdown` ladder (join → terminate → kill, concurrently across
-ranks) are the ones every forked family shares, from
-:mod:`repro.util.procs`, so even a wedged world is torn down in bounded
-time without leaking children.  A :class:`~repro.ygm.faults.FaultPlan`
-can be injected at construction to rehearse all of the above
-deterministically.
+:class:`~repro.ygm.errors.ExecTimeoutError`).  A function that raises in
+an exec surfaces as :class:`~repro.ygm.errors.HandlerError` naming its
+rank, like a raising message handler, and leaves the world up.  The fault
+hook, the orphan guard (a worker exits once its driver is gone, even
+after a SIGKILL) and the :meth:`shutdown` ladder (join → terminate →
+kill, concurrently across ranks) are the ones every forked family
+shares, from :mod:`repro.util.procs`, so even a wedged world is torn
+down in bounded time without leaking children.  A
+:class:`~repro.ygm.faults.FaultPlan` can be injected at construction to
+rehearse all of the above deterministically.
 
 Constraints inherited from pickling (the same constraints mpi4py imposes on
 object communication): handler references must be registered names or
@@ -49,7 +51,6 @@ from repro.ygm.errors import (
     ExecTimeoutError,
     HandlerError,
     WorkerDiedError,
-    YgmError,
 )
 from repro.ygm.faults import FaultInjector, FaultPlan
 from repro.ygm.handlers import handler_ref as _wire, resolve_handler
@@ -125,12 +126,12 @@ def _worker_main(
                         error_count.value += 1
                     error_queue.put((rank, f"{href!r}: {exc!r}"))
             elif kind == _EXEC:
-                _, fn_ref, payload = item
+                _, seq, fn_ref, payload = item
                 try:
                     result = resolve_handler(fn_ref)(ctx, payload)
-                    result_queue.put((rank, True, result))
+                    result_queue.put((rank, seq, True, result))
                 except Exception as exc:  # surface worker errors to driver
-                    result_queue.put((rank, False, repr(exc)))
+                    result_queue.put((rank, seq, False, repr(exc)))
         finally:
             if kind != _STOP:
                 with outstanding.get_lock():
@@ -143,9 +144,7 @@ class MultiprocessingBackend(Backend):
     Parameters
     ----------
     n_ranks:
-        Worker process count.
-    start_method:
-        ``multiprocessing`` start method (default ``"fork"``).
+        Worker process count (forked).
     barrier_deadline:
         Seconds a single :meth:`run_until_quiescent` may block before
         raising :class:`BarrierTimeoutError`.  ``None`` (default) waits
@@ -171,7 +170,6 @@ class MultiprocessingBackend(Backend):
     def __init__(
         self,
         n_ranks: int,
-        start_method: str = "fork",
         *,
         barrier_deadline: float | None = None,
         exec_deadline: float | None = None,
@@ -184,13 +182,14 @@ class MultiprocessingBackend(Backend):
         self.barrier_deadline = barrier_deadline
         self.exec_deadline = exec_deadline
         self.join_deadline = float(join_deadline)
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context("fork")
         self._queues = [self._ctx.Queue() for _ in range(self.n_ranks)]
         self._outstanding = self._ctx.Value("q", 0)
         self._result_queue = self._ctx.Queue()
         self._error_queue = self._ctx.Queue()
         self._error_count = self._ctx.Value("q", 0)
         self._sent = 0
+        self._exec_seq = 0
         self._alive = True
         self._workers = [
             self._ctx.Process(
@@ -306,10 +305,13 @@ class MultiprocessingBackend(Backend):
 
     def _exec_on(self, ranks: list[int], fn_ref: Any, payload: Any) -> dict[int, Any]:
         self.run_until_quiescent()
+        # Each exec is tagged: one that failed on its first rank leaves the
+        # slower ranks' results behind, and the next exec must drop them.
+        self._exec_seq += 1
         for rank in ranks:
             if not 0 <= rank < self.n_ranks:
                 raise IndexError(f"rank {rank} out of range (size {self.n_ranks})")
-            self._enqueue(rank, (_EXEC, _wire(fn_ref), payload))
+            self._enqueue(rank, (_EXEC, self._exec_seq, _wire(fn_ref), payload))
         deadline = (
             time.monotonic() + self.exec_deadline
             if self.exec_deadline is not None
@@ -323,19 +325,30 @@ class MultiprocessingBackend(Backend):
                     self.exec_deadline, len(ranks) - len(results)
                 )
             try:
-                rank, ok, value = self._result_queue.get(
+                rank, seq, ok, value = self._result_queue.get(
                     timeout=self._QUEUE_POLL
                 )
             except queue_mod.Empty:
                 continue
+            if seq != self._exec_seq:
+                continue
             if not ok:
-                raise YgmError(f"exec failed on rank {rank}: {value}")
+                raise HandlerError(rank, f"exec failed: {value}")
             results[rank] = value
         return results
 
     @property
     def messages_delivered(self) -> int:
         return self._sent
+
+    @property
+    def alive(self) -> bool:
+        """Whether the world is up with every worker still running."""
+        return self._alive and all(w.is_alive() for w in self._workers)
+
+    def worker_pids(self) -> tuple[int, ...]:
+        """PIDs of the worker processes, in rank order."""
+        return tuple(w.pid for w in self._workers)
 
     def shutdown(self) -> None:
         """Tear the world down in bounded time, never raising, never leaking.

@@ -5,10 +5,23 @@ semantic coverage lives in the serial-backend tests and the cross-backend
 equivalence checks here and in the integration suite.
 """
 
+import time
+
 import pytest
 
 from repro.ygm import DistCounter, DistMap, YgmWorld
 from repro.ygm.backend_mp import MultiprocessingBackend
+from repro.ygm.errors import HandlerError
+
+
+def _answer(ctx, payload):
+    """Exec fn: rank 0 answers (or fails) at once, other ranks 0.1 s late."""
+    tag, fail = payload
+    if ctx.rank == 0 and fail:
+        raise ValueError("rank 0 gives up")
+    if ctx.rank != 0:
+        time.sleep(0.1)
+    return tag, ctx.rank
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +77,17 @@ class TestMultiprocessingBackend:
     def test_exec_error_propagates(self, mp_world):
         with pytest.raises(RuntimeError, match="exec failed"):
             mp_world.run_on_rank(0, "ygm.container.local_size", "no-such-cid")
+
+    def test_failed_exec_leaves_no_result_for_the_next(self, mp_world):
+        # Rank 0's failure is reported while rank 1 still computes; rank
+        # 1's late answer belongs to the failed exec, not the next one.
+        with pytest.raises(RuntimeError, match="exec failed"):
+            mp_world.run_on_all(_answer, ("old", True))
+        got = mp_world.run_on_all(_answer, ("new", False))
+        assert got == [("new", 0), ("new", 1)]
+
+    def test_exec_error_is_a_handler_error_naming_its_rank(self, mp_world):
+        with pytest.raises(HandlerError, match="exec failed") as exc_info:
+            mp_world.run_on_all(_answer, ("old", True))
+        assert exc_info.value.rank == 0
+        assert "rank 0 gives up" in exc_info.value.detail
