@@ -62,7 +62,7 @@ from repro.analysis.export import result_to_dot
 from repro.util.io import atomic_write_text
 from repro.datagen import GroundTruth, RedditDatasetBuilder, score_detection
 from repro.graph import AuthorFilter
-from repro.graph.io import btm_from_ndjson, write_comments_ndjson
+from repro.graph.io import IngestStats, btm_from_ndjson, write_comments_ndjson
 from repro.pipeline import CoordinationPipeline, PipelineConfig
 from repro.projection import TimeWindow
 
@@ -390,32 +390,33 @@ def _load_truth(path: str) -> GroundTruth:
     return truth
 
 
-def _load_btm(args: argparse.Namespace, out):
-    """Load the input corpus, honoring the lenient-ingestion flags."""
-    from repro.graph.io import IngestStats
-
-    if not getattr(args, "skip_malformed", False):
-        return btm_from_ndjson(args.input)
-    stats = IngestStats()
-    btm = btm_from_ndjson(
-        args.input, errors="skip", quarantine=args.quarantine, stats=stats
-    )
-    if stats.malformed:
-        where = (
-            f" (quarantined to {stats.quarantined_to})"
-            if stats.quarantined_to
-            else ""
-        )
-        print(
-            f"skipped {stats.malformed:,} malformed record(s) of "
-            f"{stats.total_lines:,}{where}",
-            file=out,
-        )
-    return btm
-
-
 class _UsageError(Exception):
     """A bad flag combination or value: ``main`` prints it and exits 2."""
+
+
+def _ingest_mode(args: argparse.Namespace) -> dict:
+    """``errors=`` / ``quarantine=`` for the loaders, from the ingest flags."""
+    if args.quarantine and not args.skip_malformed:
+        raise _UsageError("--quarantine requires --skip-malformed")
+    return {"errors": "skip" if args.skip_malformed else "raise", "quarantine": args.quarantine}
+
+
+def _print_skips(out, stats: IngestStats) -> None:
+    """The one lenient-ingestion report line (silent on a clean read)."""
+    if stats.malformed:
+        where = f" (quarantined to {stats.quarantined_to})" if stats.quarantined_to else ""
+        print(
+            f"skipped {stats.malformed:,} malformed record(s) of {stats.total_lines:,}{where}",
+            file=out,
+        )
+
+
+def _load_btm(args: argparse.Namespace, out):
+    """Load the input corpus, honoring the lenient-ingestion flags."""
+    stats = IngestStats()
+    btm = btm_from_ndjson(args.input, stats=stats, **_ingest_mode(args))
+    _print_skips(out, stats)
+    return btm
 
 
 def _parse_layer_weights(
@@ -481,17 +482,8 @@ def _cmd_detect_layers(args: argparse.Namespace, config, out) -> int:
         else [n.strip() for n in spec.split(",") if n.strip()]
     )
     pipeline = MultiLayerPipeline(config, layers=names)
-    result = pipeline.run_ndjson(
-        args.input,
-        errors="skip" if args.skip_malformed else "raise",
-        quarantine=args.quarantine if args.skip_malformed else None,
-    )
-    if result.ingest is not None and result.ingest.malformed:
-        print(
-            f"skipped {result.ingest.malformed:,} malformed record(s) of "
-            f"{result.ingest.total_lines:,}",
-            file=out,
-        )
+    result = pipeline.run_ndjson(args.input, **_ingest_mode(args))
+    _print_skips(out, result.ingest)
     print(result.summary(), file=out)
 
     print("", file=out)
@@ -868,7 +860,6 @@ class _StatusSink:
 
 def _serve_supervised(args: argparse.Namespace, config, out) -> int:
     """``serve --durable DIR --supervise``: watchdog parent + durable child."""
-    from repro.graph.io import IngestStats
     from repro.serve import ServeSupervisor
     from repro.serve.ingest import iter_ndjson_events
 
@@ -889,10 +880,9 @@ def _serve_supervised(args: argparse.Namespace, config, out) -> int:
     print(f"supervised child pid {supervisor.child_pid}", file=out)
     print(supervisor.last_recovery, file=out)
     try:
-        stats = IngestStats()
         with _input_lines(args) as lines:
             consumed = supervisor.run_events(
-                iter_ndjson_events(lines, stats), max_events=args.max_events
+                iter_ndjson_events(lines), max_events=args.max_events
             )
         status = supervisor.status()
         sink.bind(status)
@@ -928,7 +918,6 @@ def _serve_sharded(args: argparse.Namespace, config, out) -> int:
     import signal
     import time
 
-    from repro.graph.io import IngestStats
     from repro.serve import HttpGateway, ShardedDetectionService
     from repro.serve.ingest import iter_ndjson_events
     from repro.serve.shard import ShardUnavailableError
@@ -985,10 +974,9 @@ def _serve_sharded(args: argparse.Namespace, config, out) -> int:
             }
             sink.checkpoint()
             print(f"http gateway listening on {gateway.url}", file=out)
-        stats = IngestStats()
         with _input_lines(args) as lines:
             consumed = service.run_events(
-                iter_ndjson_events(lines, stats), max_events=args.max_events
+                iter_ndjson_events(lines), max_events=args.max_events
             )
         interrupted = service.metrics.counter("service.interrupted").value
         if args.linger and gateway is not None and not interrupted:

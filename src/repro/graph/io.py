@@ -13,9 +13,11 @@ Two formats:
 from __future__ import annotations
 
 import json
+import os
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,28 +45,28 @@ __all__ = [
 class IngestStats:
     """Accounting for one lenient ndjson read (``errors="skip"``).
 
-    Pass an instance to :func:`read_comments_ndjson` /
-    :func:`btm_from_ndjson`; it is filled in as the file streams.
+    Every loader here and :func:`repro.serve.ingest.iter_ndjson_events`
+    fill one in as the input streams.
 
     Attributes
     ----------
     total_lines:
         Non-blank lines seen.
     malformed:
-        Lines dropped: unparseable JSON, or (via :func:`btm_from_ndjson`)
-        records missing a required field / carrying a non-integer
-        timestamp.
+        Lines dropped: unparseable JSON and, except in
+        :func:`read_comments_ndjson`, records whose ``author`` is missing,
+        null or empty or whose ``created_utc`` is not an integer.  The
+        single-layer page loads (:func:`btm_from_ndjson` without
+        ``action_key=``, the serve stream) also drop records with no
+        ``link_id`` value; the layer-aware loads count a skip instead.
     quarantined_to:
-        Path the dropped lines were copied to, when quarantining was
-        requested.
+        Path the dropped lines were copied to, if one was requested.
     layer_skips:
-        Per-layer skip counters, filled by the layer-aware loaders
-        (:func:`btm_from_ndjson` with ``action_key=`` and
-        :func:`btms_from_ndjson`): how many *well-formed* records
-        performed no action on each requested layer — an ordinary
-        comment with no URL is no error, it just does not co-link.
-        Skipped-everywhere records go to the quarantine sidecar; records
-        active on at least one layer do not.
+        Per-layer counts of *well-formed* records that performed no action
+        on the layer (an ordinary comment with no URL does not co-link),
+        filled by the layer-aware loads (:func:`btms_from_ndjson`,
+        :func:`btm_from_ndjson` with ``action_key=``).  Records skipped on
+        every layer also go to the quarantine sidecar.
     """
 
     total_lines: int = 0
@@ -95,68 +97,132 @@ def write_comments_ndjson(
     return count
 
 
+def _scan(
+    source: Any,
+    layers: "Sequence[tuple[ActionKey, list]] | None",
+    errors: str = "raise",
+    quarantine: str | Path | None = None,
+    stats: IngestStats | None = None,
+    *,
+    strict: bool = False,
+    decoded: bool = False,
+) -> Iterator[Any]:
+    """The one comment loop: decode, check, quarantine and fan out.
+
+    *source* is an ndjson path or lines, or record dicts when *decoded*.
+    With ``layers=None`` each record is yielded unchecked.  Otherwise a
+    record needs an ``author`` that is not null or empty and an integer
+    ``created_utc``; each ``(key, sink)`` in *layers* then gets the
+    record's ``(author, value, created_utc)`` triples before it is
+    yielded.  A record with no action on any layer is malformed when
+    *strict* (single-layer loads) and is otherwise a layer skip, copied
+    to the sidecar.  The sidecar gets every reject as its raw line.
+    """
+    if errors not in ("raise", "skip"):
+        raise ValueError(f"errors must be 'raise' or 'skip', got {errors!r}")
+    stats = stats if stats is not None else IngestStats()
+    skips = stats.layer_skips
+    fan_out = [(key.extract, sink.append, key.name) for key, sink in layers or ()]
+    if not strict:
+        for _, _, name in fan_out:
+            skips.setdefault(name, 0)
+    with ExitStack() as stack:
+        if isinstance(source, (str, os.PathLike)):
+            source = stack.enter_context(open(source, "r", encoding="utf-8"))
+        where = getattr(source, "name", "<input>")
+        sidecar = None
+
+        def reject(line: Any, line_no: int, problem: str, malformed: bool = True) -> None:
+            nonlocal sidecar
+            if malformed:
+                if errors == "raise":
+                    raise ValueError(f"{where}:{line_no}: {problem}")
+                stats.malformed += 1
+            if quarantine is not None:
+                if sidecar is None:
+                    sidecar = stack.enter_context(open(quarantine, "w", encoding="utf-8"))
+                    stats.quarantined_to = str(quarantine)
+                # Flushed per record: the sidecar is forensic evidence, and
+                # a crash mid-stream must not cost the rejects before it.
+                sidecar.write(line + "\n")
+                sidecar.flush()
+
+        for line_no, line in enumerate(source, 1):
+            if not decoded:
+                line = line.strip()
+                if not line:
+                    continue
+            stats.total_lines += 1
+            try:
+                rec = line if decoded else json.loads(line)
+            except json.JSONDecodeError:
+                reject(line, line_no, "malformed JSON record")
+                continue
+            if layers is None:
+                yield rec
+                continue
+            try:
+                author = rec["author"]
+                created = int(rec["created_utc"])
+                if author is None or author == "":
+                    raise ValueError("null or empty 'author'")
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                reject(line, line_no, f"record missing/invalid field: {exc!r}")
+                continue
+            acted = False
+            for extract, append, name in fan_out:
+                values = extract(rec)
+                if values:
+                    acted = True
+                    for value in values:
+                        append((author, value, created))
+                elif not strict:
+                    skips[name] += 1
+            if not acted:
+                fields = [f for key, _ in layers for f in key.fields]
+                reject(line, line_no, f"record missing/invalid field: no value in {fields}", strict)
+                continue
+            yield rec
+
+
+def _page_triples(source: Any, **scan: Any) -> Iterator[tuple[str, str, int]]:
+    """Stream ``(author, page, created_utc)``: the single-layer page :func:`_scan`."""
+    from repro.actions.base import get_action_key
+
+    sink: list[tuple[str, str, int]] = []
+    for _ in _scan(source, [(get_action_key("page"), sink)], strict=True, **scan):
+        yield from sink
+        sink.clear()
+
+
+def _layer_btms(
+    source: Any, keys: "Sequence[ActionKey]", **scan: Any
+) -> dict[str, BipartiteTemporalMultigraph]:
+    """One BTM per key from one :func:`_scan` pass (keyword arguments go to it)."""
+    layers: list[tuple[ActionKey, list]] = [(key, []) for key in keys]
+    for _ in _scan(source, layers, **scan):
+        pass
+    return {key.name: BipartiteTemporalMultigraph.from_comments(rows) for key, rows in layers}
+
+
 def read_comments_ndjson(
-    path: str | Path,
+    path: "str | Path | Iterable[str]",
     errors: str = "raise",
     *,
     quarantine: str | Path | None = None,
     stats: IngestStats | None = None,
 ) -> Iterator[dict]:
-    """Stream comment dicts from an ndjson file (blank lines skipped).
+    """Stream decoded records from an ndjson path or lines (blank lines skipped).
 
-    Parameters
-    ----------
-    errors:
-        ``"raise"`` (default) aborts on the first unparseable line with a
-        :class:`ValueError` naming it.  ``"skip"`` drops the line, counts
-        it in *stats*, and keeps streaming — one corrupt record in a
-        multi-GB Pushshift dump should cost one record, not the run.
-    quarantine:
-        With ``errors="skip"``, also copy every dropped raw line to this
-        sidecar file (created lazily, truncated per read) so the damage
-        can be inspected or repaired offline.  An already-open writable
-        file object is also accepted (written to, not closed) so callers
-        layering their own rejects can share one sidecar.
-    stats:
-        Optional :class:`IngestStats` filled in while streaming.
+    ``errors="raise"`` (default) aborts on the first unparseable line with
+    a :class:`ValueError` naming it; ``"skip"`` drops it, counts it in
+    *stats* and streams on — one corrupt record in a multi-GB Pushshift
+    dump should cost one record, not the run.  *quarantine* (with
+    ``"skip"``) is a sidecar file, created on the first reject and
+    truncated per read, that gets every dropped raw line for offline
+    inspection or repair.
     """
-    if errors not in ("raise", "skip"):
-        raise ValueError(f"errors must be 'raise' or 'skip', got {errors!r}")
-    stats = stats if stats is not None else IngestStats()
-    qfh = quarantine if hasattr(quarantine, "write") else None
-    owns_qfh = False
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                stats.total_lines += 1
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError as exc:
-                    if errors == "raise":
-                        raise ValueError(
-                            f"{path}:{line_no}: malformed JSON record"
-                        ) from exc
-                    stats.malformed += 1
-                    if quarantine is not None:
-                        if qfh is None:
-                            qfh = open(quarantine, "w", encoding="utf-8")
-                            owns_qfh = True
-                        stats.quarantined_to = getattr(
-                            qfh, "name", stats.quarantined_to
-                        )
-                        qfh.write(line)
-                        qfh.write("\n")
-                        # Flush per record: the sidecar is forensic
-                        # evidence, and a crash mid-stream must not cost
-                        # the rejects buffered before it.
-                        if hasattr(qfh, "flush"):
-                            qfh.flush()
-    finally:
-        if qfh is not None and owns_qfh:
-            qfh.close()
+    return _scan(path, None, errors, quarantine, stats)
 
 
 def btm_from_ndjson(
@@ -171,69 +237,22 @@ def btm_from_ndjson(
 
     Each record needs ``author``, ``link_id`` (the page at the root of the
     comment tree — paper §2.1.1 treats every comment as an interaction with
-    that root page), and ``created_utc``.  With ``errors="skip"``, records
-    that fail to parse *or* lack a required field / carry a non-integer
-    timestamp are dropped and counted (and optionally quarantined) instead
-    of aborting the load — see :func:`read_comments_ndjson`.
-
-    With ``action_key=`` (a layer name or :class:`~repro.actions.base.ActionKey`)
-    the co-action axis is the key's extracted values instead of the page
-    column, with lenient per-layer skip semantics — the single-layer form
-    of :func:`btms_from_ndjson`.  ``action_key=None`` is the exact legacy
-    page path, bit-for-bit.
+    that root page), and ``created_utc``; a null or empty value counts as
+    missing.  Other records are malformed: with ``errors="skip"`` they are
+    dropped, counted and optionally quarantined instead of aborting the
+    load (see :func:`read_comments_ndjson`).  The BTM equals
+    ``btms_from_ndjson(path, ["page"])["page"]``, which counts a record
+    without a page as a layer skip instead.  With ``action_key=`` (a layer
+    name or :class:`~repro.actions.base.ActionKey`) this is
+    ``btms_from_ndjson(path, [action_key])[name]``, skips and all.
     """
-    if action_key is not None:
-        from repro.actions.base import get_action_key
+    from repro.actions.base import get_action_key
 
-        key = get_action_key(action_key)
-        return btms_from_ndjson(
-            path, [key], errors, quarantine=quarantine, stats=stats
-        )[key.name]
-    # One shared sidecar for both reject kinds (parse-level and
-    # field-level), opened lazily on the first reject of either kind.
-    qfh = None
-
-    def sidecar():
-        nonlocal qfh
-        if qfh is None and quarantine is not None:
-            qfh = open(quarantine, "w", encoding="utf-8")
-            if stats is not None:
-                stats.quarantined_to = str(quarantine)
-        return qfh
-
-    class _LazySidecar:
-        def write(self, text: str) -> None:
-            sidecar().write(text)
-
-        def flush(self) -> None:
-            if qfh is not None:
-                qfh.flush()
-
-    def triples() -> Iterator[tuple]:
-        reader_quarantine = _LazySidecar() if quarantine is not None else None
-        for rec in read_comments_ndjson(
-            path, errors, quarantine=reader_quarantine, stats=stats
-        ):
-            try:
-                yield (rec["author"], rec["link_id"], int(rec["created_utc"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                if errors == "raise":
-                    raise ValueError(
-                        f"{path}: record missing/invalid field: {exc!r}"
-                    ) from exc
-                if stats is not None:
-                    stats.malformed += 1
-                fh = sidecar()
-                if fh is not None:
-                    fh.write(json.dumps(rec, separators=(",", ":")))
-                    fh.write("\n")
-                    fh.flush()
-
-    try:
-        return BipartiteTemporalMultigraph.from_comments(triples())
-    finally:
-        if qfh is not None:
-            qfh.close()
+    key = get_action_key("page" if action_key is None else action_key)
+    return _layer_btms(
+        path, [key], errors=errors, quarantine=quarantine, stats=stats,
+        strict=action_key is None,
+    )[key.name]
 
 
 def btms_from_ndjson(
@@ -246,96 +265,25 @@ def btms_from_ndjson(
 ) -> dict[str, BipartiteTemporalMultigraph]:
     """Load one BTM per action layer from a single pass over *path*.
 
-    The multi-layer companion of :func:`btm_from_ndjson`: every record is
-    read once and offered to every requested layer's extractor, producing
-    ``{layer name: BTM}`` (keys sorted by layer name).  Each layer's BTM
-    interns its own author/action id spaces, so downstream projection and
-    triangle machinery runs per layer unchanged.
+    Every record is read once and offered to every requested layer's
+    extractor, producing ``{layer name: BTM}`` (keys sorted by layer
+    name).  Each layer's BTM interns its own author/action id spaces, so
+    projection and triangle machinery run per layer unchanged.
 
-    **Skip semantics** (satisfying lenient ingestion): a well-formed
-    record that performs no action on a layer — no URL for ``link``, no
-    hashtags for ``hashtag``, … — is *skipped on that layer* and counted
-    in ``stats.layer_skips[layer]``; it still feeds every layer it is
-    active on.  A record skipped on **all** requested layers contributed
-    nothing to the load and is written to the quarantine sidecar (when
-    one was requested) for offline inspection.  Malformed records
-    (unparseable JSON, missing ``author``/``created_utc``) follow the
+    **Skip semantics**: a well-formed record with no action on a layer —
+    no URL for ``link``, no ``link_id`` for ``page`` … — is *skipped on
+    that layer* and counted in ``stats.layer_skips[layer]``; it still
+    feeds every layer it is active on.  A record skipped on **all**
+    layers contributed nothing and goes to the quarantine sidecar, if
+    one was requested.  Malformed records (unparseable JSON, missing,
+    null or empty ``author``, non-integer ``created_utc``) follow the
     usual ``errors=``/quarantine rules and never reach the extractors.
     """
     from repro.actions.base import resolve_layers
 
-    keys = resolve_layers(list(layers))
-    if errors not in ("raise", "skip"):
-        raise ValueError(f"errors must be 'raise' or 'skip', got {errors!r}")
-    stats = stats if stats is not None else IngestStats()
-    for key in keys:
-        stats.layer_skips.setdefault(key.name, 0)
-
-    qfh = None
-
-    def sidecar():
-        nonlocal qfh
-        if qfh is None and quarantine is not None:
-            qfh = open(quarantine, "w", encoding="utf-8")
-            stats.quarantined_to = str(quarantine)
-        return qfh
-
-    class _LazySidecar:
-        def write(self, text: str) -> None:
-            sidecar().write(text)
-
-        def flush(self) -> None:
-            if qfh is not None:
-                qfh.flush()
-
-    def write_reject(rec: dict) -> None:
-        fh = sidecar()
-        if fh is not None:
-            fh.write(json.dumps(rec, separators=(",", ":")))
-            fh.write("\n")
-            fh.flush()
-
-    per_layer: dict[str, list[tuple[str, str, int]]] = {
-        key.name: [] for key in keys
-    }
-    reader_quarantine = _LazySidecar() if quarantine is not None else None
-    try:
-        for rec in read_comments_ndjson(
-            path, errors, quarantine=reader_quarantine, stats=stats
-        ):
-            try:
-                author = rec["author"]
-                created = int(rec["created_utc"])
-            except (KeyError, TypeError, ValueError) as exc:
-                if errors == "raise":
-                    raise ValueError(
-                        f"{path}: record missing/invalid field: {exc!r}"
-                    ) from exc
-                stats.malformed += 1
-                write_reject(rec)
-                continue
-            acted = False
-            for key in keys:
-                values = key.extract(rec)
-                if not values:
-                    stats.layer_skips[key.name] += 1
-                    continue
-                acted = True
-                per_layer[key.name].extend(
-                    (author, value, created) for value in values
-                )
-            if not acted:
-                write_reject(rec)
-    finally:
-        if qfh is not None:
-            qfh.close()
-
-    return {
-        key.name: BipartiteTemporalMultigraph.from_comments(
-            per_layer[key.name]
-        )
-        for key in keys
-    }
+    return _layer_btms(
+        path, resolve_layers(list(layers)), errors=errors, quarantine=quarantine, stats=stats
+    )
 
 
 def save_btm_npz(path: str | Path, btm: BipartiteTemporalMultigraph) -> None:

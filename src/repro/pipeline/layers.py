@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.actions.base import ActionKey, resolve_layers
 from repro.actions.fuse import FusedGraph, fuse_layers
 from repro.graph.bipartite import BipartiteTemporalMultigraph
-from repro.graph.io import IngestStats, btms_from_ndjson
+from repro.graph.io import IngestStats, _layer_btms, btms_from_ndjson
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.framework import CoordinationPipeline
 from repro.pipeline.results import PipelineResult
@@ -36,30 +36,16 @@ def btms_from_records(
 ) -> dict[str, BipartiteTemporalMultigraph]:
     """One BTM per layer from in-memory records (dicts or CommentRecords).
 
-    The in-memory twin of :func:`repro.graph.io.btms_from_ndjson` (no
-    skip accounting — use the ndjson loader when you need
-    :class:`~repro.graph.io.IngestStats`).
+    The in-memory twin of :func:`repro.graph.io.btms_from_ndjson`: the
+    same loop and checks, except that a malformed record raises.
     """
-    keys = resolve_layers(list(layers))
-    per_layer: dict[str, list[tuple[str, str, int]]] = {
-        key.name: [] for key in keys
-    }
-    for record in records:
-        rec = (
-            record.to_pushshift_dict()
-            if hasattr(record, "to_pushshift_dict")
-            else record
-        )
-        author = rec["author"]
-        created = int(rec["created_utc"])
-        for key in keys:
-            per_layer[key.name].extend(
-                (author, value, created) for value in key.extract(rec)
-            )
-    return {
-        name: BipartiteTemporalMultigraph.from_comments(triples)
-        for name, triples in per_layer.items()
-    }
+    rows = (
+        record.to_pushshift_dict()
+        if hasattr(record, "to_pushshift_dict")
+        else record
+        for record in records
+    )
+    return _layer_btms(rows, resolve_layers(list(layers)), decoded=True)
 
 
 @dataclass

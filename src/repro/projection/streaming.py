@@ -33,6 +33,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.graph.io import _page_triples
 from repro.projection.incremental import IncrementalProjector
 from repro.projection.project import ProjectionResult
 from repro.projection.window import TimeWindow
@@ -162,8 +163,5 @@ def project_streaming(
 
 
 def iter_ndjson_comments(path: str | Path) -> Iterator[tuple[str, str, int]]:
-    """Stream ``(author, link_id, created_utc)`` triples from ndjson."""
-    from repro.graph.io import read_comments_ndjson
-
-    for rec in read_comments_ndjson(path):
-        yield rec["author"], rec["link_id"], int(rec["created_utc"])
+    """``(author, link_id, created_utc)`` per ndjson record, checked as in ``btm_from_ndjson``."""
+    return _page_triples(path)

@@ -21,19 +21,18 @@ stable under load:
   admission, keeping the exactness contract well-defined: queries equal
   a batch run over exactly the admitted, unevicted comments.
 - :func:`parse_comment_event` / :func:`iter_ndjson_events` — lenient
-  Pushshift-record parsing reusing the :mod:`repro.graph.io` semantics
-  (``errors="skip"`` + :class:`~repro.graph.io.IngestStats`): one
+  Pushshift-record parsing through the :mod:`repro.graph.io` loader
+  loop (``errors="skip"`` + :class:`~repro.graph.io.IngestStats`): one
   corrupt line in a tailed dump costs one line, never the service.
 """
 
 from __future__ import annotations
 
-import json
 import zlib
 from collections import deque
 from typing import IO, Iterable, Iterator
 
-from repro.graph.io import IngestStats
+from repro.graph.io import IngestStats, _page_triples
 
 __all__ = [
     "Event",
@@ -235,14 +234,11 @@ class WatermarkTracker:
 def parse_comment_event(record: dict) -> Event | None:
     """Extract ``(author, link_id, created_utc)`` from a Pushshift record.
 
-    Returns ``None`` for records missing a required field or carrying a
-    non-integer timestamp — the same malformation classes
-    :func:`repro.graph.io.btm_from_ndjson` skips in lenient mode.
+    ``None`` for a record :func:`repro.graph.io.btm_from_ndjson` counts
+    as malformed (no ``author`` or ``link_id`` value, a non-integer
+    timestamp); the page comes back as a string.
     """
-    try:
-        return (record["author"], record["link_id"], int(record["created_utc"]))
-    except (KeyError, TypeError, ValueError):
-        return None
+    return next(_page_triples([record], errors="skip", decoded=True), None)
 
 
 def iter_ndjson_events(
@@ -251,25 +247,8 @@ def iter_ndjson_events(
 ) -> Iterator[Event]:
     """Stream events from ndjson lines, skipping malformed ones.
 
-    Accepts any iterable of lines (an open file, ``sys.stdin``, a list),
-    which is what lets the service tail a growing file or a pipe without
-    the whole-file assumption of :func:`repro.graph.io.read_comments_ndjson`;
-    the leniency semantics and :class:`~repro.graph.io.IngestStats`
-    accounting match that reader.
+    Any iterable of lines (an open file, ``sys.stdin``, a list) works,
+    so the service can tail a growing file or a pipe.  Accepts and counts
+    exactly what ``btm_from_ndjson(errors="skip")`` does.
     """
-    stats = stats if stats is not None else IngestStats()
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        stats.total_lines += 1
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            stats.malformed += 1
-            continue
-        event = parse_comment_event(record)
-        if event is None:
-            stats.malformed += 1
-            continue
-        yield event
+    return _page_triples(lines, errors="skip", stats=stats)

@@ -145,6 +145,34 @@ class TestNdjsonStreaming:
         assert [e[0] for e in events] == ["a", "c"]
         assert stats.total_lines == 4 and stats.malformed == 2
 
+    @pytest.mark.parametrize(
+        "rec",
+        [
+            {"author": "a", "link_id": None, "created_utc": 1},
+            {"author": "a", "link_id": "", "created_utc": 1},
+            {"author": None, "link_id": "p", "created_utc": 1},
+            {"author": "", "link_id": "p", "created_utc": 1},
+        ],
+    )
+    def test_null_or_empty_author_or_page_returns_none(self, rec):
+        assert parse_comment_event(rec) is None
+
+    def test_page_is_a_string(self):
+        rec = {"author": "a", "link_id": 7, "created_utc": 1}
+        assert parse_comment_event(rec) == ("a", "7", 1)
+
+    def test_iter_makes_no_phantom_page(self):
+        lines = [
+            '{"author": "a", "link_id": null, "created_utc": 1}',
+            '{"author": "b", "link_id": null, "created_utc": 2}',
+            '{"author": "c", "link_id": "", "created_utc": 3}',
+            '{"author": "d", "link_id": "", "created_utc": 4}',
+            '{"author": "e", "link_id": 9, "created_utc": 5}',
+        ]
+        stats = IngestStats()
+        assert list(iter_ndjson_events(lines, stats)) == [("e", "9", 5)]
+        assert stats.total_lines == 5 and stats.malformed == 4
+
     def test_iter_works_on_file_handle(self, tmp_path):
         path = tmp_path / "stream.ndjson"
         path.write_text(

@@ -160,6 +160,35 @@ class TestDetect:
         assert str(sidecar) in text
         assert len(sidecar.read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("command", ["detect", "figures"])
+    def test_quarantine_requires_skip_malformed(self, corpus, tmp_path, command):
+        ndjson, _ = corpus
+        dirty = tmp_path / "dirty.ndjson"
+        dirty.write_text(ndjson.read_text() + "not json\n")
+        out = io.StringIO()
+        code = main(
+            [command, "--input", str(dirty), "--quarantine", str(tmp_path / "q")],
+            out=out,
+        )
+        assert code == 2
+        assert out.getvalue() == "--quarantine requires --skip-malformed\n"
+
+    def test_layers_skip_message_names_sidecar(self, corpus, tmp_path):
+        ndjson, _ = corpus
+        dirty = tmp_path / "dirty.ndjson"
+        dirty.write_text(ndjson.read_text() + "not json\n")
+        sidecar = tmp_path / "rejects.ndjson"
+        out = io.StringIO()
+        code = main(
+            ["detect", "--input", str(dirty), "--layers", "page",
+             "--skip-malformed", "--quarantine", str(sidecar),
+             "--cutoff", "10", "--no-hypergraph"],
+            out=out,
+        )
+        assert code == 0
+        assert "skipped 1 malformed record(s) of " in out.getvalue()
+        assert f"(quarantined to {sidecar})" in out.getvalue()
+
     def test_malformed_aborts_without_flag(self, corpus, tmp_path):
         ndjson, _ = corpus
         dirty = tmp_path / "dirty.ndjson"
