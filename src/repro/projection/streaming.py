@@ -13,16 +13,18 @@ executor, here across disk-backed partitions:
    ``n_partitions`` spill files by page hash;
 2. **Pass 2** feed one partition at a time into an
    :class:`~repro.projection.incremental.IncrementalProjector` sharing
-   the pass-1 interners (:meth:`~IncrementalProjector.ingest_dense`),
-   then :meth:`~IncrementalProjector.release_comments` the partition's
-   raw rows — partitions are page-disjoint, so released pages never
-   need recomputation and peak memory stays at one partition plus the
-   projector's triple store.
+   the pass-1 interners (:meth:`~IncrementalProjector.ingest_dense`,
+   which counts a partition's fresh pages in one vectorized pass), then
+   :meth:`~IncrementalProjector.release_comments` the partition's raw
+   rows — partitions are page-disjoint, so released pages never receive
+   another comment and peak memory stays at one partition plus the
+   projector's per-page pair counts.
 
 The final CI graph is the projector's
-(:meth:`~IncrementalProjector.ci_graph` reduces the triple store through
-the same :mod:`repro.kernels` reductions every other engine uses);
-equality with the in-memory engine is asserted in tests.
+(:meth:`~IncrementalProjector.ci_graph` reduces the distinct
+``(page, a, b)`` triples of those counts through the same
+:mod:`repro.kernels` reductions every other engine uses); equality with
+the in-memory engine is asserted in tests.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def project_streaming(
                     continue
                 pages_visited += proj.ingest_dense(users, pages, times)
                 # Partitions are page-disjoint: rows of a finished
-                # partition are never needed again, only its triples.
+                # partition are never needed again, only its counts.
                 proj.release_comments(np.unique(pages).tolist())
     finally:
         if not keep_spill:

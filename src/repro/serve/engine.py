@@ -3,13 +3,16 @@
 :class:`DetectionEngine` keeps the paper's three-step pipeline *alive*
 over a sliding window of comments instead of re-running it per batch:
 
-- **Step 1 stays per-page incremental** — appends and time-based
+- **Step 1 is per-comment incremental** — appends and time-based
   evictions route through
   :class:`~repro.projection.incremental.IncrementalProjector`, which
-  reprojects only the touched pages.  The engine folds each touched
-  page's before/after ``(x, y)`` pair sets into running ``w'`` edge
-  weights and the ``P'`` ledger, so the common interaction graph is
-  never rebuilt from scratch.
+  counts each comment's in-window mates on its page (Algorithm 1 applied
+  to one comment) and moves the ``w'`` edge weights and the ``P'``
+  ledger wherever a pair count crosses between 0 and 1.  Those two
+  ledgers are the engine's own; the
+  :class:`~repro.projection.incremental.ProjectionDelta` of a batch names
+  the entries that moved, so the common interaction graph is never
+  rebuilt from scratch and no page is reprojected.
 - **Steps 2–3 become dirty-set maintenance** — the pairs whose ``w'``
   actually changed in a batch (the *dirty edges*) are the only places
   the thresholded graph, and therefore its triangle set, can change.
@@ -17,8 +20,9 @@ over a sliding window of comments instead of re-running it per batch:
   common-neighbor closure on the thresholded adjacency; scores
   (``T`` of eq. 7, ``w_xyz``/``C`` of eqs. 2–4) are recomputed only for
   triangles touching a dirty edge or a *dirty user* (one whose ``P'``
-  or live page set changed).  Per-batch cost is proportional to the
-  dirty set, not to the live graph.
+  or live page set changed), found through the per-user triangle index.
+  Per-batch cost is proportional to the batch's in-window observations
+  and the dirty set, not to the live graph.
 
 **Exactness contract.**  After *any* interleaving of appends,
 out-of-order arrivals, and evictions, every query answer equals a
@@ -48,7 +52,7 @@ from repro.kernels import normalized_score_scalar
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.framework import component_reports
 from repro.pipeline.results import PipelineResult
-from repro.projection.incremental import IncrementalProjector
+from repro.projection.incremental import IncrementalProjector, ProjectionDelta
 from repro.serve.ingest import shard_of
 from repro.serve.metrics import ServiceMetrics
 from repro.tripoll.survey import TriangleSet
@@ -157,6 +161,7 @@ class ScoringCore:
         )
         # Thresholded adjacency and the triangle store over it.
         self._adj: dict[_Key, dict[_Key, int]] = {}
+        self._n_thresholded = 0
         self._tris: dict[_TriKey, _TriScore] = {}
         self._tri_by_user: dict[_Key, set[_TriKey]] = {}
         if self._ci:
@@ -173,10 +178,12 @@ class ScoringCore:
         """Derive adjacency, triangles and scores from the ledgers."""
         cutoff = self.config.min_triangle_weight
         self._adj = {}
+        self._n_thresholded = 0
         for (u, v), w in self._ci.items():
             if w >= cutoff:
                 self._adj.setdefault(u, {})[v] = w
                 self._adj.setdefault(v, {})[u] = w
+                self._n_thresholded += 1
         self._tris = {}
         self._tri_by_user = {}
         for u, nbrs in self._adj.items():
@@ -196,18 +203,27 @@ class ScoringCore:
 
     # -- dirty-edge maintenance -------------------------------------------------
     def _update_triangles(
-        self, dirty_edges: list[tuple[_Key, _Key]]
-    ) -> tuple[int, int, set[_TriKey]]:
-        """Fold dirty-edge deltas into ``w'``, the thresholded adjacency,
-        and the triangle store; returns (added, removed, keys to rescore).
+        self, old_weights: dict[tuple[_Key, _Key], int]
+    ) -> tuple[int, int, int, set[_TriKey]]:
+        """Bring the thresholded adjacency and the triangle store in line
+        with ``w'`` where it moved.
+
+        *old_weights* maps every pair whose ``w'`` may have moved to its
+        value before; a pair whose weight is back at that value is not
+        dirty.  Returns (dirty edges, added, removed, keys to rescore).
         """
         cutoff = self.config.min_triangle_weight
+        weights = self._ci
         adj = self._adj
-        added = removed = 0
+        n_dirty = added = removed = 0
         rescore: set[_TriKey] = set()
-        for u, v in dirty_edges:
-            new_w = self._ci.get((u, v), 0)
-            was_above = v in adj.get(u, ())
+        for (u, v), old_w in old_weights.items():
+            new_w = weights.get((u, v), 0)
+            if new_w == old_w:
+                continue
+            n_dirty += 1
+            # The adjacency holds exactly the pairs at or above the cutoff.
+            was_above = old_w >= cutoff
             if new_w >= cutoff:
                 if was_above:
                     adj[u][v] = new_w
@@ -221,6 +237,7 @@ class ScoringCore:
                     common = nbrs_u.keys() & nbrs_v.keys()
                     nbrs_u[v] = new_w
                     nbrs_v[u] = new_w
+                    self._n_thresholded += 1
                     for w in common:
                         key = tuple(sorted((u, v, w)))
                         if key in self._tris:
@@ -241,6 +258,7 @@ class ScoringCore:
             elif was_above:
                 del adj[u][v]
                 del adj[v][u]
+                self._n_thresholded -= 1
                 if not adj[u]:
                     del adj[u]
                 if not adj[v]:
@@ -254,7 +272,7 @@ class ScoringCore:
                         if not owners:
                             del self._tri_by_user[vertex]
                     removed += 1
-        return added, removed, rescore
+        return n_dirty, added, removed, rescore
 
     def _tris_with_edge(self, u: _Key, v: _Key) -> list[_TriKey]:
         a = self._tri_by_user.get(u)
@@ -299,17 +317,6 @@ class ScoringCore:
                 )
                 tri.p_sum = len(pa) + len(pb) + len(pc)
                 tri.c = normalized_score_scalar(tri.w_xyz, tri.p_sum)
-
-    # -- edge-weight bookkeeping (kept next to the diff that feeds it) ---------
-    def _fold_edge_deltas(self, edge_delta: dict[tuple[_Key, _Key], int]) -> None:
-        for pair, delta in edge_delta.items():
-            if not delta:
-                continue
-            new_w = self._ci.get(pair, 0) + delta
-            if new_w:
-                self._ci[pair] = new_w
-            else:
-                self._ci.pop(pair, None)
 
     # -- queries ----------------------------------------------------------------
     def top_k_triplets(self, k: int, by: str = "t") -> list[dict]:
@@ -554,6 +561,9 @@ class DetectionEngine(ScoringCore):
         self.proj = IncrementalProjector(
             self.config.window, pair_batch=self.config.pair_batch
         )
+        # w' and P' are the projector's own ledgers, moved per comment.
+        self._ci = self.proj.pair_weights
+        self._pprime = self.proj.page_counts
         self.evict_cutoff: int | None = None
         # Author-filter bookkeeping (decision cache + report data).
         self._filter_cache: dict[str, bool] = {}
@@ -647,94 +657,49 @@ class DetectionEngine(ScoringCore):
     ) -> BatchReport:
         with self.metrics.time("engine.update"):
             proj = self.proj
-            # Snapshot the pre-batch pair sets of every page this update
-            # can touch (append targets now; eviction candidates after
-            # the append, which cannot un-age an existing comment).
-            old_pairs: dict[int, set[tuple[int, int]]] = {}
-            for _a, page, _t in appends:
-                pid = proj.page_names.intern(page)
-                if pid not in old_pairs:
-                    old_pairs[pid] = self._pairs_of(pid)
-            if appends:
-                proj.add_comments(appends)
-            n_evicted = 0
-            evicted_rows: tuple[tuple[int, int], ...] = ()
-            if cutoff is not None:
-                for pid in proj.pages_with_comments_before(cutoff):
-                    if pid not in old_pairs:
-                        old_pairs[pid] = self._pairs_of(pid)
-                ev = proj.evict_before(cutoff)
-                n_evicted = ev.n_evicted
-                evicted_rows = ev.evicted
-
-            # Net w' / P' deltas over the touched pages.
-            edge_delta: dict[tuple[int, int], int] = {}
-            pprime_delta: dict[int, int] = {}
-            for pid, old in old_pairs.items():
-                new = self._pairs_of(pid)
-                if new == old:
-                    continue
-                old_users: set[int] = set()
-                new_users: set[int] = set()
-                for pair in old - new:
-                    edge_delta[pair] = edge_delta.get(pair, 0) - 1
-                for pair in new - old:
-                    edge_delta[pair] = edge_delta.get(pair, 0) + 1
-                for a, b in old:
-                    old_users.add(a)
-                    old_users.add(b)
-                for a, b in new:
-                    new_users.add(a)
-                    new_users.add(b)
-                for u in old_users - new_users:
-                    pprime_delta[u] = pprime_delta.get(u, 0) - 1
-                for u in new_users - old_users:
-                    pprime_delta[u] = pprime_delta.get(u, 0) + 1
-
-            dirty_users: set[int] = set()
-            for u, delta in pprime_delta.items():
-                if delta == 0:
-                    continue
-                new_val = self._pprime.get(u, 0) + delta
-                if new_val:
-                    self._pprime[u] = new_val
-                else:
-                    self._pprime.pop(u, None)
-                dirty_users.add(u)
-
+            intern_user = proj.user_names.intern
+            intern_page = proj.page_names.intern
+            user_pages = self._user_pages
+            # The projector records every w' / P' entry its count
+            # crossings moved, with the value before the batch.
+            delta = ProjectionDelta()
             # Live incidence maintenance (feeds p_x and w_xyz); a user
             # whose distinct-page set changed is dirty for C/T rescoring.
-            for author, page, _t in appends:
-                uid = proj.user_names.id_of(author)
-                pid = proj.page_names.id_of(page)
-                pages = self._user_pages.setdefault(uid, {})
-                pages[pid] = pages.get(pid, 0) + 1
-                if pages[pid] == 1:
+            dirty_users: set[int] = set()
+            for author, page, t in appends:
+                uid = intern_user(author)
+                pid = intern_page(page)
+                proj.insert(uid, pid, t, delta)
+                pages = user_pages.setdefault(uid, {})
+                n = pages.get(pid, 0)
+                pages[pid] = n + 1
+                if not n:
                     dirty_users.add(uid)
-            for uid, pid in evicted_rows:
-                pages = self._user_pages[uid]
-                pages[pid] -= 1
-                if pages[pid] == 0:
-                    del pages[pid]
-                    dirty_users.add(uid)
-                    if not pages:
-                        del self._user_pages[uid]
+            n_evicted = 0
+            if cutoff is not None:
+                ev = proj.evict_before(cutoff, delta)
+                n_evicted = ev.n_evicted
+                for uid, pid in ev.evicted:
+                    pages = user_pages[uid]
+                    pages[pid] -= 1
+                    if pages[pid] == 0:
+                        del pages[pid]
+                        dirty_users.add(uid)
+                        if not pages:
+                            del user_pages[uid]
+
+            # The projector already moved w' and P' (this engine's _ci and
+            # _pprime); what changed is where they differ from before.
+            pprime = self._pprime
+            for u, before in delta.users.items():
+                if pprime.get(u, 0) != before:
+                    dirty_users.add(u)
 
             # Thresholded-graph and triangle maintenance on dirty edges.
-            self._fold_edge_deltas(edge_delta)
-            dirty_edges = [
-                pair for pair, delta in sorted(edge_delta.items()) if delta
-            ]
-            added, removed, rescore = self._update_triangles(dirty_edges)
-            for key in self._tris:
-                if key in rescore:
-                    continue
-                if (
-                    key[0] in dirty_users
-                    or key[1] in dirty_users
-                    or key[2] in dirty_users
-                ):
-                    rescore.add(key)
+            n_dirty, added, removed, rescore = self._update_triangles(delta.pairs)
+            tri_by_user = self._tri_by_user
+            for u in dirty_users:
+                rescore.update(tri_by_user.get(u, ()))
             self._rescore(rescore)
 
         m = self.metrics
@@ -743,19 +708,17 @@ class DetectionEngine(ScoringCore):
         m.counter("engine.events_filtered").inc(n_filtered)
         m.counter("engine.events_late_dropped").inc(n_late)
         m.counter("engine.comments_evicted").inc(n_evicted)
-        m.counter("engine.dirty_edges").inc(len(dirty_edges))
+        m.counter("engine.dirty_edges").inc(n_dirty)
         m.counter("engine.dirty_users").inc(len(dirty_users))
         m.counter("engine.triangles_added").inc(added)
         m.counter("engine.triangles_removed").inc(removed)
         m.counter("engine.rescored_triangles").inc(len(rescore))
-        m.gauge("engine.last_dirty_edges").set(len(dirty_edges))
+        m.gauge("engine.last_dirty_edges").set(n_dirty)
         m.gauge("engine.last_rescored_triangles").set(len(rescore))
         m.gauge("engine.live_comments").set(self.n_live_comments)
         m.gauge("engine.live_pages").set(self.proj.n_pages)
         m.gauge("engine.ci_edges").set(len(self._ci))
-        m.gauge("engine.thresholded_edges").set(
-            sum(len(nbrs) for nbrs in self._adj.values()) // 2
-        )
+        m.gauge("engine.thresholded_edges").set(self._n_thresholded)
         m.gauge("engine.triangles").set(len(self._tris))
         if self.evict_cutoff is not None:
             m.gauge("engine.evict_cutoff").set(self.evict_cutoff)
@@ -764,20 +727,13 @@ class DetectionEngine(ScoringCore):
             n_filtered=n_filtered,
             n_late_dropped=n_late,
             n_evicted=n_evicted,
-            touched_pages=len(old_pairs),
-            dirty_edges=len(dirty_edges),
+            touched_pages=len(delta.pages),
+            dirty_edges=n_dirty,
             dirty_users=len(dirty_users),
             triangles_added=added,
             triangles_removed=removed,
             rescored_triangles=len(rescore),
         )
-
-    def _pairs_of(self, pid: int) -> set[tuple[int, int]]:
-        triples = self.proj.triples_of(pid)
-        if triples is None:
-            return set()
-        a, b = triples
-        return set(zip(a.tolist(), b.tolist()))
 
     # -- compaction -------------------------------------------------------------
     def _maybe_compact(self) -> None:
@@ -797,9 +753,10 @@ class DetectionEngine(ScoringCore):
 
         Compaction remaps every dense id, so the engine's id-keyed
         stores are rebuilt from the (already compacted, still exact)
-        projector state: CI edges and ``P'`` from the triple store, the
-        incidence from the live comments, and the triangle store from a
-        fresh closure over the thresholded adjacency.  Amortized cost is
+        projector state: ``w'`` and ``P'`` are the projector's recounted
+        ledgers, the incidence comes from the live comments, and the
+        triangle store from a fresh closure over the thresholded
+        adjacency.  Amortized cost is
         bounded because compaction only fires after ~``compact_ratio``×
         growth; queries before and after are identical (asserted in
         tests).
@@ -810,16 +767,13 @@ class DetectionEngine(ScoringCore):
         self.metrics.counter("engine.compactions").inc()
 
     def _rebuild_from_projector(self) -> None:
-        ci = self.proj.ci_graph()
-        self._ci = ci.edges.to_dict()
-        self._pprime = {
-            i: int(c) for i, c in enumerate(ci.page_counts) if c
-        }
-        btm = self.proj.to_btm()
+        self._ci = self.proj.pair_weights
+        self._pprime = self.proj.page_counts
+        _order, users, pages, _times = self.proj.live_rows()
         self._user_pages = {}
-        for uid, pid in zip(btm.users.tolist(), btm.pages.tolist()):
-            pages = self._user_pages.setdefault(uid, {})
-            pages[pid] = pages.get(pid, 0) + 1
+        for uid, pid in zip(users.tolist(), pages.tolist()):
+            pages_of = self._user_pages.setdefault(uid, {})
+            pages_of[pid] = pages_of.get(pid, 0) + 1
         self._rebuild_triangles()
 
     def snapshot(self) -> PipelineResult:
@@ -905,9 +859,7 @@ class DetectionEngine(ScoringCore):
             "interned_pages": stats["interned_pages"],
             "evict_cutoff": self.evict_cutoff,
             "ci_edges": len(self._ci),
-            "thresholded_edges": sum(
-                len(nbrs) for nbrs in self._adj.values()
-            ) // 2,
+            "thresholded_edges": self._n_thresholded,
             "triangles": len(self._tris),
             "filtered_comments": self._filtered_comments,
             "metrics": self.metrics.to_dict(),

@@ -1,26 +1,31 @@
 """Serialize / rehydrate the full :class:`DetectionEngine` state.
 
 The engine's exactness contract makes its snapshot format small: every
-derived store (CI weights, ``P'`` ledger, thresholded adjacency,
-triangle scores) is a pure function of the projector's live corpus, so a
-generation persists only the irreducible state —
+derived store (per-page co-occurrence counts, CI weights, ``P'`` ledger,
+thresholded adjacency, triangle scores) is a pure function of the
+projector's live corpus, so a generation persists only the irreducible
+state —
 
 - both interner key sequences **in id order, including dead ids** (the
   id space's width feeds ``P'`` array sizing, so dropping dead rows
   would change byte-level outputs);
 - the live comments, grouped per page in the projector's page insertion
-  order with row order preserved (reprojection re-sorts rows by time
-  with a stable sort, so replaying the stored order reproduces the
-  in-memory order bit-for-bit);
+  order, each page's rows in its time-sorted column order (the reload
+  sorts rows by time with a stable sort, so the stored order comes back
+  bit-for-bit);
 - the eviction cutoff and the author-filter bookkeeping (removed names
   in first-seen order — :class:`~repro.graph.filters.FilterReport`
   exposes that order).
 
-Rehydration rebuilds the projector from those and then reuses the
-engine's own compaction rebuild path
+Rehydration reloads the projector from those
+(:meth:`~repro.projection.incremental.IncrementalProjector.load`, which
+recounts every page's co-occurrences in one vectorized pass) and then
+reuses the engine's own compaction rebuild path
 (:meth:`DetectionEngine._rebuild_from_projector`), which the online
 parity tests already pin as query-identical to incrementally maintained
-state.
+state.  The format (``STATE_FORMAT = 1``) predates the per-comment
+counts and does not store them, so generations written by earlier
+versions restore unchanged.
 """
 
 from __future__ import annotations
@@ -54,23 +59,14 @@ def config_fingerprint(config) -> dict:
 def engine_state_arrays(engine) -> tuple[dict, dict]:
     """Flatten a live engine into ``(arrays, meta)`` for a snapshot store."""
     proj = engine.proj
-    page_order: list[int] = []
-    users: list[int] = []
-    pages: list[int] = []
-    times: list[int] = []
-    for pid, rows in proj._comments.items():
-        page_order.append(pid)
-        for uid, t in rows:
-            users.append(uid)
-            pages.append(pid)
-            times.append(t)
+    page_order, users, pages, times = proj.live_rows()
     arrays = {
         "user_keys": np.asarray(list(proj.user_names), dtype=object),
         "page_keys": np.asarray(list(proj.page_names), dtype=object),
-        "page_order": np.asarray(page_order, dtype=np.int64),
-        "comment_user": np.asarray(users, dtype=np.int64),
-        "comment_page": np.asarray(pages, dtype=np.int64),
-        "comment_time": np.asarray(times, dtype=np.int64),
+        "page_order": page_order,
+        "comment_user": users,
+        "comment_page": pages,
+        "comment_time": times,
         "filtered_names": np.asarray(list(engine._filtered_names), dtype=object),
     }
     meta = {
@@ -116,19 +112,12 @@ def restore_engine_state(arrays: dict, meta: dict, config, *, metrics=None):
     proj = engine.proj
     proj.user_names = Interner(arrays["user_keys"].tolist())
     proj.page_names = Interner(arrays["page_keys"].tolist())
-    comments: dict[int, list[tuple[int, int]]] = {
-        int(pid): [] for pid in arrays["page_order"].tolist()
-    }
-    for uid, pid, t in zip(
-        arrays["comment_user"].tolist(),
-        arrays["comment_page"].tolist(),
-        arrays["comment_time"].tolist(),
-    ):
-        comments[pid].append((uid, t))
-    proj._comments = comments
-    for pid, rows in comments.items():
-        if rows:
-            proj._reproject_page(pid)
+    proj.load(
+        arrays["page_order"],
+        arrays["comment_user"],
+        arrays["comment_page"],
+        arrays["comment_time"],
+    )
 
     cutoff = meta.get("evict_cutoff")
     engine.evict_cutoff = int(cutoff) if cutoff is not None else None

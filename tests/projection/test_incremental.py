@@ -1,11 +1,14 @@
 """Tests for the incremental projector (vs full reprojection)."""
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.projection import TimeWindow, project
+from repro.graph import BipartiteTemporalMultigraph
+from repro.projection import TimeWindow, project, project_streaming
 from repro.projection.incremental import IncrementalProjector
 
 
@@ -135,9 +138,11 @@ class TestEviction:
     def test_candidate_set_matches_eviction(self):
         proj = IncrementalProjector(TimeWindow(0, 60))
         proj.add_comments([("a", "p", 0), ("b", "q", 200), ("c", "r", 40)])
-        candidates = set(proj.pages_with_comments_before(100))
+        proj.add_comments([("d", "q", 50), ("e", "s", 150)])  # q's start moves
         report = proj.evict_before(100)
-        assert report.touched_pages == frozenset(candidates)
+        expected = {proj.page_names.id_of(p) for p in ("p", "q", "r")}
+        assert report.touched_pages == frozenset(expected)
+        assert proj.evict_before(100).touched_pages == frozenset()
 
 
 class TestRemovePageAndChurnParity:
@@ -244,6 +249,177 @@ class TestCompaction:
         proj.compact()
         stats = proj.memory_stats()
         assert stats["interned_users"] == 0 and stats["interned_pages"] == 0
+
+
+def assert_counts_match_full(proj: IncrementalProjector) -> None:
+    """CI graph, raw observation count and the per-comment ledgers must
+    all equal a from-scratch projection of the live corpus."""
+    full = project(proj.to_btm(), proj.window)
+    edges = full.ci.edges.to_dict()
+    assert proj.ci_graph().edges.to_dict() == edges
+    assert np.array_equal(proj.ci_graph().page_counts, full.ci.page_counts)
+    assert proj.raw_pair_observations() == full.stats["pair_observations"]
+    assert proj.pair_weights == edges
+    assert proj.page_counts == {
+        u: int(c) for u, c in enumerate(full.ci.page_counts) if c
+    }
+    stats = proj.memory_stats()
+    assert stats["comments"] == proj.to_btm().n_comments
+    assert stats["live_users"] == len(set(proj.to_btm().users.tolist()))
+
+
+#: Windows with delta1 = 0 (equal times count twice) and delta1 > 0, plus
+#: the two degenerate ones.
+WINDOWS = [(0, 30), (0, 0), (10, 40), (15, 15)]
+
+
+class TestPerCommentCounts:
+    """The count store after every single add or evict, not only at the end."""
+
+    def test_equal_timestamps_count_twice_when_delta1_is_zero(self):
+        proj = IncrementalProjector(TimeWindow(0, 60))
+        proj.add_comments([("a", "p", 5), ("b", "p", 5)])
+        assert proj.raw_pair_observations() == 2
+        assert_counts_match_full(proj)
+        proj.add_comments([("c", "p", 5)])
+        assert proj.raw_pair_observations() == 6
+        assert_counts_match_full(proj)
+        proj.evict_before(6)
+        assert proj.raw_pair_observations() == 0
+        assert_counts_match_full(proj)
+
+    def test_equal_timestamps_do_not_count_when_delta1_is_positive(self):
+        proj = IncrementalProjector(TimeWindow(10, 60))
+        proj.add_comments([("a", "p", 5), ("b", "p", 5), ("c", "p", 15)])
+        assert proj.raw_pair_observations() == 2
+        assert proj.pair_weights == {(0, 2): 1, (1, 2): 1}
+        assert_counts_match_full(proj)
+
+    def test_same_author_repeats_count_once_per_mate(self):
+        proj = IncrementalProjector(TimeWindow(0, 60))
+        proj.add_comments([("a", "p", 0), ("a", "p", 10), ("b", "p", 20)])
+        assert proj.raw_pair_observations() == 2
+        assert proj.pair_weights == {(0, 1): 1}
+        proj.evict_before(5)
+        assert proj.pair_weights == {(0, 1): 1}
+        assert_counts_match_full(proj)
+        proj.evict_before(15)
+        assert proj.pair_weights == {} and proj.page_counts == {}
+        assert_counts_match_full(proj)
+
+    def test_page_emptied_by_eviction_then_refilled(self):
+        proj = IncrementalProjector(TimeWindow(0, 60))
+        proj.add_comments([("a", "p", 0), ("b", "p", 10), ("a", "q", 100)])
+        report = proj.evict_before(50)
+        pid = proj.page_names.id_of("p")
+        assert report.removed_pages == frozenset({pid}) and proj.n_pages == 1
+        assert_counts_match_full(proj)
+        proj.add_comments([("b", "p", 60), ("c", "p", 70), ("b", "q", 90)])
+        assert_counts_match_full(proj)
+        assert proj.evict_before(65).touched_pages == frozenset({pid})
+        assert_counts_match_full(proj)
+
+    def test_ingest_dense_counts_fresh_pages_and_inserts_the_rest(self):
+        proj = IncrementalProjector(TimeWindow(0, 30))
+        proj.add_comments([("a", "p", 0), ("b", "p", 10)])
+        c = proj.user_names.intern("c")
+        q = proj.page_names.intern("q")
+        # Page 0 (p) is live, page q is fresh; rows arrive out of order.
+        n = proj.ingest_dense(
+            np.array([c, 0, c, 1, 0]),
+            np.array([0, q, q, q, 0]),
+            np.array([5, 20, 0, 20, 35]),
+        )
+        assert n == 2
+        assert_counts_match_full(proj)
+
+    def test_delta_names_exactly_what_moved(self):
+        from repro.projection.incremental import ProjectionDelta
+
+        proj = IncrementalProjector(TimeWindow(0, 60))
+        proj.add_comments([("a", "p", 0), ("b", "p", 10)])
+        a, b, c = (proj.user_names.intern(u) for u in "abc")
+        p, q, r = (proj.page_names.intern(g) for g in "pqr")
+        delta = ProjectionDelta()
+        proj.insert(a, q, 0, delta)
+        proj.insert(b, q, 10, delta)
+        assert delta.pairs == {(a, b): 1}           # w' was 1 before
+        assert delta.users == {a: 1, b: 1}          # P' was 1 each
+        assert proj.pair_weights == {(a, b): 2}
+        delta = ProjectionDelta()
+        proj.insert(c, r, 0, delta)
+        proj.insert(a, r, 0, delta)                 # pair (a, c) comes and goes
+        proj.evict_before(1, delta)                 # a's and c's comments go
+        assert delta.pairs == {(a, b): 2, (a, c): 0}
+        assert proj.pair_weights == {}
+        assert delta.pages == {p, q, r}
+        assert_counts_match_full(proj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        window=st.sampled_from(WINDOWS),
+        steps=st.lists(
+            st.one_of(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 4),
+                        st.integers(0, 2),
+                        st.integers(0, 30).map(lambda k: 5 * k),
+                    ),
+                    min_size=1,
+                    max_size=6,
+                ),
+                st.integers(0, 160),      # evict_before cutoff
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_property_every_add_and_evict_matches_full(self, window, steps):
+        proj = IncrementalProjector(TimeWindow(*window))
+        for step in steps:
+            if isinstance(step, list):
+                for u, p, t in step:
+                    proj.add_comments([(f"u{u}", f"p{p}", t)])
+                    assert_counts_match_full(proj)
+            else:
+                proj.evict_before(step)
+                assert_counts_match_full(proj)
+        proj.compact()
+        assert_counts_match_full(proj)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        window=st.sampled_from(WINDOWS),
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.integers(0, 4),
+                st.integers(0, 30).map(lambda k: 5 * k),
+            ),
+            max_size=40,
+        ),
+        n_partitions=st.integers(1, 4),
+        pair_batch=st.sampled_from([1, 7, 4_000_000]),
+    )
+    def test_property_streaming_matches_project(
+        self, window, rows, n_partitions, pair_batch
+    ):
+        triples = [(f"u{u}", f"p{p}", t) for u, p, t in rows]
+        with tempfile.TemporaryDirectory() as spill:
+            streamed = project_streaming(
+                triples, TimeWindow(*window), spill, n_partitions,
+                pair_batch=pair_batch,
+            )
+        direct = project(
+            BipartiteTemporalMultigraph.from_comments(triples), TimeWindow(*window)
+        )
+        assert streamed.ci.edges.to_dict() == direct.ci.edges.to_dict()
+        assert np.array_equal(streamed.ci.page_counts, direct.ci.page_counts)
+        assert (
+            streamed.stats["pair_observations"]
+            == direct.stats["pair_observations"]
+        )
 
 
 @pytest.mark.slow

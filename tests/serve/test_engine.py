@@ -8,6 +8,7 @@ from repro.graph.filters import AuthorFilter
 from repro.pipeline import CoordinationPipeline, PipelineConfig
 from repro.projection import TimeWindow
 from repro.serve.engine import DetectionEngine, ScoringCore
+from repro.verify.online import _check
 
 pytestmark = pytest.mark.serve
 
@@ -59,6 +60,23 @@ class TestIngestAndAdvance:
         report = eng.ingest([("AutoModerator", "p", 0), ("a", "p", 5)])
         assert report.n_filtered == 1 and report.n_appended == 1
         assert "AutoModerator" not in eng.live_authors()
+
+    def test_dirty_user_rescores_untouched_triangle(self):
+        """a's P' and page set move on a page the triangle never saw: no
+        edge of a-b-c changes, yet its T and C must be rescored."""
+        eng = make_engine(min_triangle_weight=2)
+        eng.ingest(TRIANGLE + [("a", "q", 0), ("b", "q", 5), ("c", "q", 9)])
+        before = eng.top_k_triplets(1)[0]
+        report = eng.ingest([("a", "r", 0), ("d", "r", 5)])
+        assert report.dirty_edges == 1 and report.rescored_triangles == 1
+        after = eng.top_k_triplets(1)[0]
+        assert after["authors"] == ("a", "b", "c") and after["weights"] == (2, 2, 2)
+        assert after["t"] < before["t"] and after["c"] < before["c"]
+        live = TRIANGLE + [("a", "q", 0), ("b", "q", 5), ("c", "q", 9),
+                           ("a", "r", 0), ("d", "r", 5)]
+        assert _check("dirty user", eng.config, live, eng) == []
+        report = eng.advance(1)                 # a leaves p, q and r
+        assert report.rescored_triangles == 0 and eng.n_triangles == 0
 
     def test_incremental_updates_touch_only_dirty_pages(self):
         eng = make_engine()

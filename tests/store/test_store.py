@@ -1,9 +1,11 @@
 """Tests for DurableStore recovery: replay contract, fallback, refusal."""
 
+import numpy as np
 import pytest
 
+from repro.graph import BipartiteTemporalMultigraph
 from repro.graph.filters import AuthorFilter
-from repro.pipeline import PipelineConfig
+from repro.pipeline import CoordinationPipeline, PipelineConfig
 from repro.projection import TimeWindow
 from repro.serve import DetectionEngine
 from repro.store import (
@@ -14,7 +16,9 @@ from repro.store import (
     engine_state_arrays,
     restore_engine_state,
 )
+from repro.util.ids import Interner
 from repro.verify.chaos import diff_results
+from repro.verify.online import _check
 
 pytestmark = pytest.mark.serve
 
@@ -61,6 +65,87 @@ class TestEngineStateCodec:
         c = config_fingerprint(make_config())
         assert a != b
         assert a == c
+
+
+class TestPersistedFormat:
+    """A ``STATE_FORMAT = 1`` generation written out by hand — the layout
+    snapshots have had since the format was introduced — still restores
+    to the batch answer."""
+
+    USER_KEYS = ["gone0", "a", "gone2", "b", "c"]   # ids 0 and 2 are dead
+    PAGE_KEYS = ["gone", "p", "q"]                  # page 0 is dead
+    # Live pages in first-arrival order (q before p); each page's rows in
+    # time order, equal timestamps in arrival order.
+    PAGE_ORDER = [2, 1]
+    ROWS = [  # (user, page, time)
+        (3, 2, 100), (1, 2, 100), (4, 2, 110), (1, 2, 150),
+        (1, 1, 120), (3, 1, 125), (4, 1, 125), (3, 1, 170), (4, 1, 400),
+    ]
+
+    def generation(self, config):
+        users, pages, times = (
+            np.asarray(c, dtype=np.int64) for c in zip(*self.ROWS)
+        )
+        arrays = {
+            "user_keys": np.asarray(self.USER_KEYS, dtype=object),
+            "page_keys": np.asarray(self.PAGE_KEYS, dtype=object),
+            "page_order": np.asarray(self.PAGE_ORDER, dtype=np.int64),
+            "comment_user": users,
+            "comment_page": pages,
+            "comment_time": times,
+            "filtered_names": np.asarray(["AutoModerator"], dtype=object),
+        }
+        meta = {
+            "state_format": 1,
+            "fingerprint": config_fingerprint(config),
+            "evict_cutoff": 90,
+            "filtered_comments": 2,
+            "n_comments": len(self.ROWS),
+            "auto_compact": True,
+            "compact_ratio": 4.0,
+            "compact_min": 1024,
+        }
+        return arrays, meta
+
+    def test_hand_built_generation_restores_to_the_oracle(self, tmp_path):
+        config = make_config(
+            window=TimeWindow(0, 30),
+            compute_hypergraph=True,
+            author_filter=AuthorFilter(exact_names=frozenset({"AutoModerator"})),
+        )
+        arrays, meta = self.generation(config)
+        store = DurableStore(tmp_path)
+        store.snapshots.save(4, arrays, meta)
+        engine, report = store.recover_engine(config)
+        assert report.snapshot_seq == 4 and engine.evict_cutoff == 90
+
+        users, pages, times = (
+            arrays[k] for k in ("comment_user", "comment_page", "comment_time")
+        )
+        oracle = CoordinationPipeline(config).run(
+            BipartiteTemporalMultigraph(
+                users, pages, times, Interner(self.USER_KEYS), Interner(self.PAGE_KEYS)
+            )
+        )
+        got = engine.snapshot()
+        assert diff_results(oracle, got) == []
+        assert got.triangles.n_triangles == 1
+        # q: b/a at 100 (twice: delta1 = 0), b-c, a-c; p: a-b, a-c, b/c at 125.
+        assert engine.proj.raw_pair_observations() == 8
+        assert got.filter_report.removed_comments == 2
+
+        # The restored state writes back the same generation, row for row.
+        again, again_meta = engine_state_arrays(engine)
+        for key, value in arrays.items():
+            assert again[key].tolist() == value.tolist(), key
+        assert again_meta == meta
+
+        # And it keeps going: a late event is dropped, the rest land.
+        engine.ingest([("d", "p", 80), ("d", "q", 105), ("b", "q", 112)])
+        live = [
+            (self.USER_KEYS[u], self.PAGE_KEYS[p], t) for u, p, t in self.ROWS
+        ] + [("d", "q", 105), ("b", "q", 112)]
+        assert _check("after restore", config, live, engine) == []
 
 
 class TestRecoverEngine:
