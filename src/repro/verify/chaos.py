@@ -32,7 +32,12 @@ from repro.pipeline.framework import CoordinationPipeline
 from repro.pipeline.results import PipelineResult
 from repro.projection.window import TimeWindow
 from repro.verify.report import DIFF_LIMIT, Report
-from repro.ygm.errors import YgmError
+from repro.ygm.errors import (
+    BarrierTimeoutError,
+    HandlerError,
+    WorkerDiedError,
+    YgmError,
+)
 from repro.ygm.faults import FaultPlan
 from repro.ygm.world import YgmWorld
 
@@ -74,6 +79,25 @@ def diff_results(ref: PipelineResult, got: PipelineResult) -> list[str]:
         ):
             msgs.append("hypergraph metrics differ")
     return msgs[:DIFF_LIMIT]
+
+
+#: The fields of each typed failure that the run's inputs fix.  Message
+#: counts (``in_flight``, ``waiting_on``) depend on how far the workers got
+#: before the failure was seen, so they stay on the exception only.
+_STABLE_FIELDS = (
+    (WorkerDiedError, ("rank", "exitcode", "phase")),
+    (BarrierTimeoutError, ("phase", "deadline")),
+    (HandlerError, ("rank", "detail")),
+)
+
+
+def _typed_verdict(exc: YgmError) -> str:
+    """``Type: field value, …`` over *exc*'s input-determined fields."""
+    for cls, fields in _STABLE_FIELDS:
+        if isinstance(exc, cls):
+            stable = ", ".join(f"{f} {getattr(exc, f)}" for f in fields)
+            return f"{type(exc).__name__}: {stable}"
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_chaos(
@@ -137,7 +161,7 @@ def run_chaos(
             btm, executor=YgmExecutor(faulted), checkpoint_dir=cp_dir
         )
     except YgmError as exc:
-        first_attempt, error = "failed-typed", f"{type(exc).__name__}: {exc}"
+        first_attempt, error = "failed-typed", _typed_verdict(exc)
     except Exception as exc:
         first_attempt, error = "failed-untyped", f"{type(exc).__name__}: {exc}"
         divergences.append(f"first attempt escaped untyped — {error}")

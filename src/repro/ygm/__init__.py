@@ -22,8 +22,8 @@ expressed exactly as they are in the original system:
   detection, demonstrating that the same programs run unmodified on a
   process-parallel substrate (mirroring the mpi4py idioms from the HPC
   guides: named, picklable handlers instead of closures).
-- :mod:`repro.ygm.containers` — ``DistBag``, ``DistMap``, ``DistSet``,
-  ``DistCounter``, ``DistArray``.
+- :mod:`repro.ygm.containers` — ``DistBag`` (the plans' task bag) and
+  ``DistMap`` (distributed connected components).
 
 Scale note: the original runs on LLNL clusters; here the value of the
 runtime is *algorithmic fidelity* — owner-hash partitioning and
@@ -41,16 +41,8 @@ from repro.ygm.errors import (
 )
 from repro.ygm.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.ygm import reductions  # noqa: F401 — registers the named ygm.op.* handlers
-from repro.ygm.partition import HashPartitioner, BlockPartitioner
-from repro.ygm.buffer import SendBuffer
-from repro.ygm.containers import (
-    DistBag,
-    DistMap,
-    DistSet,
-    DistCounter,
-    DistArray,
-    DistDisjointSet,
-)
+from repro.ygm.partition import HashPartitioner
+from repro.ygm.containers import DistBag, DistMap
 
 __all__ = [
     "YgmWorld",
@@ -66,12 +58,6 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "HashPartitioner",
-    "BlockPartitioner",
-    "SendBuffer",
     "DistBag",
     "DistMap",
-    "DistSet",
-    "DistCounter",
-    "DistArray",
-    "DistDisjointSet",
 ]

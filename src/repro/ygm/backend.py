@@ -73,8 +73,8 @@ class Backend:
 
     n_ranks: int
 
-    def create_state(self, container_id: str, factory_ref: Any, args: tuple = ()) -> None:
-        """Create per-rank local state: ``factory(rank, *args)`` on every rank."""
+    def create_state(self, container_id: str, factory_ref: Any) -> None:
+        """Create per-rank local state: ``factory(rank)`` on every rank."""
         raise NotImplementedError
 
     def destroy_state(self, container_id: str) -> None:
@@ -146,13 +146,11 @@ class SerialBackend(Backend):
             ]
 
     # -- container state ----------------------------------------------------
-    def create_state(self, container_id: str, factory_ref: Any, args: tuple = ()) -> None:
+    def create_state(self, container_id: str, factory_ref: Any) -> None:
         if container_id in self._states:
             raise ValueError(f"container already exists: {container_id!r}")
         factory = resolve_handler(factory_ref)
-        self._states[container_id] = [
-            factory(rank, *args) for rank in range(self.n_ranks)
-        ]
+        self._states[container_id] = [factory(rank) for rank in range(self.n_ranks)]
 
     def destroy_state(self, container_id: str) -> None:
         self._states.pop(container_id, None)

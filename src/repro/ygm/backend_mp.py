@@ -106,8 +106,8 @@ def _worker_main(
             if kind == _STOP:
                 return
             if kind == _CREATE:
-                _, container_id, factory_ref, args = item
-                states[container_id] = resolve_handler(factory_ref)(rank, *args)
+                _, container_id, factory_ref = item
+                states[container_id] = resolve_handler(factory_ref)(rank)
             elif kind == _DESTROY:
                 states.pop(item[1], None)
             elif kind == _MSG:
@@ -213,9 +213,9 @@ class MultiprocessingBackend(Backend):
             w.start()
 
     # -- container state ----------------------------------------------------
-    def create_state(self, container_id: str, factory_ref: Any, args: tuple = ()) -> None:
+    def create_state(self, container_id: str, factory_ref: Any) -> None:
         for rank in range(self.n_ranks):
-            self._enqueue(rank, (_CREATE, container_id, _wire(factory_ref), args))
+            self._enqueue(rank, (_CREATE, container_id, _wire(factory_ref)))
         self.run_until_quiescent()
 
     def destroy_state(self, container_id: str) -> None:

@@ -8,19 +8,9 @@ paper's algorithms are written against:
   placement, ``for_all`` visitation (YGM ``ygm::container::bag``).
 - :class:`~repro.ygm.containers.map.DistMap` — key/value store with
   ``async_insert`` / ``async_reduce`` / ``async_visit`` (``ygm::container::map``).
-- :class:`~repro.ygm.containers.set.DistSet` — membership set
-  (``ygm::container::set``).
-- :class:`~repro.ygm.containers.counter.DistCounter` — counting map with
-  ``async_add`` and distributed top-k (``ygm::container::counting_set``).
-- :class:`~repro.ygm.containers.array.DistArray` — dense block-partitioned
-  numeric array (``ygm::container::array``).
 """
 
 from repro.ygm.containers.bag import DistBag
 from repro.ygm.containers.map import DistMap
-from repro.ygm.containers.set import DistSet
-from repro.ygm.containers.counter import DistCounter
-from repro.ygm.containers.array import DistArray
-from repro.ygm.containers.disjoint_set import DistDisjointSet
 
-__all__ = ["DistBag", "DistMap", "DistSet", "DistCounter", "DistArray", "DistDisjointSet"]
+__all__ = ["DistBag", "DistMap"]

@@ -23,12 +23,6 @@ def _make_list(rank: int) -> list:
     return []
 
 
-@ygm_handler("ygm.state.set")
-def _make_set(rank: int) -> set:
-    """Per-rank state factory: empty set."""
-    return set()
-
-
 @ygm_handler("ygm.container.collect_state")
 def _collect_state(ctx, container_id: str) -> Any:
     """Exec fn returning this rank's raw local state for a container."""

@@ -1,8 +1,7 @@
-"""Owner functions: which rank owns a key.
+"""Owner function: which rank owns a key.
 
-YGM containers distribute entries by hashing keys to ranks; block
-partitioning is used for dense index spaces (``DistArray``).  Both
-partitioners are deterministic and backend-independent, so the serial and
+YGM containers distribute entries by hashing keys to ranks.  The
+partitioner is deterministic and backend-independent, so the serial and
 multiprocessing backends place every key identically — a property the
 cross-backend equivalence tests rely on.
 """
@@ -13,7 +12,7 @@ from typing import Hashable
 
 import numpy as np
 
-__all__ = ["HashPartitioner", "BlockPartitioner"]
+__all__ = ["HashPartitioner"]
 
 # splitmix64 constants — a fast, well-mixed integer hash (public domain).
 _SM64_1 = np.uint64(0x9E3779B97F4A7C15)
@@ -80,47 +79,3 @@ class HashPartitioner:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"HashPartitioner(n_ranks={self.n_ranks})"
-
-
-class BlockPartitioner:
-    """Assigns a dense index space ``0..n-1`` to ranks in contiguous blocks."""
-
-    __slots__ = ("n_ranks", "n_items", "_block")
-
-    def __init__(self, n_ranks: int, n_items: int) -> None:
-        if n_ranks <= 0:
-            raise ValueError(f"n_ranks must be positive, got {n_ranks}")
-        if n_items < 0:
-            raise ValueError(f"n_items must be >= 0, got {n_items}")
-        self.n_ranks = int(n_ranks)
-        self.n_items = int(n_items)
-        self._block = max(1, -(-self.n_items // self.n_ranks))  # ceil div
-
-    def owner(self, index: int) -> int:
-        """Rank owning *index*."""
-        if not 0 <= index < max(self.n_items, 1):
-            if index < 0 or index >= self.n_items:
-                raise IndexError(
-                    f"index {index} out of range for {self.n_items} items"
-                )
-        return min(int(index) // self._block, self.n_ranks - 1)
-
-    def owner_array(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`owner`."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and (
-            indices.min() < 0 or indices.max() >= self.n_items
-        ):
-            raise IndexError("index out of range")
-        return np.minimum(indices // self._block, self.n_ranks - 1)
-
-    def local_range(self, rank: int) -> tuple[int, int]:
-        """The ``[start, stop)`` index block owned by *rank*."""
-        start = min(rank * self._block, self.n_items)
-        stop = min(start + self._block, self.n_items)
-        return start, stop
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"BlockPartitioner(n_ranks={self.n_ranks}, n_items={self.n_items})"
-        )

@@ -52,13 +52,13 @@ class YgmWorld:
 
     Examples
     --------
-    >>> from repro.ygm import YgmWorld, DistCounter
+    >>> from repro.ygm import YgmWorld, DistMap
     >>> world = YgmWorld(n_ranks=4)
-    >>> counter = DistCounter(world)
+    >>> counts = DistMap(world)
     >>> for word in ["a", "b", "a"]:
-    ...     counter.async_add(word, 1)
+    ...     counts.async_reduce(word, 1, "ygm.op.add")
     >>> world.barrier()
-    >>> counter.to_dict()["a"]
+    >>> counts.to_dict()["a"]
     2
     >>> world.shutdown()
     """
@@ -110,12 +110,10 @@ class YgmWorld:
         return self._backend.messages_delivered
 
     # -- container registry ---------------------------------------------------
-    def register_container(
-        self, kind: str, factory_ref: Any, args: tuple = ()
-    ) -> str:
+    def register_container(self, kind: str, factory_ref: Any) -> str:
         """Allocate a container id and create its per-rank state everywhere."""
         container_id = f"w{self._world_id}.{kind}.{next(self._id_counter)}"
-        self._backend.create_state(container_id, factory_ref, args)
+        self._backend.create_state(container_id, factory_ref)
         self._container_ids.add(container_id)
         return container_id
 

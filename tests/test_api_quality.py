@@ -3,6 +3,8 @@
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -75,3 +77,34 @@ class TestExports:
         # Everything advertised at the top level must import cleanly.
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+
+#: ``repro.ygm`` exports that need no caller outside the package, each
+#: with the reason it stays public.
+YGM_EXPORTS_WITHOUT_CALLERS = {
+    "ExecTimeoutError": "raised by the multiprocessing backend when a "
+    "run_on_rank / run_on_all wait times out",
+    "resolve_handler": "the backends' own handler lookup",
+}
+
+
+def test_every_ygm_export_has_a_caller():
+    """A name in ``repro.ygm.__all__`` must be used somewhere in
+    ``src/repro`` outside ``repro/ygm/``, so dead substrate cannot hide
+    behind an export."""
+    import repro.ygm
+
+    src = Path(repro.__file__).parent
+    ygm_dir = src / "ygm"
+    text = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in src.rglob("*.py")
+        if ygm_dir not in path.parents
+    )
+    unused = [
+        name
+        for name in repro.ygm.__all__
+        if name not in YGM_EXPORTS_WITHOUT_CALLERS
+        and not re.search(rf"\b{re.escape(name)}\b", text)
+    ]
+    assert not unused, f"repro.ygm exports with no caller outside repro/ygm: {unused}"

@@ -11,13 +11,8 @@ MODULES = [
     "repro.util.timers",
     "repro.ygm.handlers",
     "repro.ygm.world",
-    "repro.ygm.buffer",
     "repro.ygm.containers.map",
     "repro.ygm.containers.bag",
-    "repro.ygm.containers.set",
-    "repro.ygm.containers.counter",
-    "repro.ygm.containers.array",
-    "repro.ygm.containers.disjoint_set",
     "repro.graph.bipartite",
     "repro.graph.edgelist",
     "repro.projection.window",

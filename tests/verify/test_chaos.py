@@ -12,7 +12,8 @@ from repro.datagen import BackgroundConfig, GptStyleBotnetConfig, RedditDatasetB
 from repro.pipeline import CoordinationPipeline, PipelineConfig
 from repro.projection import TimeWindow
 from repro.verify import diff_results, run_chaos
-from repro.ygm import FaultPlan
+from repro.verify import chaos
+from repro.ygm import FaultPlan, WorkerDiedError
 
 pytestmark = pytest.mark.faults
 
@@ -96,6 +97,42 @@ class TestChaosMultiprocessing:
         assert "rank 1" in report.facts["error"]
         assert report.facts["resumed"]
         assert report.ok, report.describe()
+
+
+class TestTypedVerdict:
+    """The first-attempt line names a typed failure by the fields the run's
+    inputs fix; the in-flight count read at detection depends on timing."""
+
+    @staticmethod
+    def _first_attempt_line(comments, tmp_path, monkeypatch, in_flight):
+        class DiesAfterCheckpointing(CoordinationPipeline):
+            def run(self, btm, **kwargs):
+                result = super().run(btm, **kwargs)
+                if "checkpoint_dir" in kwargs:
+                    raise WorkerDiedError(1, -9, in_flight, "barrier")
+                return result
+
+        monkeypatch.setattr(chaos, "CoordinationPipeline", DiesAfterCheckpointing)
+        cp_dir = tmp_path / f"in-flight-{in_flight}"
+        cp_dir.mkdir()
+        report = run_chaos(
+            comments, WINDOW, backend="serial", checkpoint_dir=str(cp_dir)
+        )
+        assert report.ok, report.describe()
+        return report.describe().splitlines()[1]
+
+    def test_in_flight_count_stays_out_of_the_verdict(
+        self, chaos_comments, tmp_path, monkeypatch
+    ):
+        five, six = (
+            self._first_attempt_line(chaos_comments, tmp_path, monkeypatch, n)
+            for n in (5, 6)
+        )
+        assert five == six
+        assert five == (
+            "  first attempt: failed-typed — "
+            "WorkerDiedError: rank 1, exitcode -9, phase barrier"
+        )
 
 
 class TestDiffResults:

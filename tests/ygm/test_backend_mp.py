@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.ygm import DistCounter, DistMap, YgmWorld
+from repro.ygm import DistMap, YgmWorld
 from repro.ygm.backend_mp import MultiprocessingBackend
 from repro.ygm.errors import HandlerError
 
@@ -47,12 +47,6 @@ class TestMultiprocessingBackend:
         with YgmWorld(2) as serial_world:
             expected = run(serial_world)
         assert run(mp_world) == expected
-
-    def test_counter_topk(self, mp_world):
-        c = DistCounter(mp_world)
-        c.async_add_batch([("a", 5), ("b", 2), ("a", 1), ("c", 9)])
-        assert c.top_k(2) == [("c", 9), ("a", 6)]
-        c.release()
 
     def test_nested_sends_quiesce(self, mp_world):
         from repro.graph.components import distributed_components

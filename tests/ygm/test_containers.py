@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.ygm import (
-    DistArray,
-    DistBag,
-    DistCounter,
-    DistMap,
-    DistSet,
-    YgmWorld,
-)
+from repro.ygm import DistBag, DistMap, YgmWorld
 from repro.ygm.handlers import ygm_handler
 
 
@@ -165,7 +158,7 @@ def _bag_double(ctx, item):
 
 @ygm_handler("tests.containers.bag_route")
 def _bag_route(ctx, item, counter_cid):
-    ctx.send(0, counter_cid, "ygm.counter.add", (item % 2, 1))
+    ctx.send(0, counter_cid, "ygm.map.reduce", (item % 2, 1, "ygm.op.add"))
 
 
 class TestDistBag:
@@ -192,125 +185,12 @@ class TestDistBag:
 
     def test_for_all_with_nested_sends(self, world):
         bag = DistBag(world)
-        counter = DistCounter(world)
+        counter = DistMap(world)
         bag.async_insert_batch(range(10))
         world.barrier()
         bag.for_all("tests.containers.bag_route", counter.container_id)
         counts = counter.to_dict()
         assert counts == {0: 5, 1: 5}
-
-
-# ---------------------------------------------------------------------------
-# DistSet
-# ---------------------------------------------------------------------------
-
-
-class TestDistSet:
-    def test_insert_deduplicates(self, world):
-        s = DistSet(world)
-        s.async_insert_batch(["a", "b", "a", "a"])
-        assert s.size() == 2
-
-    def test_contains(self, world):
-        s = DistSet(world)
-        s.async_insert("x")
-        assert s.contains("x") and not s.contains("y")
-
-    def test_contains_many(self, world):
-        s = DistSet(world)
-        s.async_insert_batch(range(10))
-        assert s.contains_many([3, 5, 99]) == {3, 5}
-
-    def test_erase(self, world):
-        s = DistSet(world)
-        s.async_insert("x")
-        world.barrier()
-        s.async_erase("x")
-        s.async_erase("never")
-        assert not s.contains("x")
-
-    def test_to_set(self, world):
-        s = DistSet(world)
-        s.async_insert_batch("hello")
-        assert s.to_set() == set("hello")
-
-
-# ---------------------------------------------------------------------------
-# DistCounter
-# ---------------------------------------------------------------------------
-
-
-class TestDistCounter:
-    def test_add_accumulates(self, world):
-        c = DistCounter(world)
-        c.async_add("k")
-        c.async_add("k", 4)
-        assert c.count_of("k") == 5
-
-    def test_count_of_missing_is_zero(self, world):
-        assert DistCounter(world).count_of("zzz") == 0
-
-    def test_total(self, world):
-        c = DistCounter(world)
-        c.async_add_batch([(i, i) for i in range(5)])
-        assert c.total() == 0 + 1 + 2 + 3 + 4
-
-    def test_top_k_global_order(self, world):
-        c = DistCounter(world)
-        c.async_add_batch([(f"k{i}", i) for i in range(20)])
-        top = c.top_k(3)
-        assert top == [("k19", 19), ("k18", 18), ("k17", 17)]
-
-    def test_top_k_larger_than_population(self, world):
-        c = DistCounter(world)
-        c.async_add("only", 2)
-        assert c.top_k(10) == [("only", 2)]
-
-
-# ---------------------------------------------------------------------------
-# DistArray
-# ---------------------------------------------------------------------------
-
-
-class TestDistArray:
-    def test_set_and_gather(self, world):
-        arr = DistArray(world, 10, dtype="int64")
-        arr.async_set(3, 7)
-        assert arr.gather().tolist() == [0, 0, 0, 7, 0, 0, 0, 0, 0, 0]
-
-    def test_add_accumulates(self, world):
-        arr = DistArray(world, 4, dtype="int64")
-        arr.async_add(1, 5)
-        arr.async_add(1, 6)
-        assert arr.gather()[1] == 11
-
-    def test_add_batch_with_repeats(self, world):
-        arr = DistArray(world, 6, dtype="int64")
-        arr.async_add_batch([0, 0, 5, 5, 5], [1, 1, 2, 2, 2])
-        out = arr.gather()
-        assert out[0] == 2 and out[5] == 6
-
-    def test_add_batch_length_mismatch(self, world):
-        arr = DistArray(world, 4)
-        with pytest.raises(ValueError):
-            arr.async_add_batch([0], [1, 2])
-
-    def test_float_dtype(self, world):
-        arr = DistArray(world, 3, dtype="float64")
-        arr.async_add(2, 0.5)
-        assert arr.gather()[2] == pytest.approx(0.5)
-
-    def test_size(self, world):
-        assert DistArray(world, 12).size() == 12
-
-    def test_negative_length_rejected(self, world):
-        with pytest.raises(ValueError):
-            DistArray(world, -1)
-
-    def test_empty_batch_is_noop(self, world):
-        arr = DistArray(world, 3, dtype="int64")
-        arr.async_add_batch([], [])
-        assert arr.gather().tolist() == [0, 0, 0]
 
 
 class TestDistMapInsertBatch:

@@ -15,7 +15,6 @@ import pytest
 
 from repro.ygm import (
     BarrierTimeoutError,
-    DistCounter,
     DistMap,
     ExecTimeoutError,
     FaultPlan,
@@ -61,10 +60,10 @@ def run_guarded(fn):
 
 
 def fill(world, n_messages: int = 40):
-    """Issue *n_messages* counter increments (no barrier)."""
-    counter = DistCounter(world)
+    """Issue *n_messages* sum reductions, one message each (no barrier)."""
+    counter = DistMap(world)
     for i in range(n_messages):
-        counter.async_add(i % 5, 1)
+        counter.async_reduce(i % 5, 1, "ygm.op.add")
     return counter
 
 
@@ -126,11 +125,11 @@ class TestMpFailureMatrix:
         killer), not from an injected fault."""
         world = YgmWorld(2, backend="mp")
         try:
-            counter = DistCounter(world)
+            counter = DistMap(world)
             world.barrier()
             world.backend._workers[0].kill()
             for i in range(40):
-                counter.async_add(i % 5, 1)
+                counter.async_reduce(i % 5, 1, "ygm.op.add")
             exc = run_guarded(world.barrier)
             assert isinstance(exc, WorkerDiedError)
             assert exc.rank == 0

@@ -9,7 +9,7 @@ ownership bugs that example-based tests miss.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ygm import DistCounter, DistMap, DistSet, YgmWorld
+from repro.ygm import DistMap, YgmWorld
 
 # Operation alphabets ------------------------------------------------------
 
@@ -77,50 +77,3 @@ class TestDistMapModel:
                 dmap.async_reduce(key, value, "ygm.op.add")
             world.barrier()
             assert dmap.to_dict() == model
-
-
-class TestDistCounterModel:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        items=st.lists(
-            st.tuples(st.integers(0, 6), st.integers(1, 5)), max_size=40
-        ),
-        n_ranks=st.integers(1, 4),
-    )
-    def test_counts_match_model(self, items, n_ranks):
-        model: dict[int, int] = {}
-        for key, amount in items:
-            model[key] = model.get(key, 0) + amount
-        with YgmWorld(n_ranks) as world:
-            counter = DistCounter(world)
-            counter.async_add_batch(items)
-            world.barrier()
-            assert counter.to_dict() == model
-            if model:
-                # Global order: count descending, repr ascending on ties.
-                best = min(model.items(), key=lambda kv: (-kv[1], repr(kv[0])))
-                assert counter.top_k(1)[0] == best
-
-
-class TestDistSetModel:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        ops=st.lists(
-            st.tuples(st.booleans(), st.integers(0, 9)), max_size=40
-        ),
-        n_ranks=st.integers(1, 4),
-    )
-    def test_membership_matches_model(self, ops, n_ranks):
-        model: set[int] = set()
-        with YgmWorld(n_ranks) as world:
-            dset = DistSet(world)
-            for add, item in ops:
-                if add:
-                    dset.async_insert(item)
-                    world.barrier()
-                    model.add(item)
-                else:
-                    dset.async_erase(item)
-                    world.barrier()
-                    model.discard(item)
-            assert dset.to_set() == model

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ygm.partition import BlockPartitioner, HashPartitioner
+from repro.ygm.partition import HashPartitioner
 
 
 class TestHashPartitioner:
@@ -51,34 +51,3 @@ class TestHashPartitioner:
     @given(st.integers(min_value=-(2**62), max_value=2**62))
     def test_any_int_key_valid(self, key):
         assert 0 <= HashPartitioner(3).owner(key) < 3
-
-
-class TestBlockPartitioner:
-    def test_local_ranges_cover_space(self):
-        p = BlockPartitioner(3, 10)
-        spans = [p.local_range(r) for r in range(3)]
-        covered = [i for start, stop in spans for i in range(start, stop)]
-        assert covered == list(range(10))
-
-    def test_owner_matches_local_range(self):
-        p = BlockPartitioner(4, 22)
-        for r in range(4):
-            start, stop = p.local_range(r)
-            for i in range(start, stop):
-                assert p.owner(i) == r
-
-    def test_out_of_range_raises(self):
-        p = BlockPartitioner(2, 5)
-        with pytest.raises(IndexError):
-            p.owner(5)
-        with pytest.raises(IndexError):
-            p.owner_array(np.array([-1]))
-
-    def test_more_ranks_than_items(self):
-        p = BlockPartitioner(8, 3)
-        assert [p.owner(i) for i in range(3)] == [0, 1, 2]
-
-    def test_owner_array_matches_scalar(self):
-        p = BlockPartitioner(3, 17)
-        idx = np.arange(17)
-        assert p.owner_array(idx).tolist() == [p.owner(int(i)) for i in idx]
