@@ -33,11 +33,12 @@ Layers (each usable on its own):
   user hash (:func:`shard_of`), with exact gateway-side merges for
   top-k (k-way) and components (fragments labelled as one graph); ingest is
   either replicated or partitioned by page hash (:func:`page_shard_of`);
-- :mod:`repro.serve.exchange` — the page-mode partial-weight exchange:
-  ingest shards return pickled ``w'``/``P'``/incidence partials over
-  their supervisor pipe and :func:`merge_partials` sums them exactly
-  into the ledgers of one :class:`ScoringCore` (the engine's own
-  thresholding, scoring and query code);
+- :mod:`repro.serve.exchange` — the page-mode claim exchange: each
+  ingest shard answers a claim over its supervisor pipe with the
+  ``w'``/``P'``/incidence entries it moved since its last applied
+  answer, and :class:`ExchangeAggregate` sums them into one long-lived
+  :class:`ScoringCore` (the engine's own thresholding, scoring and
+  query code);
 - :mod:`repro.serve.http` — :class:`HttpGateway`, the stdlib
   ``ThreadingHTTPServer`` front door (``/topk``, ``/user/<id>/score``,
   ``/component/<id>``, ``/status``, ``/metrics`` in Prometheus text
@@ -50,10 +51,9 @@ Layers (each usable on its own):
 
 from repro.serve.engine import BatchReport, DetectionEngine, ScoringCore
 from repro.serve.exchange import (
-    MergedWeights,
+    ExchangeAggregate,
     PartialExchangeError,
     PartialWeights,
-    merge_partials,
 )
 from repro.serve.layers import MultiLayerDetectionEngine
 from repro.serve.ingest import (
@@ -88,10 +88,10 @@ __all__ = [
     "DurableDetectionService",
     "Event",
     "EventQueue",
+    "ExchangeAggregate",
     "Gauge",
     "Histogram",
     "HttpGateway",
-    "MergedWeights",
     "MultiLayerDetectionEngine",
     "PartialExchangeError",
     "PartialWeights",
@@ -103,7 +103,6 @@ __all__ = [
     "WatermarkTracker",
     "WriteAheadLog",
     "iter_ndjson_events",
-    "merge_partials",
     "page_shard_of",
     "parse_comment_event",
     "prometheus_text",

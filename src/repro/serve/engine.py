@@ -40,6 +40,7 @@ its window has already been evicted and answered for.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -116,14 +117,16 @@ class ScoringCore:
     hashable and totally ordered, so the one implementation serves both
     users of it:
 
-    - :class:`DetectionEngine` keys by dense interner ids and keeps the
-      derived stores current incrementally (dirty-edge maintenance);
-    - the sharded tier's page mode constructs a core straight from the
-      name-keyed ledgers the partial-weight exchange merged
-      (:class:`~repro.serve.exchange.MergedWeights`).
+    - :class:`DetectionEngine` keys by dense interner ids; its projector
+      moves the ledgers per comment;
+    - the sharded tier's page mode keeps one long-lived name-keyed core
+      and :meth:`merge` adds the ledger deltas its shards ship at each
+      claim (:class:`~repro.serve.exchange.ExchangeAggregate`).
 
-    Both therefore threshold, close, score, rank and tie-break with the
-    same code — "aggregate ≡ engine" holds by construction.
+    Either way the ledgers move first and :meth:`_settle` then brings the
+    thresholded adjacency, the triangles and their scores in line where
+    they moved, so both threshold, close, score, rank and tie-break with
+    the same code — "aggregate ≡ engine" holds by construction.
 
     Parameters
     ----------
@@ -273,6 +276,66 @@ class ScoringCore:
                             del self._tri_by_user[vertex]
                     removed += 1
         return n_dirty, added, removed, rescore
+
+    def _settle(
+        self,
+        old_weights: dict[tuple[_Key, _Key], int],
+        old_counts: dict[_Key, int],
+        dirty_users: set[_Key],
+    ) -> tuple[int, int, int, set[_TriKey]]:
+        """Re-derive triangles and scores after the ledgers moved.
+
+        *old_weights* / *old_counts* map every ``w'`` pair / ``P'`` user
+        that may have moved to its value before; *dirty_users* holds the
+        users whose live page set changed and gains those whose ``P'``
+        did.  Closes and drops triangles on the dirty edges, then
+        rescores every triangle on a dirty edge or at a dirty user.
+        Returns (dirty edges, added, removed, rescored keys).
+        """
+        pprime = self._pprime
+        for u, before in old_counts.items():
+            if pprime.get(u, 0) != before:
+                dirty_users.add(u)
+        n_dirty, added, removed, rescore = self._update_triangles(old_weights)
+        tri_by_user = self._tri_by_user
+        for u in dirty_users:
+            rescore.update(tri_by_user.get(u, ()))
+        self._rescore(rescore)
+        return n_dirty, added, removed, rescore
+
+    def merge(
+        self,
+        pairs: dict[tuple[_Key, _Key], int],
+        counts: dict[_Key, int],
+        incidence: dict[tuple[_Key, _Key], int],
+    ) -> None:
+        """Add ledger deltas, then settle triangles and scores where they moved.
+
+        *pairs* holds ``w'`` deltas keyed like the ledger (``a < b``),
+        *counts* ``P'`` deltas and *incidence* ``(user, page)`` live
+        comment-count deltas.  The sharded tier's aggregate sums its
+        shards' changes into these; the result is the core a from-scratch
+        load of the summed ledgers would be.
+        """
+        old_weights = _add_deltas(self._ci, pairs)
+        old_counts = _add_deltas(self._pprime, counts)
+        user_pages = self._user_pages
+        dirty_users: set[_Key] = set()
+        for (user, page), step in incidence.items():
+            if not step:
+                continue
+            pages = user_pages.setdefault(user, {})
+            n = pages.get(page, 0) + step
+            if n:
+                if n == step:
+                    dirty_users.add(user)
+                pages[page] = n
+            else:
+                del pages[page]
+                dirty_users.add(user)
+                if not pages:
+                    del user_pages[user]
+        self._settle(old_weights, old_counts, dirty_users)
 
     def _tris_with_edge(self, u: _Key, v: _Key) -> list[_TriKey]:
         a = self._tri_by_user.get(u)
@@ -504,6 +567,43 @@ class ScoringCore:
         return {name_of(u): c for u, c in self._pprime.items()}
 
 
+def _add_deltas(ledger: dict, deltas: dict) -> dict:
+    """Add *deltas* into *ledger*, dropping entries that reach zero;
+    returns the value before of every key that moved."""
+    before = {}
+    for key, step in deltas.items():
+        if not step:
+            continue
+        old = ledger.get(key, 0)
+        before[key] = old
+        if old + step:
+            ledger[key] = old + step
+        else:
+            del ledger[key]
+    return before
+
+
+class _ClaimJournal:
+    """Ledger entries an engine moved since its last claim.
+
+    ``pairs`` / ``users`` / ``incidence`` hold dense-id keys of moved
+    ``w'`` pairs, ``P'`` users and ``(user, page)`` incidence cells.
+    Compaction remaps ids, so before it runs the journal is *settled*:
+    the entries are read out by name with their values, and ``settled``
+    carries them to the next claim.
+    """
+
+    __slots__ = ("epoch", "generation", "pairs", "users", "incidence", "settled")
+
+    def __init__(self, epoch: str, generation: int) -> None:
+        self.epoch = epoch
+        self.generation = generation
+        self.pairs: set[tuple[int, int]] = set()
+        self.users: set[int] = set()
+        self.incidence: set[tuple[int, int]] = set()
+        self.settled: tuple[dict, dict, dict] = ({}, {}, {})
+
+
 class DetectionEngine(ScoringCore):
     """Maintains live detection state and answers queries over it.
 
@@ -569,6 +669,9 @@ class DetectionEngine(ScoringCore):
         self._filter_cache: dict[str, bool] = {}
         self._filtered_names: dict[str, None] = {}
         self._filtered_comments = 0
+        # What moved since the last claim; None until the first claim,
+        # so an engine nobody claims from records nothing.
+        self._journal: _ClaimJournal | None = None
 
     @classmethod
     def restore(
@@ -660,6 +763,8 @@ class DetectionEngine(ScoringCore):
             intern_user = proj.user_names.intern
             intern_page = proj.page_names.intern
             user_pages = self._user_pages
+            journal = self._journal
+            cells = journal.incidence if journal is not None else None
             # The projector records every w' / P' entry its count
             # crossings moved, with the value before the batch.
             delta = ProjectionDelta()
@@ -675,6 +780,8 @@ class DetectionEngine(ScoringCore):
                 pages[pid] = n + 1
                 if not n:
                     dirty_users.add(uid)
+                if cells is not None:
+                    cells.add((uid, pid))
             n_evicted = 0
             if cutoff is not None:
                 ev = proj.evict_before(cutoff, delta)
@@ -687,20 +794,17 @@ class DetectionEngine(ScoringCore):
                         dirty_users.add(uid)
                         if not pages:
                             del user_pages[uid]
+                if cells is not None:
+                    cells.update(ev.evicted)
+            if journal is not None:
+                journal.pairs.update(delta.pairs)
+                journal.users.update(delta.users)
 
             # The projector already moved w' and P' (this engine's _ci and
-            # _pprime); what changed is where they differ from before.
-            pprime = self._pprime
-            for u, before in delta.users.items():
-                if pprime.get(u, 0) != before:
-                    dirty_users.add(u)
-
-            # Thresholded-graph and triangle maintenance on dirty edges.
-            n_dirty, added, removed, rescore = self._update_triangles(delta.pairs)
-            tri_by_user = self._tri_by_user
-            for u in dirty_users:
-                rescore.update(tri_by_user.get(u, ()))
-            self._rescore(rescore)
+            # _pprime); settle triangles and scores where they differ.
+            n_dirty, added, removed, rescore = self._settle(
+                delta.pairs, delta.users, dirty_users
+            )
 
         m = self.metrics
         m.counter("engine.batches").inc()
@@ -762,6 +866,13 @@ class DetectionEngine(ScoringCore):
         tests).
         """
         with self.metrics.time("engine.compact"):
+            journal = self._journal
+            if journal is not None:
+                # Read the journal out by name before its ids are remapped.
+                journal.settled = self._journal_entries(journal)
+                journal.pairs.clear()
+                journal.users.clear()
+                journal.incidence.clear()
             self.proj.compact()
             self._rebuild_from_projector()
         self.metrics.counter("engine.compactions").inc()
@@ -775,6 +886,59 @@ class DetectionEngine(ScoringCore):
             pages_of = self._user_pages.setdefault(uid, {})
             pages_of[pid] = pages_of.get(pid, 0) + 1
         self._rebuild_triangles()
+
+    # -- claims: the page-hash exchange's shard side ----------------------------
+    def claim(
+        self, epoch: str | None, since: int | None
+    ) -> tuple[str, int | None, int, tuple[dict, dict, dict]]:
+        """The ledger entries that moved since the claim *since* answered.
+
+        A claimant names the ``(epoch, generation)`` of the last answer
+        it applied.  When that is this engine's last answer, the reply
+        holds every ``w'`` pair, ``P'`` user and ``(user, page)``
+        incidence cell moved since, at its current value (``0`` = gone),
+        name-keyed.  Otherwise — the first claim, another engine
+        incarnation (a restart), a lost or unapplied reply — the reply is
+        the full state: the change from empty.  Either way the journal
+        restarts empty at a new generation.
+
+        Returns ``(epoch, since, generation, (pairs, counts,
+        incidence))`` with ``since=None`` for a full state; *pairs* maps
+        sorted name pairs, *counts* names, *incidence* ``{user: {page:
+        count}}``.
+        """
+        journal = self._journal
+        if journal is not None and (epoch, since) == (
+            journal.epoch,
+            journal.generation,
+        ):
+            body = self._journal_entries(journal)
+        else:
+            since = None
+            body = (self.ci_edges(), self.page_counts(), self.live_incidence())
+            if journal is None:
+                journal = _ClaimJournal(os.urandom(8).hex(), 0)
+        self._journal = _ClaimJournal(journal.epoch, journal.generation + 1)
+        return journal.epoch, since, journal.generation + 1, body
+
+    def _journal_entries(self, journal: _ClaimJournal) -> tuple[dict, dict, dict]:
+        """*journal*'s entries by name, at their current values."""
+        pairs, counts, incidence = journal.settled
+        uname = self.proj.user_names.key_of
+        pname = self.proj.page_names.key_of
+        weights = self._ci
+        for key in journal.pairs:
+            a, b = str(uname(key[0])), str(uname(key[1]))
+            pairs[(a, b) if a <= b else (b, a)] = weights.get(key, 0)
+        pprime = self._pprime
+        for u in journal.users:
+            counts[str(uname(u))] = pprime.get(u, 0)
+        user_pages = self._user_pages
+        for u, p in journal.incidence:
+            incidence.setdefault(str(uname(u)), {})[str(pname(p))] = (
+                user_pages.get(u, {}).get(p, 0)
+            )
+        return pairs, counts, incidence
 
     def snapshot(self) -> PipelineResult:
         """Export the live state as a batch-compatible

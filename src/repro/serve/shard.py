@@ -24,18 +24,20 @@ is routing and, where answers live in N processes, exact merges.
   is O(stream/N).  Page locality keeps this exact: a page's co-comment
   pairs are computable from that page's timeline alone and pages are
   disjoint across shards, so each shard builds per-page pair ledgers
-  locally and the tier **exchanges partial pair weights** — each shard
-  returns its ``w'``/``P'``/incidence partial, pickled, over the same
-  supervisor pipe that carries its events, and the facade merges them
-  (:mod:`repro.serve.exchange`) into the ledgers of one in-process
-  :class:`~repro.serve.engine.ScoringCore`, which thresholds, scores
-  and answers every query directly — no owner slicing, no merge: the
-  answers live in one process.  Shards see only a timestamp subset of
-  the stream, so the tier tracks the global watermark and broadcasts it
-  (supervisor op ``observe``) so every shard's eviction cutoff
-  converges on the single-engine one.  Ingest shards skip local
-  triangle maintenance entirely (their engines run with an unreachable
-  cutoff — owner-computes: thresholding and scoring happen once, at the
+  locally and the tier **exchanges ledger deltas** — an aggregate query
+  after a write sends each shard one claim over the same supervisor
+  pipe that carries its events, the shard answers with the
+  ``w'``/``P'``/incidence entries it moved since its last applied
+  answer, and the facade adds them (:mod:`repro.serve.exchange`) into
+  one long-lived in-process :class:`~repro.serve.engine.ScoringCore`,
+  which thresholds, scores and answers every query directly — no owner
+  slicing, no merge: the answers live in one process.  Shards see only
+  a timestamp subset of the stream, so the tier tracks the global
+  watermark and broadcasts it (supervisor op ``observe``, and in every
+  claim) so every shard's eviction cutoff converges on the
+  single-engine one.  Ingest shards skip local triangle maintenance
+  entirely (their engines run with an unreachable cutoff —
+  owner-computes: thresholding and scoring happen once, at the
   aggregator).
 
 Each answer is bit-identical to the single-engine oracle's
@@ -48,9 +50,9 @@ users it owns while it restarts.  What page partitioning buys: ingest
 throughput scales with shards too (each shard processes ~1/N of the
 stream — ``tests/serve/test_exchange.py`` pins the partition, the
 ``serve-mixed`` workload of ``benchmarks/e2e`` times it), at the
-cost of query-time exchange latency and coarser availability (an
-exchange needs *every* shard, so a dead shard 503s aggregate queries
-until it restarts).
+cost of a claim round per shard on the first aggregate query after a
+write and coarser availability (an exchange needs *every* shard, so a
+dead shard 503s aggregate queries until it restarts).
 
 **Restart policy is the supervisor's** — windowed budget
 (``max_restarts`` per ``restart_window``), capped exponential backoff
@@ -74,16 +76,17 @@ from __future__ import annotations
 import heapq
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.graph.components import named_components
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.results import PipelineResult
 from repro.serve.engine import ScoringCore
-from repro.serve.exchange import load_partial, merge_partials
+from repro.serve.exchange import ExchangeAggregate, load_partial
 from repro.serve.ingest import Event, page_shard_of, shard_of
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.supervisor import DegradedError, ServeSupervisor
@@ -244,8 +247,8 @@ class ShardedDetectionService:
         Worker processes / query keyspace partitions.
     ingest_sharding:
         ``"replicated"`` (every event to every shard) or ``"page"``
-        (events route by page hash; queries answered from the
-        partial-weight exchange).
+        (events route by page hash; queries answered from the claim
+        exchange's aggregate).
     directory:
         Optional durable root; shard ``s`` journals under
         ``directory/shard-NN``.  ``None`` = volatile shards.
@@ -298,14 +301,19 @@ class ShardedDetectionService:
         self.query_timeout = float(query_timeout)
         self.directory = Path(directory) if directory is not None else None
         # Page-mode tier state (single producer, like the supervisors'
-        # queues): the global watermark broadcast, and the cross-shard
-        # aggregate memoized under the ingest generation it was built at.
+        # queues): the global watermark broadcast, and the long-lived
+        # cross-shard aggregate with the ingest generation it reflects.
         self._forward_batch = int(forward_batch)
         self._max_event_t: int | None = None
         self._events_since_observe = 0
         self._ingest_generation = 0
         self._agg_lock = threading.Lock()
-        self._aggregate: tuple[int, ScoringCore] | None = None
+        self._aggregate = (
+            ExchangeAggregate(self.config, self.n_shards)
+            if self._page_mode
+            else None
+        )
+        self._aggregate_generation: int | None = None
         self._shards: list[_Shard] = []
         try:
             for sid in range(self.n_shards):
@@ -330,6 +338,15 @@ class ShardedDetectionService:
             self.close()
             raise
         self.metrics.gauge("sharded.n_shards").set(self.n_shards)
+        if self._page_mode:
+            # Exchange counters show in /status and /metrics from the start.
+            for name in (
+                "sharded.exchanges",
+                "sharded.exchange_bytes",
+                "sharded.exchange_resyncs",
+                "sharded.exchange_delta_entries",
+            ):
+                self.metrics.counter(name)
 
     # -- ingest ------------------------------------------------------------
     def submit(self, event: Event) -> bool:
@@ -416,8 +433,7 @@ class ShardedDetectionService:
         """Forward and drain every live shard (waits out active restarts).
 
         In page mode the global watermark is re-broadcast afterwards so
-        every shard's eviction cutoff lands on the tier-wide final value
-        before any partial weights are exchanged.
+        every shard's eviction cutoff lands on the tier-wide final value.
         """
         for shard in self._shards:
             shard.sup.await_restart(30.0)
@@ -462,53 +478,54 @@ class ShardedDetectionService:
         finally:
             shard.lock.release()
 
-    def _aggregate_core(self) -> ScoringCore:
-        """The memoized cross-shard aggregate (page mode's query engine).
+    @contextmanager
+    def _aggregate_core(self) -> Iterator[ScoringCore]:
+        """The current cross-shard aggregate (page mode's query engine).
 
-        Runs the partial-weight exchange when stale: flush every shard,
-        fetch each one's ``w'``/``P'``/incidence partial over its pipe,
-        merge them, then load the merged ledgers into a
-        :class:`~repro.serve.engine.ScoringCore` — the engine's own
-        thresholding, scoring and query code.  A dead shard
-        raises :class:`ShardUnavailableError` — an exchange needs every
+        Held under the aggregate lock for the caller's read, since the
+        core is long-lived and the next exchange moves it.  When events
+        arrived since the last exchange, runs one: each shard gets one
+        claim round (buffered events forwarded first) that drains it,
+        folds in the tier watermark and returns the ledger entries moved
+        since its last applied answer; the aggregate sums those into its
+        :class:`~repro.serve.engine.ScoringCore`.  A dead shard raises
+        :class:`ShardUnavailableError` — an exchange needs every
         partition, so page-mode aggregate queries 503 (without waiting)
         until the shard's restart completes.
         """
+        aggregate = self._aggregate
+        assert aggregate is not None
         with self._agg_lock:
-            # Read before the flush: an event that lands mid-exchange
-            # may miss it, and must make the result stale, not current.
+            # Read before the claims: an event that lands mid-exchange
+            # may miss them, and must leave the aggregate stale.
             generation = self._ingest_generation
-            if self._aggregate is not None and self._aggregate[0] == generation:
-                return self._aggregate[1]
-            # Free the stale ledgers before gathering their successors,
-            # and fail fast rather than let flush() wait out a restart.
-            self._aggregate = None
-            for shard in self._shards:
-                self._require_up(shard)
-            self.flush()
-            with self.metrics.time("sharded.exchange"):
-                partials = []
+            if self._aggregate_generation != generation:
+                # Fail fast rather than wait out a restart.
                 for shard in self._shards:
-                    blob = self._query(
-                        shard.sid,
-                        lambda sup, sid=shard.sid: sup.partial_state(
-                            sid, self.n_shards
-                        ),
-                    )
-                    partials.append(load_partial(blob))
-                merged = merge_partials(partials, self.n_shards)
-            self.metrics.counter("sharded.exchanges").inc()
-            self.metrics.counter("sharded.exchange_bytes").inc(
-                merged.exchange_bytes
-            )
-            core = ScoringCore(
-                self.config,
-                pair_weights=merged.pair_weights,
-                page_counts=merged.page_counts,
-                incidence=merged.incidence,
-            )
-            self._aggregate = (generation, core)
-            return core
+                    self._require_up(shard)
+                self._exchange(aggregate)
+                self._aggregate_generation = generation
+            yield aggregate.core
+
+    def _exchange(self, aggregate: ExchangeAggregate) -> None:
+        watermark = self._max_event_t
+        m = self.metrics
+        with m.time("sharded.exchange"):
+            partials = []
+            for shard in self._shards:
+                epoch, since = aggregate.claim_args(shard.sid)
+                blob = self._query(
+                    shard.sid,
+                    lambda sup: sup.claim(
+                        shard.sid, self.n_shards, watermark, epoch, since
+                    ),
+                )
+                partials.append(load_partial(blob))
+            stats = aggregate.absorb(partials)
+        m.counter("sharded.exchanges").inc()
+        m.counter("sharded.exchange_bytes").inc(stats.nbytes)
+        m.counter("sharded.exchange_resyncs").inc(stats.resyncs)
+        m.counter("sharded.exchange_delta_entries").inc(stats.entries)
 
     def shard_for(self, author: str) -> int:
         """The shard authoritative for *author* (the routing rule)."""
@@ -518,7 +535,8 @@ class ShardedDetectionService:
         """:meth:`DetectionEngine.user_score`, from the owner shard."""
         with self.metrics.time("sharded.query.user"):
             if self._page_mode:
-                return self._aggregate_core().user_score(author)
+                with self._aggregate_core() as core:
+                    return core.user_score(author)
             return self._query(
                 self.shard_for(author),
                 lambda sup: sup.query("user_score", author),
@@ -535,7 +553,8 @@ class ShardedDetectionService:
             raise ValueError("ranking by C requires compute_hypergraph=True")
         with self.metrics.time("sharded.query.topk"):
             if self._page_mode:
-                return self._aggregate_core().top_k_triplets(k, by)
+                with self._aggregate_core() as core:
+                    return core.top_k_triplets(k, by)
             per_shard = [
                 self._query(
                     shard.sid,
@@ -562,14 +581,16 @@ class ShardedDetectionService:
         """*author*'s component (replicated: boundary-edge union across shards)."""
         with self.metrics.time("sharded.query.component"):
             if self._page_mode:
-                return self._aggregate_core().component_of(author)
+                with self._aggregate_core() as core:
+                    return core.component_of(author)
             return merged_component_of(self._gather_fragments(), author)
 
     def components(self) -> list[list[str]]:
         """All candidate networks (replicated: merged across shards)."""
         with self.metrics.time("sharded.query.component"):
             if self._page_mode:
-                return self._aggregate_core().components()
+                with self._aggregate_core() as core:
+                    return core.components()
             return merge_components(
                 self._gather_fragments(), self.config.min_component_size
             )
@@ -583,13 +604,15 @@ class ShardedDetectionService:
         """
         if not self._page_mode:
             raise ValueError("ci_edges() requires ingest_sharding='page'")
-        return self._aggregate_core().ci_edges()
+        with self._aggregate_core() as core:
+            return core.ci_edges()
 
     def page_counts(self) -> dict[str, int]:
         """Merged nonzero ``P'`` entries keyed by author name (page mode)."""
         if not self._page_mode:
             raise ValueError("page_counts() requires ingest_sharding='page'")
-        return self._aggregate_core().page_counts()
+        with self._aggregate_core() as core:
+            return core.page_counts()
 
     def shard_results(self, shard_id: int = 0) -> PipelineResult:
         """One shard's engine state as a batch-compatible result snapshot.

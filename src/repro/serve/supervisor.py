@@ -181,11 +181,17 @@ def _child_main(
                     if name not in ENGINE_QUERIES:
                         raise ValueError(f"unknown engine query {name!r}")
                     conn.send(("ok", getattr(svc.engine, name)(*args)))
-                elif op == "partial":
-                    _op, shard_id, n_shards = msg
-                    conn.send(
-                        ("ok", partial_bytes(svc.engine, shard_id, n_shards))
-                    )
+                elif op == "claim":
+                    # One round per exchange: drain, fold the tier-wide
+                    # watermark in and tick (as "drain" then "observe"
+                    # would), then answer the claim.
+                    _op, shard_id, n_shards, watermark, epoch, since = msg
+                    svc.drain_all()
+                    if watermark is not None:
+                        svc.observe(watermark)
+                    svc.tick()
+                    blob = partial_bytes(svc.engine, shard_id, n_shards, epoch, since)
+                    conn.send(("ok", (position(), blob)))
                 elif op == "sync":
                     if durable:
                         svc.wal.sync()
@@ -440,9 +446,13 @@ class ServeSupervisor:
                 BrokenPipeError,
                 ConnectionResetError,
             ):
-                self._recover()  # raises DegradedError when spent
-                if op == "events":
-                    return self._acked  # restart resent the retained gap
+                pass  # the child is gone
+            # Recover outside the handler: what _recover raises must not
+            # chain the failed send's traceback, whose frame holds the
+            # pickle buffer (freed out of order by the garbage collector).
+            self._recover()  # raises DegradedError when spent
+            if op == "events":
+                return self._acked  # restart resent the retained gap
         raise _ChildUnresponsive(f"child kept dying while serving {op!r}")
 
     # -- producer API ------------------------------------------------------
@@ -543,16 +553,30 @@ class ServeSupervisor:
         """:meth:`DetectionEngine.component_of` on the child."""
         return self.query("component_of", author)
 
-    def partial_state(self, shard_id: int, n_shards: int) -> bytes:
-        """The child's partial CI weights, pickled, in one pipe round.
+    def claim(
+        self,
+        shard_id: int,
+        n_shards: int,
+        watermark: int | None,
+        epoch: str | None,
+        since: int | None,
+    ) -> bytes:
+        """Claim the child's ledger changes since ``(epoch, since)``.
 
-        The page-hash exchange: returns the bytes of
+        The page-hash exchange's shard round: events still buffered here
+        are forwarded first; then one request drains the child, folds in
+        the tier-wide *watermark* and returns the bytes of
         :func:`repro.serve.exchange.partial_bytes`, which the caller
         rebuilds with :func:`repro.serve.exchange.load_partial`.  One
-        request per exchange keeps the partial atomic with respect to
-        the child's ingest.
+        request per claim keeps the answer atomic with respect to the
+        child's ingest.
         """
-        return self._request("partial", shard_id, n_shards)
+        self._forward()
+        position, blob = self._request(
+            "claim", shard_id, n_shards, watermark, epoch, since
+        )
+        self._prune_retained(self._global_ack(int(position)))
+        return blob
 
     def status(self) -> dict:
         """Child status (when reachable) + supervision counters."""

@@ -5,26 +5,33 @@ answer it merges across N user-hash shards — global top-k, per-author
 scores, cross-shard components — is **bit-identical** to what one
 unsharded :class:`~repro.serve.service.DetectionService` would return
 over the same stream, under **both ingest modes** (replicated fan-out
-and page-hash partitioning with the partial-weight exchange).
-:func:`run_sharded_parity` makes that promise executable in the
-:mod:`repro.verify.online` idiom:
+and page-hash partitioning with the claim exchange), and at every point
+of the stream, not only at its end.  :func:`run_sharded_parity` makes
+that promise executable in the :mod:`repro.verify.online` idiom:
 
 1. The corpus is sorted by timestamp.  In-order delivery makes the
-   final drained engine state independent of micro-batch boundaries,
-   so the oracle and every shard topology converge on the same live
-   window no matter how their ticks interleave.
-2. One single-engine oracle service consumes the stream; then for each
-   requested ``(ingest_mode, shard_count)`` pair a fresh
-   :class:`ShardedDetectionService` consumes the identical stream.
-3. Every queryable surface is diffed: top-k under each available
-   ranking (``==`` on the full row dicts — float scores must match
-   bit-for-bit), ``user_score`` for a seeded author sample plus one
-   absent name, the full component list, ``component_of`` for the same
-   sample, and a raw-state probe: in replicated mode shard 0's full
+   drained engine state at any prefix independent of micro-batch
+   boundaries, so the oracle and every shard topology converge on the
+   same live window no matter how their ticks interleave.
+2. The stream is cut into :data:`CHECKPOINTS` equal segments under a window
+   horizon that evicts, so later checkpoints answer after evictions and
+   page mode's aggregate answers from ledger deltas claimed since the
+   checkpoint before.  One single-engine oracle service consumes the
+   stream segment by segment and answers at every checkpoint, and a
+   from-scratch :class:`~repro.pipeline.framework.CoordinationPipeline`
+   run over that checkpoint's live window is the batch oracle.
+3. For each requested ``(ingest_mode, shard_count)`` pair a fresh
+   :class:`ShardedDetectionService` consumes the identical segments and
+   every queryable surface is diffed at every checkpoint: top-k under
+   each available ranking (``==`` on the full row dicts — float scores
+   must match bit-for-bit) against both oracles, ``user_score`` for a
+   seeded author sample plus one absent name, the full component list
+   (against both oracles), ``component_of`` for the same sample, and a
+   raw-state probe: in replicated mode shard 0's full
    :meth:`~ShardedDetectionService.shard_results` snapshot structurally
-   diffed against the oracle engine's snapshot; in page mode the
-   merged ``w'`` ledger (:meth:`~ShardedDetectionService.ci_edges`) and
-   ``P'`` ledger (:meth:`~ShardedDetectionService.page_counts`) diffed
+   diffed against the oracle engine's snapshot; in page mode the merged
+   ``w'`` ledger (:meth:`~ShardedDetectionService.ci_edges`) and ``P'``
+   ledger (:meth:`~ShardedDetectionService.page_counts`) diffed
    entry-by-entry against the oracle engine's — the exchange's
    additivity claim, checked at the raw-weight level.
 
@@ -38,13 +45,19 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+from repro.analysis.export import top_triplets_rows
+from repro.graph.bipartite import BipartiteTemporalMultigraph
 from repro.pipeline.config import PipelineConfig
+from repro.pipeline.framework import CoordinationPipeline
 from repro.serve.service import DetectionService
 from repro.serve.shard import ShardedDetectionService
 from repro.verify.chaos import diff_results
 from repro.verify.report import Report, diff_mapping, diff_rows
 
 __all__ = ["run_sharded_parity"]
+
+#: Equal stream segments after each of which every surface is diffed.
+CHECKPOINTS = 3
 
 Comment = tuple  # (author, page, created_utc)
 
@@ -71,9 +84,9 @@ def run_sharded_parity(
     comments:
         The corpus to stream, as ``(author, page, created_utc)`` tuples.
         Sorted by timestamp before streaming — in-order delivery is what
-        makes final state independent of process topology.
+        makes the state at every checkpoint independent of topology.
     config:
-        Pipeline configuration shared by the oracle and every tier.
+        Pipeline configuration shared by the oracles and every tier.
     shard_counts:
         The topologies to exercise (``1`` included proves the facade
         itself adds nothing even without real partitioning).
@@ -87,8 +100,8 @@ def run_sharded_parity(
         Seeded author sample for the per-user surfaces; one absent
         author is always added.
     window_horizon:
-        Sliding-window width (default: the full corpus span, so nothing
-        is evicted and every surface stays populated).
+        Sliding-window width (default: half the corpus span, so the
+        window evicts before the later checkpoints).
     batch_size / forward_batch / heartbeat_timeout / **service_kwargs:
         Forwarded to the services so oracle and shards tick alike.
     """
@@ -101,19 +114,11 @@ def run_sharded_parity(
         key=lambda c: c[2],
     )
     if window_horizon is None:
-        if stream:
-            span = max(stream[-1][2] - stream[0][2], 1)
-        else:
-            span = 1
-        window_horizon = span + 1
-
-    oracle = DetectionService(
-        config,
-        window_horizon=window_horizon,
-        batch_size=batch_size,
-        **service_kwargs,
+        span = stream[-1][2] - stream[0][2] if stream else 0
+        window_horizon = max(span // 2, 1)
+    marks = sorted(
+        {len(stream) * i // CHECKPOINTS for i in range(1, CHECKPOINTS + 1)}
     )
-    oracle.run_events(stream)
 
     ranks = ["t", "min_weight"] + (
         ["c"] if config.compute_hypergraph else []
@@ -126,19 +131,44 @@ def run_sharded_parity(
     )
     sample.append("__absent_author__")
 
-    oracle_top = {by: oracle.top_k_triplets(k, by=by) for by in ranks}
-    oracle_scores = {a: oracle.user_score(a) for a in sample}
-    oracle_comps = oracle.components()
-    oracle_members = {a: oracle.component_of(a) for a in sample}
-    oracle_snapshot = oracle.engine.snapshot()
-    oracle_ci = oracle.engine.ci_edges()
-    oracle_pp = oracle.engine.page_counts()
+    # The oracles' answers at every checkpoint, shared by all topologies.
+    oracle = DetectionService(
+        config,
+        window_horizon=window_horizon,
+        batch_size=batch_size,
+        **service_kwargs,
+    )
+    expected = []
+    start = 0
+    for mark in marks:
+        oracle.run_events(stream[start:mark])
+        start = mark
+        cutoff = oracle.engine.evict_cutoff
+        live = [c for c in stream[:mark] if cutoff is None or c[2] >= cutoff]
+        batch = CoordinationPipeline(config).run(
+            BipartiteTemporalMultigraph.from_comments(live)
+        )
+        expected.append(
+            {
+                "top": {by: oracle.top_k_triplets(k, by=by) for by in ranks},
+                "batch_top": {by: top_triplets_rows(batch, k, by) for by in ranks},
+                "scores": {a: oracle.user_score(a) for a in sample},
+                "components": oracle.components(),
+                "batch_components": sorted(
+                    (sorted(names) for names in batch.component_name_lists()),
+                    key=lambda names: (-len(names), names),
+                ),
+                "members": {a: oracle.component_of(a) for a in sample},
+                "snapshot": oracle.engine.snapshot(),
+                "ci": oracle.engine.ci_edges(),
+                "pp": oracle.engine.page_counts(),
+            }
+        )
 
     out: list[str] = []
     n_checks = 0
     for mode in ingest_modes:
         for n in shard_counts:
-            tag = f"mode={mode} n_shards={n}"
             tier = ShardedDetectionService(
                 config,
                 n_shards=n,
@@ -150,47 +180,14 @@ def run_sharded_parity(
                 **service_kwargs,
             )
             try:
-                tier.run_events(stream)
-                for by in ranks:
-                    out += diff_rows(
-                        f"{tag}: top-{k} by {by}",
-                        oracle_top[by],
-                        tier.top_k_triplets(k, by=by),
-                    )
-                out += diff_mapping(
-                    f"{tag}: user_score",
-                    oracle_scores,
-                    {a: tier.user_score(a) for a in sample},
-                )
-                out += diff_mapping(
-                    f"{tag}: component_of",
-                    oracle_members,
-                    {a: tier.component_of(a) for a in sample},
-                )
-                out += diff_rows(
-                    f"{tag}: components", oracle_comps, tier.components()
-                )
-                n_checks += len(ranks) + 2 * len(sample) + 1
-                if mode == "page":
-                    # No shard holds a full engine; probe the exchange's
-                    # raw merged ledgers against the oracle's instead.
-                    out += diff_mapping(
-                        f"{tag}: merged w' ledger", oracle_ci, tier.ci_edges()
-                    )
-                    out += diff_mapping(
-                        f"{tag}: merged P' ledger",
-                        oracle_pp,
-                        tier.page_counts(),
-                    )
-                    n_checks += 2
-                else:
-                    out += [
-                        f"{tag}: shard 0 snapshot — {line}"
-                        for line in diff_results(
-                            oracle_snapshot, tier.shard_results(0)
-                        )
-                    ]
-                    n_checks += 1
+                start = 0
+                for mark, want in zip(marks, expected):
+                    tier.run_events(stream[start:mark])
+                    start = mark
+                    tag = f"mode={mode} n_shards={n} @{mark}"
+                    out += _diff_tier(tag, tier, mode, want, ranks, k, sample)
+                    probes = 2 if mode == "page" else 1
+                    n_checks += 2 * len(ranks) + 2 * len(sample) + 2 + probes
             finally:
                 tier.close()
     return Report(
@@ -200,10 +197,59 @@ def run_sharded_parity(
             f"sharded parity run: {len(stream):,} comments across "
             f"shard counts [{', '.join(str(n) for n in shard_counts)}] x "
             f"ingest modes [{', '.join(ingest_modes)}] (seed {seed})",
+            f"  checkpoints: after [{', '.join(f'{m:,}' for m in marks)}] "
+            f"comments, window horizon {window_horizon:,} s",
             f"  surfaces checked: {n_checks} "
-            f"(top-{k}, {len(sample)} sampled authors, "
+            f"(top-{k} vs engine and batch, {len(sample)} sampled authors, "
             "components, raw-state probe)",
         ],
         facts={"n_comments": len(stream), "n_checks": n_checks},
         sections={"topologies": out},
     )
+
+
+def _diff_tier(
+    tag: str,
+    tier: ShardedDetectionService,
+    mode: str,
+    want: dict,
+    ranks: list[str],
+    k: int,
+    sample: list[str],
+) -> list[str]:
+    """Every surface of *tier* against one checkpoint's oracle answers."""
+    out: list[str] = []
+    for by in ranks:
+        got = tier.top_k_triplets(k, by=by)
+        out += diff_rows(f"{tag}: top-{k} by {by}", want["top"][by], got)
+        out += diff_rows(
+            f"{tag}: top-{k} by {by} vs batch", want["batch_top"][by], got
+        )
+    out += diff_mapping(
+        f"{tag}: user_score",
+        want["scores"],
+        {a: tier.user_score(a) for a in sample},
+    )
+    out += diff_mapping(
+        f"{tag}: component_of",
+        want["members"],
+        {a: tier.component_of(a) for a in sample},
+    )
+    components = tier.components()
+    out += diff_rows(f"{tag}: components", want["components"], components)
+    out += diff_rows(
+        f"{tag}: components vs batch", want["batch_components"], components
+    )
+    if mode == "page":
+        # No shard holds a full engine; probe the exchange's raw merged
+        # ledgers against the oracle's instead.
+        out += diff_mapping(f"{tag}: merged w' ledger", want["ci"], tier.ci_edges())
+        out += diff_mapping(
+            f"{tag}: merged P' ledger", want["pp"], tier.page_counts()
+        )
+    else:
+        out += [
+            f"{tag}: shard 0 snapshot — {line}"
+            for line in diff_results(want["snapshot"], tier.shard_results(0))
+        ]
+    return out

@@ -66,14 +66,6 @@ class HashPartitioner:
                 acc = (acc ^ np.uint64(byte)) * np.uint64(1099511628211)
         return int(acc % np.uint64(self.n_ranks))
 
-    def owner_array(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`owner` for integer key arrays."""
-        keys = np.asarray(keys)
-        if keys.dtype.kind not in "iu":
-            raise TypeError("owner_array requires integer keys")
-        mixed = _splitmix64(keys.astype(np.int64).view(np.uint64))
-        return (mixed % np.uint64(self.n_ranks)).astype(np.int64)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HashPartitioner) and other.n_ranks == self.n_ranks
 

@@ -29,19 +29,9 @@ class TestHashPartitioner:
         spread = {p.owner((i, j)) for i in range(6) for j in range(6)}
         assert len(spread) > 1
 
-    def test_owner_array_matches_scalar(self):
-        p = HashPartitioner(6)
-        keys = np.arange(100, dtype=np.int64)
-        vec = p.owner_array(keys)
-        assert vec.tolist() == [p.owner(int(k)) for k in keys]
-
-    def test_owner_array_rejects_floats(self):
-        with pytest.raises(TypeError):
-            HashPartitioner(2).owner_array(np.array([1.5]))
-
     def test_reasonable_balance(self):
         p = HashPartitioner(4)
-        counts = np.bincount(p.owner_array(np.arange(4000)), minlength=4)
+        counts = np.bincount([p.owner(k) for k in range(4000)], minlength=4)
         assert counts.min() > 800  # each rank gets a fair share
 
     def test_invalid_nranks(self):
