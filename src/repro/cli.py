@@ -213,10 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "oracle")
     ver.add_argument("--shard-counts", default="1,2,4",
                      help="comma-separated shard counts for --sharded")
-    ver.add_argument("--ingest-modes", default="replicated,page",
-                     help="comma-separated ingest modes for --sharded "
-                     "(replicated fan-out and/or page-hash partitioning "
-                     "with the partial-weight exchange)")
     ver.add_argument("--layers", action="store_true",
                      help="multi-layer parity instead: sweep every action "
                      "layer of a seeded multilayer corpus through the full "
@@ -304,15 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
         "HTTP gateway (--http PORT)",
     )
     net.add_argument("--shards", type=int, default=1,
-                     help="supervised engine shards partitioning the "
-                          "query keyspace by user hash (>1 runs worker "
+                     help="supervised engine shards partitioning ingest "
+                          "by page hash; queries are answered from the "
+                          "cross-shard ledger exchange (>1 runs worker "
                           "processes; composes with --durable)")
-    net.add_argument("--ingest-sharding", choices=["replicated", "page"],
-                     default="replicated",
-                     help="event routing across shards: replicated "
-                          "(every event to every shard) or page "
-                          "(page-hash partitioning; queries answered "
-                          "from the cross-shard partial-weight exchange)")
     net.add_argument("--http", type=int, default=None, metavar="PORT",
                      help="serve /topk /user/<id>/score /component/<id> "
                           "/status /metrics over HTTP on this port "
@@ -615,16 +606,10 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
             counts = tuple(
                 int(c) for c in str(args.shard_counts).split(",") if c.strip()
             )
-            modes = tuple(
-                m.strip()
-                for m in str(args.ingest_modes).split(",")
-                if m.strip()
-            )
             report = verify.run_sharded_parity(
                 named_comments,
                 config,
                 shard_counts=counts or (1, 2),
-                ingest_modes=modes or ("replicated",),
                 seed=args.seed,
             )
         elif args.chaos:
@@ -926,7 +911,6 @@ def _serve_sharded(args: argparse.Namespace, config, out) -> int:
     service = ShardedDetectionService(
         config,
         n_shards=max(1, args.shards),
-        ingest_sharding=args.ingest_sharding,
         directory=args.durable,
         **_supervision(args),
         forward_batch=args.batch_size,
@@ -938,15 +922,10 @@ def _serve_sharded(args: argparse.Namespace, config, out) -> int:
     )
     sink.bind(service.status)
     mode = "durable" if args.durable else "volatile"
-    ingest_rule = (
-        f"crc32(page) % {service.n_shards} (partial-weight exchange)"
-        if service.ingest_sharding == "page"
-        else "replicated fan-out"
-    )
     print(
         f"sharded tier: {service.n_shards} {mode} shard(s), "
-        f"queries = crc32(author) % {service.n_shards}, "
-        f"ingest = {ingest_rule}",
+        f"ingest = crc32(page) % {service.n_shards}, "
+        "queries = cross-shard ledger exchange",
         file=out,
     )
     def _graceful(_sig, _frame):

@@ -29,11 +29,10 @@ Layers (each usable on its own):
   watchdog parent that restarts a killed durable child with capped
   backoff and sheds load when the restart budget is spent;
 - :mod:`repro.serve.shard` — :class:`ShardedDetectionService`, N
-  supervised engine shards partitioning the query keyspace by stable
-  user hash (:func:`shard_of`), with exact gateway-side merges for
-  top-k (k-way) and components (fragments labelled as one graph); ingest is
-  either replicated or partitioned by page hash (:func:`page_shard_of`);
-- :mod:`repro.serve.exchange` — the page-mode claim exchange: each
+  supervised engine shards partitioning ingest by stable page hash
+  (:func:`page_shard_of`), answering every query from the exchange's
+  aggregate;
+- :mod:`repro.serve.exchange` — the sharded tier's claim exchange: each
   ingest shard answers a claim over its supervisor pipe with the
   ``w'``/``P'``/incidence entries it moved since its last applied
   answer, and :class:`ExchangeAggregate` sums them into one long-lived
@@ -62,8 +61,6 @@ from repro.serve.ingest import (
     WatermarkTracker,
     iter_ndjson_events,
     page_shard_of,
-    parse_comment_event,
-    shard_of,
 )
 from repro.serve.durable import DurableDetectionService
 from repro.serve.http import HttpGateway
@@ -104,9 +101,7 @@ __all__ = [
     "WriteAheadLog",
     "iter_ndjson_events",
     "page_shard_of",
-    "parse_comment_event",
     "prometheus_text",
     "read_wal",
-    "shard_of",
     "wal_end_state",
 ]

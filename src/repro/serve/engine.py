@@ -54,7 +54,6 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.framework import component_reports
 from repro.pipeline.results import PipelineResult
 from repro.projection.incremental import IncrementalProjector, ProjectionDelta
-from repro.serve.ingest import shard_of
 from repro.serve.metrics import ServiceMetrics
 from repro.tripoll.survey import TriangleSet
 
@@ -119,7 +118,7 @@ class ScoringCore:
 
     - :class:`DetectionEngine` keys by dense interner ids; its projector
       moves the ledgers per comment;
-    - the sharded tier's page mode keeps one long-lived name-keyed core
+    - the sharded tier keeps one long-lived name-keyed core
       and :meth:`merge` adds the ledger deltas its shards ship at each
       claim (:class:`~repro.serve.exchange.ExchangeAggregate`).
 
@@ -501,51 +500,6 @@ class ScoringCore:
                 [name_of(v) for _, v in pairs],
                 self.config.min_component_size,
             )
-
-    def owned_top_k_triplets(
-        self, k: int, shard_id: int, n_shards: int, by: str = "t"
-    ) -> list[dict]:
-        """The *k* best live triplets **owned** by one query shard.
-
-        Under the user-hash partition of the serving tier
-        (:func:`repro.serve.ingest.shard_of`) a triplet is owned by the
-        shard of its lexicographically-first author, so every triplet is
-        owned exactly once.  Each shard's owned list is the global
-        ranking restricted to its keyspace — any global top-k row is
-        therefore within the first k of its owner's list, which makes
-        the gateway's k-way merge (:func:`repro.serve.shard.merge_topk`)
-        exact.  Rows and ordering are identical to
-        :meth:`top_k_triplets` restricted to owned triplets.
-        """
-        rows = self.top_k_triplets(len(self._tris), by=by)
-        owned = [
-            r for r in rows if shard_of(r["authors"][0], n_shards) == shard_id
-        ]
-        return owned[: max(int(k), 0)]
-
-    def owned_component_fragment(
-        self, shard_id: int, n_shards: int
-    ) -> dict[str, list]:
-        """This shard's fragment of the thresholded graph, name-keyed.
-
-        ``edges`` holds every edge incident to an owned user as a sorted
-        name pair — *including* boundary edges whose far end another
-        shard owns.  Labelling all shards' fragments as one graph at the
-        gateway (:func:`repro.serve.shard.merge_components`) rebuilds the
-        full component structure exactly: every vertex of the thresholded
-        adjacency has an edge, and every edge is in at least one fragment.
-        """
-        with self.metrics.time("engine.query"):
-            name_of = self._name_of
-            edges: set[tuple[str, str]] = set()
-            for u, nbrs in self._adj.items():
-                un = name_of(u)
-                if shard_of(un, n_shards) != shard_id:
-                    continue
-                for v in nbrs:
-                    vn = name_of(v)
-                    edges.add((un, vn) if un <= vn else (vn, un))
-            return {"edges": sorted(edges)}
 
     @property
     def n_triangles(self) -> int:

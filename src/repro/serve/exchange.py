@@ -1,6 +1,6 @@
 """Claim exchange: page-hash ingest shards → one long-lived exact aggregate.
 
-Under the sharded tier's **page-hash ingest mode** each shard consumes
+Under the sharded tier's **page-hash ingest** each shard consumes
 only the events whose page hashes to it
 (:func:`repro.serve.ingest.page_shard_of`), so no shard holds the full
 live window.  What makes answers still exact is page locality: a page's

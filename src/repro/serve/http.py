@@ -7,19 +7,21 @@ standard library:
 ======================  =====================================================
 endpoint                answer
 ======================  =====================================================
-``GET /topk?k=&by=``    global top-k triplets (k-way merged across shards)
-``GET /user/<id>/score``  per-author live summary, routed to the owner shard
-``GET /component/<id>``   the author's cross-shard component
+``GET /topk?k=&by=``    global top-k triplets
+``GET /user/<id>/score``  per-author live summary
+``GET /component/<id>``   the author's component
 ``GET /status``         tier + per-shard status JSON
 ``GET /metrics``        Prometheus text exposition of the service registry
 ``GET /healthz``        ``ok`` when every shard is up, 503 otherwise
 ======================  =====================================================
 
-Error mapping is typed: a bad parameter is 400, an unknown route 404, a
-down shard (:class:`~repro.serve.shard.ShardUnavailableError` or a
-degraded single supervisor) is **503 with a ``Retry-After`` hint** —
-scoped to the dead shard's keyspace, the rest of the tier keeps
-answering 200.  Every request lands in the shared
+On a sharded tier every query answer comes from the one cross-shard
+aggregate (:mod:`repro.serve.exchange`).  Error mapping is typed: a bad
+parameter is 400, an unknown route 404, a down shard
+(:class:`~repro.serve.shard.ShardUnavailableError` or a degraded single
+supervisor) is **503 with a ``Retry-After`` hint** — on a sharded tier
+every query that must exchange 503s until the shard is back, since the
+exchange needs every shard.  Every request lands in the shared
 :class:`~repro.serve.metrics.ServiceMetrics` registry (per-endpoint
 latency histograms + status-class counters), which is itself what
 ``/metrics`` renders — the gateway is self-observing.

@@ -20,10 +20,10 @@ stable under load:
   has already been evicted and answered for) and is dropped at
   admission, keeping the exactness contract well-defined: queries equal
   a batch run over exactly the admitted, unevicted comments.
-- :func:`parse_comment_event` / :func:`iter_ndjson_events` — lenient
-  Pushshift-record parsing through the :mod:`repro.graph.io` loader
-  loop (``errors="skip"`` + :class:`~repro.graph.io.IngestStats`): one
-  corrupt line in a tailed dump costs one line, never the service.
+- :func:`iter_ndjson_events` — lenient Pushshift-record parsing
+  through the :mod:`repro.graph.io` loader loop (``errors="skip"`` +
+  :class:`~repro.graph.io.IngestStats`): one corrupt line in a tailed
+  dump costs one line, never the service.
 """
 
 from __future__ import annotations
@@ -38,41 +38,23 @@ __all__ = [
     "Event",
     "EventQueue",
     "WatermarkTracker",
-    "parse_comment_event",
     "iter_ndjson_events",
     "page_shard_of",
-    "shard_of",
 ]
 
 #: One comment event: ``(author, page, created_utc)``.
 Event = tuple[str, str, int]
 
 
-def shard_of(author: str, n_shards: int) -> int:
-    """The shard that owns *author*'s query keyspace.
-
-    Stable across processes and Python runs (``zlib.crc32`` of the
-    UTF-8 name — the builtin ``hash`` is salted per interpreter, which
-    would scatter ownership across restarts).  Every layer of the
-    sharded serving tier — child engines filtering their owned
-    candidates, the gateway routing ``/user/<id>/score`` — must agree on
-    this single function.
-    """
-    if n_shards <= 1:
-        return 0
-    data = str(author).encode("utf-8", "surrogatepass")
-    return zlib.crc32(data) % int(n_shards)
-
-
 def page_shard_of(page: str, n_shards: int) -> int:
-    """The ingest shard that owns *page*'s timeline (page-hash mode).
+    """The ingest shard that owns *page*'s timeline.
 
-    The page-partitioned ingest mode of the sharded tier routes every
-    event to the shard its ``link_id`` hashes to, so each page's full
-    timeline — and therefore each page's co-comment pair ledger — lives
-    on exactly one shard (the locality Algorithm 1 exploits).  Same
-    stable-hash rationale as :func:`shard_of`; the two partitions are
-    independent axes (users for query ownership, pages for ingest).
+    The sharded tier routes every event to the shard its ``link_id``
+    hashes to, so each page's full timeline — and therefore each page's
+    co-comment pair ledger — lives on exactly one shard (the locality
+    Algorithm 1 exploits).  Stable across processes and Python runs
+    (``zlib.crc32`` of the UTF-8 name — the builtin ``hash`` is salted
+    per interpreter, which would scatter pages across restarts).
     """
     if n_shards <= 1:
         return 0
@@ -229,16 +211,6 @@ class WatermarkTracker:
         """Whether an event still falls inside the live window."""
         cutoff = self.evict_cutoff
         return cutoff is None or int(event_time) >= cutoff
-
-
-def parse_comment_event(record: dict) -> Event | None:
-    """Extract ``(author, link_id, created_utc)`` from a Pushshift record.
-
-    ``None`` for a record :func:`repro.graph.io.btm_from_ndjson` counts
-    as malformed (no ``author`` or ``link_id`` value, a non-integer
-    timestamp); the page comes back as a string.
-    """
-    return next(_page_triples([record], errors="skip", decoded=True), None)
 
 
 def iter_ndjson_events(

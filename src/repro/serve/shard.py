@@ -1,58 +1,37 @@
 """Sharded serving tier: N supervised engine shards behind one facade.
 
-:class:`ShardedDetectionService` is a router over layers that already
-exist: every shard is a :class:`~repro.serve.supervisor.ServeSupervisor`
-(delivery, watchdog, restart policy), every answer comes out of the
-engine's :class:`~repro.serve.engine.ScoringCore`.  What the tier adds
-is routing and, where answers live in N processes, exact merges.
-**Ingest** runs in one of two modes (``ingest_sharding``):
-
-- ``"replicated"`` (default) — every event fans out to every shard, so
-  each shard's :class:`~repro.serve.engine.DetectionEngine` holds the
-  full live window and answers the queries it owns locally.  Shard
-  ``s`` is authoritative for the users hashing to ``s``
-  (:func:`repro.serve.ingest.shard_of`): ``user_score`` routes to the
-  owner; global top-k is the k-way merge of per-shard *owned* candidate
-  lists (a triplet is owned by the shard of its lexicographically-first
-  author, so each appears exactly once); components are rebuilt by
-  labelling per-shard fragments (the edges at owned users) as one graph
-  at the gateway, whose boundary edges stitch the cuts back together.
-  Maximally available (a dead shard 503s only its keyspace) but every
-  shard pays O(stream) ingest.
-- ``"page"`` — each event routes only to the shard its page hashes to
-  (:func:`repro.serve.ingest.page_shard_of`), so per-shard ingest cost
-  is O(stream/N).  Page locality keeps this exact: a page's co-comment
-  pairs are computable from that page's timeline alone and pages are
-  disjoint across shards, so each shard builds per-page pair ledgers
-  locally and the tier **exchanges ledger deltas** — an aggregate query
-  after a write sends each shard one claim over the same supervisor
-  pipe that carries its events, the shard answers with the
-  ``w'``/``P'``/incidence entries it moved since its last applied
-  answer, and the facade adds them (:mod:`repro.serve.exchange`) into
-  one long-lived in-process :class:`~repro.serve.engine.ScoringCore`,
-  which thresholds, scores and answers every query directly — no owner
-  slicing, no merge: the answers live in one process.  Shards see only
-  a timestamp subset of the stream, so the tier tracks the global
-  watermark and broadcasts it (supervisor op ``observe``, and in every
-  claim) so every shard's eviction cutoff converges on the
-  single-engine one.  Ingest shards skip local triangle maintenance
-  entirely (their engines run with an unreachable cutoff —
-  owner-computes: thresholding and scoring happen once, at the
-  aggregator).
+:class:`ShardedDetectionService` partitions **ingest** by page hash:
+each event routes only to the shard its page hashes to
+(:func:`repro.serve.ingest.page_shard_of`), so per-shard ingest cost is
+O(stream/N).  Every shard is a
+:class:`~repro.serve.supervisor.ServeSupervisor` (delivery, watchdog,
+restart policy).  Page locality keeps the tier exact: a page's
+co-comment pairs are computable from that page's timeline alone and
+pages are disjoint across shards, so each shard builds per-page pair
+ledgers locally and the tier **exchanges ledger deltas** — an aggregate
+query after a write sends each shard one claim over the same supervisor
+pipe that carries its events, the shard answers with the
+``w'``/``P'``/incidence entries it moved since its last applied answer,
+and the facade adds them (:mod:`repro.serve.exchange`) into one
+long-lived in-process :class:`~repro.serve.engine.ScoringCore`, which
+thresholds, scores and answers every query directly: the answers live
+in one process, so no answer is merged at the gateway.  Shards see
+only a timestamp subset of the stream, so the tier tracks the global
+watermark and broadcasts it (supervisor op ``observe``, and in every
+claim) so every shard's eviction cutoff converges on the single-engine
+one.  Ingest shards skip local triangle maintenance entirely (their
+engines run with an unreachable cutoff — owner-computes: thresholding
+and scoring happen once, at the aggregator).
 
 Each answer is bit-identical to the single-engine oracle's
-(:func:`repro.verify.sharded.run_sharded_parity` sweeps both ingest
-modes to enforce this).
-
-What replication buys: query throughput scales with shards and
-availability degrades **per keyspace** — a crashed shard 503s only the
-users it owns while it restarts.  What page partitioning buys: ingest
-throughput scales with shards too (each shard processes ~1/N of the
+(:func:`repro.verify.sharded.run_sharded_parity` enforces this).
+Ingest throughput scales with shards (each shard processes ~1/N of the
 stream — ``tests/serve/test_exchange.py`` pins the partition, the
-``serve-mixed`` workload of ``benchmarks/e2e`` times it), at the
-cost of a claim round per shard on the first aggregate query after a
-write and coarser availability (an exchange needs *every* shard, so a
-dead shard 503s aggregate queries until it restarts).
+``serve-mixed`` workload of ``benchmarks/e2e`` times it), at the cost
+of a claim round per shard on the first aggregate query after a write.
+Availability is tier-wide: an exchange needs *every* shard, so a dead
+shard 503s aggregate queries after the next write until it restarts.
+A query served from a current aggregate touches no shard pipe.
 
 **Restart policy is the supervisor's** — windowed budget
 (``max_restarts`` per ``restart_window``), capped exponential backoff
@@ -73,103 +52,44 @@ in-flight suffix.
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
-from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.graph.components import named_components
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.results import PipelineResult
 from repro.serve.engine import ScoringCore
 from repro.serve.exchange import ExchangeAggregate, load_partial
-from repro.serve.ingest import Event, page_shard_of, shard_of
+from repro.serve.ingest import Event, page_shard_of
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.supervisor import DegradedError, ServeSupervisor
 
-__all__ = [
-    "INGEST_MODES",
-    "ShardUnavailableError",
-    "ShardedDetectionService",
-    "merge_components",
-    "merge_topk",
-    "merged_component_of",
-    "page_shard_of",
-    "shard_of",
-]
+__all__ = ["ShardUnavailableError", "ShardedDetectionService"]
 
 _RANKS = ("t", "c", "min_weight")
 
-#: Supported ``ingest_sharding`` modes of the tier.
-INGEST_MODES = ("replicated", "page")
-
-#: Edge-weight cutoff no live pair can reach: page-mode ingest shards run
-#: their engines with this so they maintain pair ledgers, ``P'`` and the
+#: Edge-weight cutoff no live pair can reach: ingest shards run their
+#: engines with this so they maintain pair ledgers, ``P'`` and the
 #: incidence (all cutoff-independent) but never materialize thresholded
 #: adjacency or triangles — that work happens once, at the aggregator.
 _LEDGER_ONLY_CUTOFF = 1 << 62
 
 
 class ShardUnavailableError(RuntimeError):
-    """The authoritative shard for a query is down or restarting.
+    """A shard the query needs is down or restarting.
 
-    The HTTP gateway maps this to ``503 Service Unavailable`` with a
-    ``Retry-After`` hint; only the dead shard's keyspace is affected.
+    Every aggregate answer needs every shard's ledgers, so while one
+    shard is down each query that must exchange raises this.  The HTTP
+    gateway maps it to ``503 Service Unavailable`` with a
+    ``Retry-After`` hint.
     """
 
     def __init__(self, shard_id: int, reason: str) -> None:
         super().__init__(f"shard {shard_id} unavailable: {reason}")
         self.shard_id = shard_id
         self.reason = reason
-
-
-# ---------------------------------------------------------------------------
-# Merge helpers (pure functions — the gateway-side halves of each query)
-# ---------------------------------------------------------------------------
-
-
-def _merge_key(by: str) -> Callable[[dict], tuple]:
-    if by not in _RANKS:
-        raise ValueError(f"unknown ranking {by!r} (use t, c, min_weight)")
-    return lambda row: (-row[by], row["authors"])
-
-
-def merge_topk(per_shard: Iterable[list[dict]], k: int, by: str) -> list[dict]:
-    """K-way merge of per-shard owned candidate lists into the global top-k.
-
-    Each input list is already sorted by the engine's ranking
-    (descending score, lexicographic author tie-break) and owns its
-    rows exclusively, so a heap merge of the lists *is* the global
-    ranking and its first *k* rows are exact.
-    """
-    merged = heapq.merge(*per_shard, key=_merge_key(by))
-    return list(islice(merged, max(int(k), 0)))
-
-
-def merge_components(
-    fragments: Iterable[dict], min_component_size: int = 1
-) -> list[list[str]]:
-    """Label per-shard graph fragments as one graph: global components.
-
-    Boundary edges are reported by both incident shards; the labelling
-    is idempotent under the duplication.  Output matches
-    :meth:`DetectionEngine.components` exactly: sorted name lists,
-    floored at *min_component_size*, largest first with lexicographic
-    tie-break.
-    """
-    edges = [edge for frag in fragments for edge in frag["edges"]]
-    return named_components(
-        [a for a, _ in edges], [b for _, b in edges], min_component_size
-    )
-
-
-def merged_component_of(fragments: Iterable[dict], author: str) -> list[str]:
-    """*author*'s component across fragments (empty when absent/isolated)."""
-    return next((c for c in merge_components(fragments) if author in c), [])
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +157,19 @@ class _Shard:
 
 
 class ShardedDetectionService:
-    """N supervised engine shards behind one exact query facade.
+    """N page-hash ingest shards behind one exact query facade.
 
     Parameters
     ----------
     config:
-        Pipeline configuration, forked into every shard.
+        Pipeline configuration; the shards run it with a ledger-only
+        cutoff, the aggregate with the real one.
     n_shards:
-        Worker processes / query keyspace partitions.
+        Worker processes / page-hash ingest partitions.
     ingest_sharding:
-        ``"replicated"`` (every event to every shard) or ``"page"``
-        (events route by page hash; queries answered from the claim
-        exchange's aggregate).
+        Only ``"page"``: events route by page hash and queries are
+        answered from the claim exchange's aggregate.  Replicated
+        fan-out was removed; any other value raises ``ValueError``.
     directory:
         Optional durable root; shard ``s`` journals under
         ``directory/shard-NN``.  ``None`` = volatile shards.
@@ -270,7 +191,7 @@ class ShardedDetectionService:
         config: PipelineConfig | None = None,
         *,
         n_shards: int = 2,
-        ingest_sharding: str = "replicated",
+        ingest_sharding: str = "page",
         directory: str | Path | None = None,
         metrics: ServiceMetrics | None = None,
         heartbeat_timeout: float = 30.0,
@@ -281,38 +202,29 @@ class ShardedDetectionService:
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        self.config = config if config is not None else PipelineConfig()
-        if ingest_sharding not in INGEST_MODES:
+        if ingest_sharding != "page":
             raise ValueError(
-                f"unknown ingest_sharding {ingest_sharding!r} "
-                f"(use one of {', '.join(INGEST_MODES)})"
+                f"unknown ingest_sharding {ingest_sharding!r}: replicated "
+                "fan-out was removed, the tier always page-shards ingest "
+                "(use 'page')"
             )
-        self.ingest_sharding = ingest_sharding
-        self._page_mode = ingest_sharding == "page"
-        # Page-mode ingest shards only keep ledgers (cutoff-independent
-        # state); thresholding + scoring happen once, in the aggregate.
-        child_config = (
-            replace(self.config, min_triangle_weight=_LEDGER_ONLY_CUTOFF)
-            if self._page_mode
-            else self.config
-        )
+        self.config = config if config is not None else PipelineConfig()
+        # Ingest shards only keep ledgers (cutoff-independent state);
+        # thresholding + scoring happen once, in the aggregate.
+        child_config = replace(self.config, min_triangle_weight=_LEDGER_ONLY_CUTOFF)
         self.n_shards = int(n_shards)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.query_timeout = float(query_timeout)
         self.directory = Path(directory) if directory is not None else None
-        # Page-mode tier state (single producer, like the supervisors'
-        # queues): the global watermark broadcast, and the long-lived
-        # cross-shard aggregate with the ingest generation it reflects.
+        # Tier state (single producer, like the supervisors' queues): the
+        # global watermark broadcast, and the long-lived cross-shard
+        # aggregate with the ingest generation it reflects.
         self._forward_batch = int(forward_batch)
         self._max_event_t: int | None = None
         self._events_since_observe = 0
         self._ingest_generation = 0
         self._agg_lock = threading.Lock()
-        self._aggregate = (
-            ExchangeAggregate(self.config, self.n_shards)
-            if self._page_mode
-            else None
-        )
+        self._aggregate = ExchangeAggregate(self.config, self.n_shards)
         self._aggregate_generation: int | None = None
         self._shards: list[_Shard] = []
         try:
@@ -338,35 +250,41 @@ class ShardedDetectionService:
             self.close()
             raise
         self.metrics.gauge("sharded.n_shards").set(self.n_shards)
-        if self._page_mode:
-            # Exchange counters show in /status and /metrics from the start.
-            for name in (
-                "sharded.exchanges",
-                "sharded.exchange_bytes",
-                "sharded.exchange_resyncs",
-                "sharded.exchange_delta_entries",
-            ):
-                self.metrics.counter(name)
+        # Exchange counters show in /status and /metrics from the start.
+        for name in (
+            "sharded.exchanges",
+            "sharded.exchange_bytes",
+            "sharded.exchange_resyncs",
+            "sharded.exchange_delta_entries",
+        ):
+            self.metrics.counter(name)
 
     # -- ingest ------------------------------------------------------------
     def submit(self, event: Event) -> bool:
-        """Route one event into the tier (mode-dependent).
+        """Route one event to the one shard its page hashes to.
 
-        Replicated mode fans the event out to every shard; page mode
-        delivers it only to the shard its page hashes to.  Returns
-        ``False`` when a live target shard applied backpressure (its
+        Returns ``False`` when that shard applied backpressure (its
         parent queue is full while it restarts) — the producer should
         back off and retry, mirroring :meth:`DetectionService.submit`.
-        Permanently failed shards shed silently (counted) rather than
-        wedging ingest forever.
+        Only an admitted event counts: it moves the tier watermark (each
+        shard sees only a timestamp subset, so the tier broadcasts the
+        global max every ``forward_batch`` events), the ingest
+        generation that invalidates the aggregate, and
+        ``sharded.events``.  A permanently failed shard sheds silently
+        (counted) rather than wedging ingest forever.
         """
-        if self._page_mode:
-            ok = self._submit_page(event)
-        else:
-            # A list, not a generator: every shard must get the event.
-            ok = all([self._deliver(shard, event) for shard in self._shards])
+        shard = self._shards[page_shard_of(event[1], self.n_shards)]
+        if not self._deliver(shard, event):
+            return False
+        t = int(event[2])
+        if self._max_event_t is None or t > self._max_event_t:
+            self._max_event_t = t
+        self._ingest_generation += 1
         self.metrics.counter("sharded.events").inc()
-        return ok
+        self._events_since_observe += 1
+        if self._events_since_observe >= self._forward_batch:
+            self._broadcast_watermark()
+        return True
 
     def _deliver(self, shard: _Shard, event: Event) -> bool:
         """One event into one shard's supervisor; ``False`` = backpressure."""
@@ -377,26 +295,6 @@ class ShardedDetectionService:
             admitted = shard.sup.submit(event)
         if not admitted:
             self.metrics.counter("sharded.backpressure").inc()
-        return admitted
-
-    def _submit_page(self, event: Event) -> bool:
-        """Page-hash delivery: one event → exactly one ingest shard.
-
-        The tier tracks the global max event time itself (each shard
-        sees only a timestamp subset) and broadcasts it every
-        ``forward_batch`` events so per-shard eviction cutoffs track the
-        single-engine one.  Every event advances the ingest generation,
-        which is what invalidates the memoized cross-shard aggregate.
-        """
-        t = int(event[2])
-        if self._max_event_t is None or t > self._max_event_t:
-            self._max_event_t = t
-        self._ingest_generation += 1
-        shard = self._shards[page_shard_of(event[1], self.n_shards)]
-        admitted = self._deliver(shard, event)
-        self._events_since_observe += 1
-        if self._events_since_observe >= self._forward_batch:
-            self._broadcast_watermark()
         return admitted
 
     def _broadcast_watermark(self) -> None:
@@ -415,7 +313,7 @@ class ShardedDetectionService:
     def run_events(
         self, events: Iterable[Event], *, max_events: int | None = None
     ) -> int:
-        """Feed an iterable through every shard; returns events consumed."""
+        """Feed an iterable into the tier; returns events consumed."""
         consumed = 0
         try:
             for event in events:
@@ -432,15 +330,14 @@ class ShardedDetectionService:
     def flush(self) -> None:
         """Forward and drain every live shard (waits out active restarts).
 
-        In page mode the global watermark is re-broadcast afterwards so
-        every shard's eviction cutoff lands on the tier-wide final value.
+        The global watermark is re-broadcast afterwards so every shard's
+        eviction cutoff lands on the tier-wide final value.
         """
         for shard in self._shards:
             shard.sup.await_restart(30.0)
             with shard.lock:
                 shard.sup.flush()  # a no-op on a shard that is still down
-        if self._page_mode:
-            self._broadcast_watermark()
+        self._broadcast_watermark()
 
     def await_healthy(self, timeout: float = 30.0) -> bool:
         """Block until no shard is mid-restart; ``True`` if all are up."""
@@ -480,7 +377,7 @@ class ShardedDetectionService:
 
     @contextmanager
     def _aggregate_core(self) -> Iterator[ScoringCore]:
-        """The current cross-shard aggregate (page mode's query engine).
+        """The current cross-shard aggregate (the tier's query engine).
 
         Held under the aggregate lock for the caller's read, since the
         core is long-lived and the next exchange moves it.  When events
@@ -490,11 +387,10 @@ class ShardedDetectionService:
         since its last applied answer; the aggregate sums those into its
         :class:`~repro.serve.engine.ScoringCore`.  A dead shard raises
         :class:`ShardUnavailableError` — an exchange needs every
-        partition, so page-mode aggregate queries 503 (without waiting)
-        until the shard's restart completes.
+        partition, so aggregate queries 503 (without waiting) until the
+        shard's restart completes.
         """
         aggregate = self._aggregate
-        assert aggregate is not None
         with self._agg_lock:
             # Read before the claims: an event that lands mid-exchange
             # may miss them, and must leave the aggregate stale.
@@ -527,101 +423,49 @@ class ShardedDetectionService:
         m.counter("sharded.exchange_resyncs").inc(stats.resyncs)
         m.counter("sharded.exchange_delta_entries").inc(stats.entries)
 
-    def shard_for(self, author: str) -> int:
-        """The shard authoritative for *author* (the routing rule)."""
-        return shard_of(author, self.n_shards)
-
     def user_score(self, author: str) -> dict:
-        """:meth:`DetectionEngine.user_score`, from the owner shard."""
+        """:meth:`DetectionEngine.user_score`, from the aggregate core."""
         with self.metrics.time("sharded.query.user"):
-            if self._page_mode:
-                with self._aggregate_core() as core:
-                    return core.user_score(author)
-            return self._query(
-                self.shard_for(author),
-                lambda sup: sup.query("user_score", author),
-            )
+            with self._aggregate_core() as core:
+                return core.user_score(author)
 
     def top_k_triplets(self, k: int = 10, by: str = "t") -> list[dict]:
-        """Global top-k triplets.
-
-        Replicated mode gathers each shard's owned candidates and k-way
-        merges them; page mode reads the aggregate core's ranking.
-        """
-        _merge_key(by)  # validate the ranking before any pipe roundtrip
+        """Global top-k triplets: the aggregate core's ranking."""
+        # Validate the ranking before any pipe roundtrip.
+        if by not in _RANKS:
+            raise ValueError(f"unknown ranking {by!r} (use t, c, min_weight)")
         if by == "c" and not self.config.compute_hypergraph:
             raise ValueError("ranking by C requires compute_hypergraph=True")
         with self.metrics.time("sharded.query.topk"):
-            if self._page_mode:
-                with self._aggregate_core() as core:
-                    return core.top_k_triplets(k, by)
-            per_shard = [
-                self._query(
-                    shard.sid,
-                    lambda sup, sid=shard.sid: sup.query(
-                        "owned_top_k_triplets", k, sid, self.n_shards, by
-                    ),
-                )
-                for shard in self._shards
-            ]
-            return merge_topk(per_shard, k, by)
-
-    def _gather_fragments(self) -> list[dict]:
-        return [
-            self._query(
-                shard.sid,
-                lambda sup, sid=shard.sid: sup.query(
-                    "owned_component_fragment", sid, self.n_shards
-                ),
-            )
-            for shard in self._shards
-        ]
+            with self._aggregate_core() as core:
+                return core.top_k_triplets(k, by)
 
     def component_of(self, author: str) -> list[str]:
-        """*author*'s component (replicated: boundary-edge union across shards)."""
+        """*author*'s component in the aggregate's thresholded graph."""
         with self.metrics.time("sharded.query.component"):
-            if self._page_mode:
-                with self._aggregate_core() as core:
-                    return core.component_of(author)
-            return merged_component_of(self._gather_fragments(), author)
+            with self._aggregate_core() as core:
+                return core.component_of(author)
 
     def components(self) -> list[list[str]]:
-        """All candidate networks (replicated: merged across shards)."""
+        """All candidate networks of the aggregate."""
         with self.metrics.time("sharded.query.component"):
-            if self._page_mode:
-                with self._aggregate_core() as core:
-                    return core.components()
-            return merge_components(
-                self._gather_fragments(), self.config.min_component_size
-            )
+            with self._aggregate_core() as core:
+                return core.components()
 
     def ci_edges(self) -> dict[tuple[str, str], int]:
-        """Merged CI pair weights at the cutoff (page mode only).
+        """Merged CI pair weights at the cutoff.
 
         The parity harness diffs this against the single-engine oracle's
-        :meth:`DetectionEngine.ci_edges`; replicated shards hold full
-        engines, so there :meth:`shard_results` is the richer probe.
+        :meth:`DetectionEngine.ci_edges`: the exchange's additivity
+        claim, checked at the raw-weight level.
         """
-        if not self._page_mode:
-            raise ValueError("ci_edges() requires ingest_sharding='page'")
         with self._aggregate_core() as core:
             return core.ci_edges()
 
     def page_counts(self) -> dict[str, int]:
-        """Merged nonzero ``P'`` entries keyed by author name (page mode)."""
-        if not self._page_mode:
-            raise ValueError("page_counts() requires ingest_sharding='page'")
+        """Merged nonzero ``P'`` entries keyed by author name."""
         with self._aggregate_core() as core:
             return core.page_counts()
-
-    def shard_results(self, shard_id: int = 0) -> PipelineResult:
-        """One shard's engine state as a batch-compatible result snapshot.
-
-        In replicated mode any shard holds the full live window, so this
-        is the tier's raw-state probe; a page-mode shard returns its page
-        slice under the ledger-only config.
-        """
-        return self._query(shard_id, lambda sup: sup.results())
 
     def status(self) -> dict:
         """Tier health + per-shard status (degraded shards summarized)."""
@@ -646,7 +490,6 @@ class ShardedDetectionService:
         return {
             "sharded": True,
             "n_shards": self.n_shards,
-            "ingest_sharding": self.ingest_sharding,
             "healthy": all(s["up"] for s in shards),
             "shards": shards,
             "metrics": self.metrics.to_dict(),

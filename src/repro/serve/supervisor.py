@@ -85,8 +85,6 @@ ENGINE_QUERIES = frozenset(
         "user_score",
         "component_of",
         "components",
-        "owned_top_k_triplets",
-        "owned_component_fragment",
     }
 )
 

@@ -1,13 +1,12 @@
 """Sharded-vs-single parity: the query tier's exactness claim, executable.
 
 :class:`~repro.serve.shard.ShardedDetectionService` promises that every
-answer it merges across N user-hash shards — global top-k, per-author
-scores, cross-shard components — is **bit-identical** to what one
-unsharded :class:`~repro.serve.service.DetectionService` would return
-over the same stream, under **both ingest modes** (replicated fan-out
-and page-hash partitioning with the claim exchange), and at every point
-of the stream, not only at its end.  :func:`run_sharded_parity` makes
-that promise executable in the :mod:`repro.verify.online` idiom:
+answer its claim exchange aggregates across N page-hash ingest shards —
+global top-k, per-author scores, components — is **bit-identical** to
+what one unsharded :class:`~repro.serve.service.DetectionService` would
+return over the same stream, at every point of the stream, not only at
+its end.  :func:`run_sharded_parity` makes that promise executable in
+the :mod:`repro.verify.online` idiom:
 
 1. The corpus is sorted by timestamp.  In-order delivery makes the
    drained engine state at any prefix independent of micro-batch
@@ -15,25 +14,23 @@ that promise executable in the :mod:`repro.verify.online` idiom:
    same live window no matter how their ticks interleave.
 2. The stream is cut into :data:`CHECKPOINTS` equal segments under a window
    horizon that evicts, so later checkpoints answer after evictions and
-   page mode's aggregate answers from ledger deltas claimed since the
+   the aggregate answers from ledger deltas claimed since the
    checkpoint before.  One single-engine oracle service consumes the
    stream segment by segment and answers at every checkpoint, and a
    from-scratch :class:`~repro.pipeline.framework.CoordinationPipeline`
    run over that checkpoint's live window is the batch oracle.
-3. For each requested ``(ingest_mode, shard_count)`` pair a fresh
+3. For each requested shard count a fresh
    :class:`ShardedDetectionService` consumes the identical segments and
    every queryable surface is diffed at every checkpoint: top-k under
    each available ranking (``==`` on the full row dicts — float scores
    must match bit-for-bit) against both oracles, ``user_score`` for a
    seeded author sample plus one absent name, the full component list
    (against both oracles), ``component_of`` for the same sample, and a
-   raw-state probe: in replicated mode shard 0's full
-   :meth:`~ShardedDetectionService.shard_results` snapshot structurally
-   diffed against the oracle engine's snapshot; in page mode the merged
-   ``w'`` ledger (:meth:`~ShardedDetectionService.ci_edges`) and ``P'``
-   ledger (:meth:`~ShardedDetectionService.page_counts`) diffed
-   entry-by-entry against the oracle engine's — the exchange's
-   additivity claim, checked at the raw-weight level.
+   raw-state probe: the merged ``w'`` ledger
+   (:meth:`~ShardedDetectionService.ci_edges`) and ``P'`` ledger
+   (:meth:`~ShardedDetectionService.page_counts`) diffed entry-by-entry
+   against the oracle engine's — the exchange's additivity claim,
+   checked at the raw-weight level.
 
 Any mismatch becomes a human-readable divergence in the returned
 :class:`~repro.verify.report.Report`.  Driven by ``repro-botnets verify
@@ -51,7 +48,6 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.framework import CoordinationPipeline
 from repro.serve.service import DetectionService
 from repro.serve.shard import ShardedDetectionService
-from repro.verify.chaos import diff_results
 from repro.verify.report import Report, diff_mapping, diff_rows
 
 __all__ = ["run_sharded_parity"]
@@ -67,7 +63,6 @@ def run_sharded_parity(
     config: PipelineConfig | None = None,
     *,
     shard_counts: Sequence[int] = (1, 2, 4),
-    ingest_modes: Sequence[str] = ("replicated", "page"),
     k: int = 25,
     seed: int = 0,
     sample_authors: int = 12,
@@ -90,10 +85,6 @@ def run_sharded_parity(
     shard_counts:
         The topologies to exercise (``1`` included proves the facade
         itself adds nothing even without real partitioning).
-    ingest_modes:
-        Ingest partitioning modes to sweep — any subset of
-        ``("replicated", "page")``.  Every mode runs at every shard
-        count.
     k:
         Top-k depth compared under every available ranking.
     seed / sample_authors:
@@ -107,7 +98,6 @@ def run_sharded_parity(
     """
     config = config if config is not None else PipelineConfig()
     shard_counts = tuple(int(n) for n in shard_counts)
-    ingest_modes = tuple(str(m) for m in ingest_modes)
     rng = random.Random(seed)
     stream = sorted(
         [(str(a), str(p), int(t)) for a, p, t in comments],
@@ -159,7 +149,6 @@ def run_sharded_parity(
                     key=lambda names: (-len(names), names),
                 ),
                 "members": {a: oracle.component_of(a) for a in sample},
-                "snapshot": oracle.engine.snapshot(),
                 "ci": oracle.engine.ci_edges(),
                 "pp": oracle.engine.page_counts(),
             }
@@ -167,36 +156,33 @@ def run_sharded_parity(
 
     out: list[str] = []
     n_checks = 0
-    for mode in ingest_modes:
-        for n in shard_counts:
-            tier = ShardedDetectionService(
-                config,
-                n_shards=n,
-                ingest_sharding=mode,
-                window_horizon=window_horizon,
-                batch_size=batch_size,
-                forward_batch=forward_batch,
-                heartbeat_timeout=heartbeat_timeout,
-                **service_kwargs,
-            )
-            try:
-                start = 0
-                for mark, want in zip(marks, expected):
-                    tier.run_events(stream[start:mark])
-                    start = mark
-                    tag = f"mode={mode} n_shards={n} @{mark}"
-                    out += _diff_tier(tag, tier, mode, want, ranks, k, sample)
-                    probes = 2 if mode == "page" else 1
-                    n_checks += 2 * len(ranks) + 2 * len(sample) + 2 + probes
-            finally:
-                tier.close()
+    for n in shard_counts:
+        tier = ShardedDetectionService(
+            config,
+            n_shards=n,
+            window_horizon=window_horizon,
+            batch_size=batch_size,
+            forward_batch=forward_batch,
+            heartbeat_timeout=heartbeat_timeout,
+            **service_kwargs,
+        )
+        try:
+            start = 0
+            for mark, want in zip(marks, expected):
+                tier.run_events(stream[start:mark])
+                start = mark
+                out += _diff_tier(
+                    f"n_shards={n} @{mark}", tier, want, ranks, k, sample
+                )
+                n_checks += 2 * len(ranks) + 2 * len(sample) + 4
+        finally:
+            tier.close()
     return Report(
         "SHARDED PARITY",
         "every topology matches the single-engine oracle bit-for-bit",
         header=[
             f"sharded parity run: {len(stream):,} comments across "
-            f"shard counts [{', '.join(str(n) for n in shard_counts)}] x "
-            f"ingest modes [{', '.join(ingest_modes)}] (seed {seed})",
+            f"shard counts [{', '.join(str(n) for n in shard_counts)}] (seed {seed})",
             f"  checkpoints: after [{', '.join(f'{m:,}' for m in marks)}] "
             f"comments, window horizon {window_horizon:,} s",
             f"  surfaces checked: {n_checks} "
@@ -211,7 +197,6 @@ def run_sharded_parity(
 def _diff_tier(
     tag: str,
     tier: ShardedDetectionService,
-    mode: str,
     want: dict,
     ranks: list[str],
     k: int,
@@ -240,16 +225,8 @@ def _diff_tier(
     out += diff_rows(
         f"{tag}: components vs batch", want["batch_components"], components
     )
-    if mode == "page":
-        # No shard holds a full engine; probe the exchange's raw merged
-        # ledgers against the oracle's instead.
-        out += diff_mapping(f"{tag}: merged w' ledger", want["ci"], tier.ci_edges())
-        out += diff_mapping(
-            f"{tag}: merged P' ledger", want["pp"], tier.page_counts()
-        )
-    else:
-        out += [
-            f"{tag}: shard 0 snapshot — {line}"
-            for line in diff_results(want["snapshot"], tier.shard_results(0))
-        ]
+    # No shard holds a full engine, so the raw-state probe is the
+    # exchange's merged ledgers against the oracle's.
+    out += diff_mapping(f"{tag}: merged w' ledger", want["ci"], tier.ci_edges())
+    out += diff_mapping(f"{tag}: merged P' ledger", want["pp"], tier.page_counts())
     return out

@@ -1,10 +1,11 @@
 """One random graph through every caller of the components kernel.
 
-Edge-list components, the fused graph, the serve core and the replicated
-tier's fragment merge must all give networkx's partition in the one
-canonical order: members sorted, components by ``(-size, members)``.
-Names are interned in first-appearance order, which differs from their
-sorted order, and include non-ASCII and NUL-suffixed names.
+Edge-list components, the fused graph and the serve core (id-keyed as
+in the engine, name-keyed as in the sharded tier's aggregate) must all
+give networkx's partition in the one canonical order: members sorted,
+components by ``(-size, members)``.  Names are interned in
+first-appearance order, which differs from their sorted order, and
+include non-ASCII and NUL-suffixed names.
 """
 
 import networkx as nx
@@ -16,7 +17,6 @@ from repro.graph import EdgeList
 from repro.graph.components import components_as_lists
 from repro.pipeline.config import PipelineConfig
 from repro.serve.engine import ScoringCore
-from repro.serve.shard import merge_components, merged_component_of
 
 NAMES = [
     "zoë", "Émile", "bob", "x\x00", "x", "日本", "ß", "Bob", "ålesund", "a",
@@ -92,12 +92,3 @@ def test_every_caller_gives_the_networkx_answer(seed, min_size):
         for name in names + ["nobody"]:
             mine = next((c for c in everyone if name in c), [])
             assert core.component_of(name) == mine
-    for n_shards in (2, 3):
-        fragments = [
-            ledgers[0].owned_component_fragment(sid, n_shards)
-            for sid in range(n_shards)
-        ]
-        assert merge_components(fragments, min_size) == want
-        for name in names + ["nobody"]:
-            mine = next((c for c in everyone if name in c), [])
-            assert merged_component_of(fragments, name) == mine

@@ -20,7 +20,6 @@ from repro.serve import (
     ShardedDetectionService,
     page_shard_of,
     prometheus_text,
-    shard_of,
 )
 from repro.serve.exchange import load_partial, partial_bytes
 
@@ -41,7 +40,6 @@ def stream(n=400):
 
 
 def make_tier(n_shards=2, **kw):
-    kw.setdefault("ingest_sharding", "page")
     kw.setdefault("window_horizon", 10_000)
     kw.setdefault("batch_size", 32)
     kw.setdefault("forward_batch", 64)
@@ -345,26 +343,27 @@ class TestClaims:
 
 class TestPageModeTier:
     def test_foreign_owner_page_stays_exact(self):
-        # A page whose commenters ALL user-hash to other shards is the
-        # case replicated ingest never has: the ingest shard holding the
-        # page's ledger owns none of its authors' answers.  The exchange
-        # must still hand the user-hash owners the full weights.
+        # Three authors share one page on shard 1 and a filler page on
+        # shard 0: each shard holds only part of every author's pairs
+        # and P' counts.  The exchange must add the foreign shard's
+        # weights to the local ones, not answer from either alone.
         n = 2
-        authors = ["u%d" % i for i in range(40) if shard_of("u%d" % i, n) == 0]
-        page = next(
-            "p%d" % i for i in range(40) if page_shard_of("p%d" % i, n) == 1
+        page, filler = (
+            next("p%d" % i for i in range(40) if page_shard_of("p%d" % i, n) == sid)
+            for sid in (1, 0)
         )
-        trio = authors[:3]
+        trio = ["u0", "u1", "u2"]
         events = sorted(
-            [(a, page, 10 * i + j) for i, a in enumerate(trio * 4) for j in (0,)]
-            + [(a, "filler", 200 + i) for i, a in enumerate(trio)],
+            [(a, page, 10 * i) for i, a in enumerate(trio * 4)]
+            + [(a, filler, 200 + i) for i, a in enumerate(trio)],
             key=lambda e: e[2],
         )
         oracle = oracle_service(events)
         with make_tier(n_shards=n) as tier:
             tier.run_events(events)
-            # The foreign page's pairs survived the exchange verbatim.
+            # Both shards' pairs survived the exchange, summed.
             assert tier.ci_edges() == oracle.engine.ci_edges()
+            assert tier.page_counts() == oracle.engine.page_counts()
             for author in trio:
                 assert tier.user_score(author) == oracle.user_score(author)
             assert tier.top_k_triplets(10) == oracle.top_k_triplets(10)
@@ -394,32 +393,26 @@ class TestPageModeTier:
             assert tier.top_k_triplets(25) == oracle.top_k_triplets(25)
             assert tier.components() == oracle.components()
 
-    def test_status_reports_mode_and_exchange_metrics(self):
+    def test_status_reports_partition_and_exchange_metrics(self):
         # Spread over 100 pages so the crc32 page hash has something to
         # balance; stream()'s 6 pages would pin the hottest shard.
         events = [("u%d" % (i % 18), "p%d" % (i % 100), i) for i in range(400)]
-        for mode, n in [
-            ("page", 2), ("page", 4), ("replicated", 2), ("replicated", 4)
-        ]:
-            with make_tier(n_shards=n, ingest_sharding=mode) as tier:
+        for n in (2, 4):
+            with make_tier(n_shards=n) as tier:
                 tier.run_events(events)
                 tier.top_k_triplets(5)
                 status = tier.status()
-            assert status["ingest_sharding"] == mode
             counters = status["metrics"]["counters"]
             per_shard = [
                 s["status"]["submitted_events"] for s in status["shards"]
             ]
-            if mode == "page":
-                assert counters["sharded.exchanges"] >= 1
-                assert counters["sharded.exchange_bytes"] > 0
-                # Page partitioning: per-shard submissions sum to the
-                # stream, and no shard holds more than 1.6/n of it.
-                assert sum(per_shard) == len(events)
-                assert max(per_shard) <= 1.6 / n * len(events), (n, per_shard)
-            else:
-                # Replicated fan-out: every shard ingests every event.
-                assert per_shard == [len(events)] * n
+            assert counters["sharded.exchanges"] >= 1
+            assert counters["sharded.exchange_bytes"] > 0
+            assert counters["sharded.events"] == len(events)
+            # Page partitioning: per-shard submissions sum to the
+            # stream, and no shard holds more than 1.6/n of it.
+            assert sum(per_shard) == len(events)
+            assert max(per_shard) <= 1.6 / n * len(events), (n, per_shard)
 
     def test_write_landing_mid_exchange_is_not_cached_away(self, monkeypatch):
         # A write that arrives while an exchange is in flight misses it.
@@ -493,28 +486,20 @@ class TestPageModeTier:
             assert not reader.is_alive() and not writer.is_alive()
             assert tier.user_score("new")["present"]
 
-    def test_ledger_accessors_require_page_mode(self):
-        with make_tier(n_shards=2, ingest_sharding="replicated") as tier:
-            tier.run_events(stream(60))
-            with pytest.raises(ValueError, match="page"):
-                tier.ci_edges()
-            with pytest.raises(ValueError, match="page"):
-                tier.page_counts()
-
     def test_rejects_unknown_ingest_mode(self):
-        with pytest.raises(ValueError, match="ingest_sharding"):
-            ShardedDetectionService(
-                CONFIG, n_shards=2, ingest_sharding="broadcast"
-            )
+        # Page hashing is the only ingest mode; the keyword stays for
+        # callers that name it, and replicated fan-out is refused.
+        for mode in ("replicated", "broadcast"):
+            with pytest.raises(ValueError, match="replicated fan-out was removed"):
+                ShardedDetectionService(CONFIG, n_shards=2, ingest_sharding=mode)
 
 
 @pytest.mark.faults
 class TestExchangeFaults:
     def test_dead_ingest_shard_fails_aggregate_queries_typed(self):
-        # Page mode has coarser availability than replicated: every
-        # aggregate answer needs every shard's partial, so one dead
-        # ingest shard 503s the whole surface — typed, never silently
-        # under-counted.
+        # Every aggregate answer needs every shard's partial, so one
+        # dead ingest shard 503s the whole surface — typed, never
+        # silently under-counted.
         events = stream(300)
         with make_tier(n_shards=2, max_restarts=0) as tier:
             tier.run_events(events)
@@ -523,14 +508,11 @@ class TestExchangeFaults:
             with pytest.raises(ShardUnavailableError) as excinfo:
                 tier.top_k_triplets(10)
             assert excinfo.value.shard_id == victim
-            # Even an author whose user-hash owner is alive: the owner
-            # cannot aggregate without the dead shard's partial.
-            live_author = next(
-                a for a in ("u%d" % i for i in range(18))
-                if shard_of(a, 2) != victim
-            )
-            with pytest.raises(ShardUnavailableError):
-                tier.user_score(live_author)
+            # Every author: the aggregate cannot be built without the
+            # dead shard's partial.
+            for author in ("u0", "u1", "missing"):
+                with pytest.raises(ShardUnavailableError):
+                    tier.user_score(author)
 
     def test_aggregate_503s_while_restarting_then_recovers_exactly(self, tmp_path):
         events = stream(300)

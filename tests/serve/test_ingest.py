@@ -1,5 +1,7 @@
 """Tests for the ingestion frontend (queue, watermark, ndjson streaming)."""
 
+import json
+
 import pytest
 
 from repro.graph.io import IngestStats
@@ -7,10 +9,14 @@ from repro.serve.ingest import (
     EventQueue,
     WatermarkTracker,
     iter_ndjson_events,
-    parse_comment_event,
 )
 
 pytestmark = pytest.mark.serve
+
+
+def parse(record):
+    """One Pushshift record through the service's line parser."""
+    return list(iter_ndjson_events([json.dumps(record)]))
 
 
 class TestEventQueue:
@@ -118,7 +124,7 @@ class TestWatermarkTracker:
 class TestNdjsonStreaming:
     def test_parse_valid_record(self):
         rec = {"author": "a", "link_id": "t3_x", "created_utc": "7"}
-        assert parse_comment_event(rec) == ("a", "t3_x", 7)
+        assert parse(rec) == [("a", "t3_x", 7)]
 
     @pytest.mark.parametrize(
         "rec",
@@ -130,7 +136,7 @@ class TestNdjsonStreaming:
         ],
     )
     def test_parse_malformed_returns_none(self, rec):
-        assert parse_comment_event(rec) is None
+        assert parse(rec) == []
 
     def test_iter_skips_malformed_and_counts(self):
         lines = [
@@ -155,11 +161,11 @@ class TestNdjsonStreaming:
         ],
     )
     def test_null_or_empty_author_or_page_returns_none(self, rec):
-        assert parse_comment_event(rec) is None
+        assert parse(rec) == []
 
     def test_page_is_a_string(self):
         rec = {"author": "a", "link_id": 7, "created_utc": 1}
-        assert parse_comment_event(rec) == ("a", "7", 1)
+        assert parse(rec) == [("a", "7", 1)]
 
     def test_iter_makes_no_phantom_page(self):
         lines = [

@@ -1,4 +1,4 @@
-"""Tests for the sharded serving tier: routing, merges, parity, faults."""
+"""Tests for the sharded serving tier: routing, parity, faults."""
 
 import zlib
 
@@ -11,15 +11,9 @@ from repro.serve import (
     DetectionService,
     ShardUnavailableError,
     ShardedDetectionService,
-    shard_of,
-)
-from repro.serve.shard import (
-    merge_components,
-    merge_topk,
-    merged_component_of,
+    page_shard_of,
 )
 from repro.verify import run_sharded_parity
-from repro.verify.chaos import diff_results
 
 pytestmark = pytest.mark.serve
 
@@ -56,68 +50,21 @@ def oracle_service(events):
 
 class TestShardOf:
     def test_is_stable_crc32(self):
-        # The routing rule is part of the wire contract: clients and
-        # gateways must agree across processes and releases.
-        assert shard_of("alice", 4) == zlib.crc32(b"alice") % 4
-        assert shard_of("bob", 7) == zlib.crc32(b"bob") % 7
+        # The routing rule is part of the wire contract: every process
+        # of the tier must agree across processes and releases.
+        assert page_shard_of("t3_alice", 4) == zlib.crc32(b"t3_alice") % 4
+        assert page_shard_of("t3_bob", 7) == zlib.crc32(b"t3_bob") % 7
 
     def test_single_shard_short_circuits(self):
-        assert shard_of("anyone", 1) == 0
-        assert shard_of("anyone", 0) == 0
+        assert page_shard_of("any", 1) == 0
+        assert page_shard_of("any", 0) == 0
 
     def test_range_and_coverage(self):
-        sids = {shard_of("user%d" % i, 4) for i in range(1000)}
+        sids = {page_shard_of("page%d" % i, 4) for i in range(1000)}
         assert sids == {0, 1, 2, 3}
 
     def test_non_ascii_authors(self):
-        assert 0 <= shard_of("ユーザー", 3) < 3
-
-
-class TestMergeTopK:
-    def rows(self, *pairs):
-        return [{"authors": a, "t": t} for a, t in pairs]
-
-    def test_exact_merge_order(self):
-        s0 = self.rows((("a", "b", "c"), 0.9), (("a", "x", "y"), 0.3))
-        s1 = self.rows((("b", "c", "d"), 0.5))
-        merged = merge_topk([s0, s1], k=2, by="t")
-        assert [r["t"] for r in merged] == [0.9, 0.5]
-
-    def test_tie_breaks_lexicographically(self):
-        s0 = self.rows((("b", "c", "d"), 0.5))
-        s1 = self.rows((("a", "b", "c"), 0.5))
-        merged = merge_topk([s0, s1], k=2, by="t")
-        assert merged[0]["authors"] == ("a", "b", "c")
-
-    def test_k_truncates_and_unknown_rank_raises(self):
-        s0 = self.rows((("a", "b", "c"), 0.9), (("a", "x", "y"), 0.3))
-        assert len(merge_topk([s0], k=1, by="t")) == 1
-        assert merge_topk([s0], k=0, by="t") == []
-        with pytest.raises(ValueError):
-            merge_topk([s0], k=1, by="bogus")
-
-
-class TestMergeComponents:
-    def test_boundary_edges_stitch_and_duplicate_safely(self):
-        # Both incident shards report the cut edge (a, b); the union
-        # must not double-count or split the component.
-        f0 = {"edges": [("a", "b")]}
-        f1 = {"edges": [("a", "b"), ("b", "c")]}
-        assert merge_components([f0, f1]) == [["a", "b", "c"]]
-
-    def test_min_size_floor_and_ordering(self):
-        f0 = {"edges": [("a", "b")]}
-        f1 = {"edges": [("c", "d"), ("d", "e")]}
-        comps = merge_components([f0, f1], min_component_size=2)
-        assert comps == [["c", "d", "e"], ["a", "b"]]  # largest first
-        assert merge_components([f0, f1], min_component_size=3) == [
-            ["c", "d", "e"]
-        ]
-
-    def test_component_of_absent_author(self):
-        f0 = {"edges": [("a", "b")]}
-        assert merged_component_of([f0], "nobody") == []
-        assert merged_component_of([f0], "a") == ["a", "b"]
+        assert 0 <= page_shard_of("ページ", 3) < 3
 
 
 class TestShardedParity:
@@ -147,20 +94,17 @@ class TestShardedService:
         oracle = oracle_service(events)
         with make_tier(n_shards=3) as tier:
             tier.run_events(events)
+            per_shard = [
+                s["status"]["submitted_events"] for s in tier.status()["shards"]
+            ]
+            assert per_shard == [
+                sum(1 for e in events if page_shard_of(e[1], 3) == sid)
+                for sid in range(3)
+            ]
             for author in ("u0", "u5", "u17", "missing"):
-                assert tier.shard_for(author) == shard_of(author, 3)
                 assert tier.user_score(author) == oracle.user_score(author)
-
-    def test_shard_results_is_bit_identical(self):
-        events = stream(300)
-        oracle = oracle_service(events)
-        with make_tier(n_shards=2) as tier:
-            tier.run_events(events)
-            for sid in (0, 1):
-                assert (
-                    diff_results(oracle.engine.snapshot(), tier.shard_results(sid))
-                    == []
-                )
+            assert tier.top_k_triplets(25) == oracle.top_k_triplets(25)
+            assert tier.components() == oracle.components()
 
     def test_rank_c_without_hypergraph_raises(self):
         config = PipelineConfig(
@@ -196,41 +140,67 @@ class TestShardedService:
 
 @pytest.mark.faults
 class TestShardFaults:
-    def test_killed_shard_503s_only_its_keyspace_then_recovers(self, tmp_path):
+    def test_killed_shard_503s_every_aggregate_then_recovers(self, tmp_path):
         events = stream(400)
         oracle = oracle_service(events)
         with make_tier(
-            n_shards=2, directory=tmp_path, fsync="interval", snapshot_every=64
+            n_shards=2,
+            directory=tmp_path,
+            fsync="interval",
+            snapshot_every=64,
+            backoff_base=0.5,
         ) as tier:
-            tier.run_events(events)
+            tier.run_events(events[:300])
+            before = tier.top_k_triplets(25)
             victim = 0
             tier._shards[victim].sup.kill_child()
 
-            # First query against the dead shard's keyspace surfaces the
-            # typed unavailability (and triggers the background restart).
-            victim_author = next(
-                a for a in ("u%d" % i for i in range(18))
-                if shard_of(a, 2) == victim
-            )
-            other_author = next(
-                a for a in ("u%d" % i for i in range(18))
-                if shard_of(a, 2) != victim
-            )
-            with pytest.raises(ShardUnavailableError) as excinfo:
-                tier.user_score(victim_author)
-            assert excinfo.value.shard_id == victim
+            # Nothing was written since the last exchange: the current
+            # aggregate answers without touching a shard pipe.
+            assert tier.top_k_triplets(25) == before
 
-            # The surviving shard keeps answering exactly.
-            assert tier.user_score(other_author) == oracle.user_score(
-                other_author
-            )
+            # After a write every aggregate answer needs the dead shard's
+            # claim, so each one surfaces the typed unavailability (the
+            # first also starts the background restart).
+            for event in events[300:]:
+                tier.submit(event)
+            with pytest.raises(ShardUnavailableError) as excinfo:
+                tier.user_score("u0")
+            assert excinfo.value.shard_id == victim
+            with pytest.raises(ShardUnavailableError):
+                tier.top_k_triplets(25)
+            with pytest.raises(ShardUnavailableError):
+                tier.component_of("u1")
 
             # After the supervised restart (durable store => exact
             # replay) the whole surface is answered in full again.
             assert tier.await_healthy(timeout=30.0)
-            assert tier.user_score(victim_author) == oracle.user_score(
-                victim_author
-            )
+            for author in ("u0", "u1", "missing"):
+                assert tier.user_score(author) == oracle.user_score(author)
             assert tier.top_k_triplets(25) == oracle.top_k_triplets(25)
             assert tier.components() == oracle.components()
+            assert tier.ci_edges() == oracle.engine.ci_edges()
             assert tier.status()["shards"][victim]["restarts"] == 1
+
+    def test_backpressure_retries_count_each_event_once(self, tmp_path):
+        # A shard kept down by a long backoff fills its small parent
+        # queue, so run_events retries the same event until the restart
+        # completes.  Each retry is one more submit() of one event.
+        events = stream(200)
+        oracle = oracle_service(events)
+        with make_tier(
+            n_shards=2,
+            directory=tmp_path,
+            fsync="interval",
+            queue_capacity=8,
+            forward_batch=4,
+            backoff_base=0.5,
+        ) as tier:
+            tier.run_events(events[:100])
+            tier._shards[0].sup.kill_child()
+            tier.run_events(events[100:])
+            counters = tier.metrics.to_dict()["counters"]
+            assert counters["sharded.backpressure"] > 0
+            assert counters["sharded.events"] == len(events)
+            assert tier._shards[0].sup.restarts == 1
+            assert tier.top_k_triplets(25) == oracle.top_k_triplets(25)

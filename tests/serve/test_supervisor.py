@@ -9,7 +9,7 @@ import pytest
 from repro.graph.filters import AuthorFilter
 from repro.pipeline import PipelineConfig
 from repro.projection import TimeWindow
-from repro.serve import DegradedError, DetectionService, ServeSupervisor
+from repro.serve import DetectionService, ServeSupervisor
 from repro.verify.chaos import diff_results
 
 pytestmark = pytest.mark.serve
@@ -87,12 +87,6 @@ class TestHappyPath:
             assert sup.user_score("u3") == engine.user_score("u3")
             assert sup.component_of("u3") == engine.component_of("u3")
             assert sup.query("components") == engine.components()
-            assert sup.query(
-                "owned_top_k_triplets", 5, 0, 2, "t"
-            ) == engine.owned_top_k_triplets(5, 0, 2, by="t")
-            assert sup.query(
-                "owned_component_fragment", 1, 2
-            ) == engine.owned_component_fragment(1, 2)
 
     def test_bad_query_fails_the_request_not_the_child(self, tmp_path):
         with make_supervisor(tmp_path) as sup:

@@ -108,3 +108,55 @@ def test_every_ygm_export_has_a_caller():
         and not re.search(rf"\b{re.escape(name)}\b", text)
     ]
     assert not unused, f"repro.ygm exports with no caller outside repro/ygm: {unused}"
+
+
+#: ``repro.serve`` exports that need no caller outside their defining
+#: module, each with the reason it stays public.
+SERVE_EXPORTS_WITHOUT_CALLERS = {
+    "Counter": "the type ServiceMetrics.counter returns",
+    "Gauge": "the type ServiceMetrics.gauge returns",
+    "PartialExchangeError": "the typed error ExchangeAggregate.absorb raises",
+    "PartialWeights": "the answer type ExchangeAggregate.absorb consumes",
+    "MultiLayerDetectionEngine": "public API behind HttpGateway's layer= "
+    "parameter; its fate is an open roadmap item",
+}
+
+
+def test_every_serve_export_has_a_caller():
+    """A name in ``repro.serve.__all__`` must be used in ``src/repro``
+    outside the module that defines it (the package's re-export does not
+    count), in ``benchmarks/e2e`` or in ``examples/``."""
+    import repro.serve
+
+    src = Path(repro.__file__).parent
+    root = src.parent.parent
+    files = [
+        path
+        for path in [
+            *src.rglob("*.py"),
+            *(root / "benchmarks" / "e2e").rglob("*.py"),
+            *(root / "examples").rglob("*.py"),
+        ]
+        if path != src / "serve" / "__init__.py"
+    ]
+    unused = []
+    for name in repro.serve.__all__:
+        if name in SERVE_EXPORTS_WITHOUT_CALLERS:
+            continue
+        pattern = re.compile(rf"\b{re.escape(name)}\b")
+        home = next(
+            path
+            for path in (src / "serve").glob("*.py")
+            if re.search(
+                rf"^(class|def) {re.escape(name)}\b|^{re.escape(name)} *[:=]",
+                path.read_text(encoding="utf-8"),
+                re.M,
+            )
+        )
+        if not any(
+            pattern.search(path.read_text(encoding="utf-8"))
+            for path in files
+            if path != home
+        ):
+            unused.append(name)
+    assert not unused, f"repro.serve exports with no caller: {unused}"

@@ -70,7 +70,6 @@ SURFACE = {
         ("--check-every", "store", 10, "int", None),
         ("--sharded", "store_true", False, None, None),
         ("--shard-counts", "store", "1,2,4", None, None),
-        ("--ingest-modes", "store", "replicated,page", None, None),
         ("--layers", "store_true", False, None, None),
     ],
     "serve": [
@@ -104,7 +103,6 @@ SURFACE = {
         ("--backoff-base", "store", 0.1, "float", None),
         ("--backoff-cap", "store", 5.0, "float", None),
         ("--shards", "store", 1, "int", None),
-        ("--ingest-sharding", "store", "replicated", None, ("replicated", "page")),
         ("--http", "store", None, "int", None),
         ("--http-host", "store", "127.0.0.1", None, None),
         ("--linger", "store_true", False, None, None),
