@@ -30,9 +30,11 @@ Six subcommands cover the workflow the paper describes:
 - ``serve`` — tail an ndjson stream (file or ``-`` for stdin) through
   the online detection service: sliding-window eviction at the
   watermark, incremental re-scoring, periodic top-k and metrics output,
-  clean shutdown on EOF or SIGINT.  ``--shards N`` fans the stream out
-  to N supervised engine shards partitioning the query keyspace by user
-  hash; ``--http PORT`` fronts the tier with the stdlib HTTP gateway
+  clean shutdown on EOF or SIGINT.  ``--shards N`` routes each event to
+  one of N supervised engine shards by page hash and answers queries
+  from the cross-shard ledger exchange; ``--supervise`` runs that tier
+  with one shard (an engine in a watchdog child, restarted with
+  recovery); ``--http PORT`` fronts the tier with the stdlib HTTP gateway
   (``/topk``, ``/user/<id>/score``, ``/component/<id>``, ``/status``,
   ``/metrics``); ``--linger`` keeps answering queries after stream end.
 
@@ -65,6 +67,7 @@ from repro.graph import AuthorFilter
 from repro.graph.io import IngestStats, btm_from_ndjson, write_comments_ndjson
 from repro.pipeline import CoordinationPipeline, PipelineConfig
 from repro.projection import TimeWindow
+from repro.store import StoreLayoutError
 
 __all__ = ["main", "build_parser"]
 
@@ -707,12 +710,11 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     config = _pipeline_config(args)
     if args.linger and args.http is None:
         raise _UsageError("--linger requires --http PORT")
-    if args.shards > 1 or args.http is not None:
+    sharded = args.shards > 1 or args.http is not None
+    if args.supervise and not sharded and not args.durable:
+        raise _UsageError("--supervise requires --durable DIR")
+    if sharded or args.supervise:
         return _serve_sharded(args, config, out)
-    if args.supervise:
-        if not args.durable:
-            raise _UsageError("--supervise requires --durable DIR")
-        return _serve_supervised(args, config, out)
     sink = _StatusSink(args, out)
     service_kwargs = dict(
         window_horizon=args.horizon,
@@ -843,58 +845,11 @@ class _StatusSink:
         print(f"wrote status snapshot to {self.path}", file=self.out)
 
 
-def _serve_supervised(args: argparse.Namespace, config, out) -> int:
-    """``serve --durable DIR --supervise``: watchdog parent + durable child."""
-    from repro.serve import ServeSupervisor
-    from repro.serve.ingest import iter_ndjson_events
-
-    supervisor = ServeSupervisor(
-        config,
-        directory=args.durable,
-        queue_capacity=args.queue_capacity,
-        queue_policy=args.queue_policy,
-        forward_batch=args.batch_size,
-        **_supervision(args),
-        **_durability(args),
-        window_horizon=args.horizon,
-        allowed_lateness=args.lateness,
-        batch_size=args.batch_size,
-    )
-    sink = _StatusSink(args, out)
-    sink.bind(supervisor.status)
-    print(f"supervised child pid {supervisor.child_pid}", file=out)
-    print(supervisor.last_recovery, file=out)
-    try:
-        with _input_lines(args) as lines:
-            consumed = supervisor.run_events(
-                iter_ndjson_events(lines), max_events=args.max_events
-            )
-        status = supervisor.status()
-        sink.bind(status)
-        _print_shutdown(
-            args,
-            out,
-            supervisor.metrics,
-            consumed,
-            f"supervision: restarts={status['restarts']} "
-            f"degraded={status['degraded']} shed={status['shed_events']:,} "
-            f"acked={status['acked_events']:,}",
-            None if supervisor.degraded else supervisor.top_k_triplets,
-        )
-        supervisor.close()
-        print(f"durable state persisted to {args.durable}", file=out)
-    except BaseException as exc:
-        sink.write(error=exc)
-        raise
-    sink.write()
-    return 0 if not supervisor.degraded else 1
-
-
 def _serve_sharded(args: argparse.Namespace, config, out) -> int:
-    """``serve --shards N [--http PORT]``: sharded query tier + gateway.
+    """``serve --supervise | --shards N [--http PORT]``: the supervised tier.
 
-    Every shard runs as a supervised worker process (``--supervise`` is
-    implied); with ``--durable DIR`` each journals to its own
+    Every shard runs as a supervised worker process; ``--supervise``
+    alone runs one.  With ``--durable DIR`` each journals to its own
     ``DIR/shard-NN`` store.  ``--http`` fronts the tier with the stdlib
     gateway; ``--linger`` keeps it answering after the stream ends.
     SIGTERM is treated like SIGINT (graceful drain + final report), so
@@ -928,6 +883,15 @@ def _serve_sharded(args: argparse.Namespace, config, out) -> int:
         "queries = cross-shard ledger exchange",
         file=out,
     )
+    for entry in service.status()["shards"]:
+        shard = entry.get("status", {})
+        store = f", store {shard['durable_dir']}" if "durable_dir" in shard else ""
+        print(
+            f"shard {entry['shard']}: child pid {shard.get('child_pid')}{store}",
+            file=out,
+        )
+        print(f"  {shard.get('last_recovery')}", file=out)
+
     def _graceful(_sig, _frame):
         raise KeyboardInterrupt
 
@@ -983,7 +947,7 @@ def _serve_sharded(args: argparse.Namespace, config, out) -> int:
                 f"shards: {up}/{status['n_shards']} up, "
                 f"restarts={restarts}, shed={shed:,}",
                 service.top_k_triplets,
-                hypergraph=False,
+                hypergraph=config.compute_hypergraph,
             )
         except (ShardUnavailableError, ValueError) as exc:
             print(f"final top-k unavailable: {exc}", file=out)
@@ -1017,7 +981,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     }
     try:
         return handlers[args.command](args, out)
-    except _UsageError as exc:
+    except (_UsageError, StoreLayoutError) as exc:
         print(exc, file=out)
         return 2
 

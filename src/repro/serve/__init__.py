@@ -26,9 +26,11 @@ Layers (each usable on its own):
   the crash-safe service (journal + snapshots + exact-replay
   recovery via :mod:`repro.store`);
 - :mod:`repro.serve.supervisor` — :class:`ServeSupervisor`, the
-  watchdog parent that restarts a killed durable child with capped
-  backoff and sheds load when the restart budget is spent;
-- :mod:`repro.serve.shard` — :class:`ShardedDetectionService`, N
+  watchdog parent that restarts a killed durable child on a background
+  thread with capped backoff and sheds load when the restart budget is
+  spent;
+- :mod:`repro.serve.shard` — :class:`ShardedDetectionService`, the one
+  supervised launch path (``serve --supervise`` runs one shard): N
   supervised engine shards partitioning ingest by stable page hash
   (:func:`page_shard_of`), answering every query from the exchange's
   aggregate;

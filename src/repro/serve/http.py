@@ -18,8 +18,10 @@ endpoint                answer
 On a sharded tier every query answer comes from the one cross-shard
 aggregate (:mod:`repro.serve.exchange`).  Error mapping is typed: a bad
 parameter is 400, an unknown route 404, a down shard
-(:class:`~repro.serve.shard.ShardUnavailableError` or a degraded single
-supervisor) is **503 with a ``Retry-After`` hint** — on a sharded tier
+(:class:`~repro.serve.shard.ShardUnavailableError`, or a bare
+supervisor's :class:`~repro.serve.supervisor.DegradedError` while it
+restarts or once it is degraded) is **503 with a ``Retry-After``
+hint** — on a sharded tier
 every query that must exchange 503s until the shard is back, since the
 exchange needs every shard.  Every request lands in the shared
 :class:`~repro.serve.metrics.ServiceMetrics` registry (per-endpoint
@@ -27,10 +29,10 @@ latency histograms + status-class counters), which is itself what
 ``/metrics`` renders — the gateway is self-observing.
 
 The service only needs the query quartet ``top_k_triplets`` /
-``user_score`` / ``component_of`` / ``status`` — a
-:class:`~repro.serve.shard.ShardedDetectionService`, a single
-:class:`~repro.serve.supervisor.ServeSupervisor`, or a plain
-:class:`~repro.serve.service.DetectionService` all fit.
+``user_score`` / ``component_of`` / ``status``.  ``serve --http`` fronts
+the :class:`~repro.serve.shard.ShardedDetectionService` (one shard under
+``--supervise``); a bare :class:`~repro.serve.supervisor.ServeSupervisor`
+or a plain :class:`~repro.serve.service.DetectionService` fit too.
 """
 
 from __future__ import annotations

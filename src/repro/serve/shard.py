@@ -33,19 +33,25 @@ Availability is tier-wide: an exchange needs *every* shard, so a dead
 shard 503s aggregate queries after the next write until it restarts.
 A query served from a current aggregate touches no shard pipe.
 
+This tier is the one supervised launch path: ``serve --supervise`` runs
+it with one shard, ``serve --shards N`` with N.  A one-shard tier
+answers exactly what a single supervised engine would, since Algorithm
+1 treats pages independently.
+
 **Restart policy is the supervisor's** — windowed budget
 (``max_restarts`` per ``restart_window``), capped exponential backoff
-(``backoff_base`` / ``backoff_cap``), degraded state, restart counter;
-the tier passes the four values through and keeps none of its own.  It
-decides one thing: *which thread* runs the supervisor's loop.  A
-shard's supervisor (:class:`_ShardSupervisor`) hands the loop to a
-background thread, so the request that noticed the death — and every
-one after it until the child is back — raises
-:class:`ShardUnavailableError` (HTTP 503) immediately instead of
-waiting out the backoff.  An exhausted budget leaves the shard
-*failed* (the supervisor's degraded mode): its ingest sheds with a
-counter and its queries keep 503ing.  With a durable root every shard
-journals to its own ``shard-NN/`` store and recovery is exact; without
+(``backoff_base`` / ``backoff_cap``), degraded state, restart counter,
+and the background thread the loop runs on; the tier passes the four
+values through and keeps none of its own.  The request that noticed a
+death — and every one after it until the child is back — raises
+:class:`ShardUnavailableError` (HTTP 503) at once.  An exhausted budget
+leaves the shard *failed* (the supervisor's degraded mode): its ingest
+sheds with a counter and its queries keep 503ing.  The tier mirrors
+each shard's health into its own registry (``sharded.shardN.up``,
+``sharded.restarts``).  With a durable root every shard journals to its
+own ``shard-NN/`` store (:func:`repro.store.shard_root`; a root holding
+a single engine's ``wal/`` or ``snapshots/`` is refused with
+:class:`~repro.store.StoreLayoutError`) and recovery is exact; without
 one shards are volatile and a restart replays only the retained
 in-flight suffix.
 """
@@ -56,6 +62,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -63,8 +70,9 @@ from repro.pipeline.config import PipelineConfig
 from repro.serve.engine import ScoringCore
 from repro.serve.exchange import ExchangeAggregate, load_partial
 from repro.serve.ingest import Event, page_shard_of
-from repro.serve.metrics import ServiceMetrics
+from repro.serve.metrics import Gauge, ServiceMetrics
 from repro.serve.supervisor import DegradedError, ServeSupervisor
+from repro.store import check_layout, shard_root
 
 __all__ = ["ShardUnavailableError", "ShardedDetectionService"]
 
@@ -97,60 +105,12 @@ class ShardUnavailableError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-class _ShardSupervisor(ServeSupervisor):
-    """A shard's supervisor: the same restart loop, off the query path.
-
-    Overrides only *where* :meth:`ServeSupervisor._restart_loop` runs: a
-    background thread, so the caller that found the child dead gets its
-    :class:`DegradedError` (→ 503) at once.  Budget, backoff and the
-    degraded flag stay the base class's.  Also mirrors the outcome into
-    the tier's registry (``sharded.shardN.up``, ``sharded.restarts``).
-    """
-
-    def __init__(
-        self, sid: int, tier_metrics: ServiceMetrics, *args: Any, **kwargs: Any
-    ) -> None:
-        self._sid = sid
-        self._up = tier_metrics.gauge(f"sharded.shard{sid}.up")
-        self._restarted = tier_metrics.counter("sharded.restarts")
-        self._recovery: threading.Thread | None = None
-        super().__init__(*args, **kwargs)
-        self._up.set(1)
-
-    def _recover(self) -> None:
-        # Claim the pipe for the loop *before* this request returns, so
-        # no other caller touches the dead pipe in between.
-        self.restarting = True
-        self._up.set(0)
-        self._recovery = threading.Thread(
-            target=self._recover_in_background,
-            daemon=True,
-            name=f"shard-{self._sid}-restart",
-        )
-        self._recovery.start()
-        raise DegradedError("shard restarting")
-
-    def _recover_in_background(self) -> None:
-        try:
-            self._restart_loop()
-        except DegradedError:
-            return  # budget spent: the shard stays degraded (= failed)
-        self._restarted.inc()
-        self._up.set(1)
-
-    def await_restart(self, timeout: float) -> None:
-        """Wait (bounded) for a background restart loop, if one is running."""
-        thread = self._recovery
-        if thread is not None:
-            thread.join(timeout)
-
-
 class _Shard:
     """One supervised engine shard plus the lock serializing its pipe."""
 
     __slots__ = ("sid", "sup", "lock")
 
-    def __init__(self, sid: int, sup: _ShardSupervisor) -> None:
+    def __init__(self, sid: int, sup: ServeSupervisor) -> None:
         self.sid = sid
         self.sup = sup
         self.lock = threading.Lock()
@@ -172,7 +132,9 @@ class ShardedDetectionService:
         fan-out was removed; any other value raises ``ValueError``.
     directory:
         Optional durable root; shard ``s`` journals under
-        ``directory/shard-NN``.  ``None`` = volatile shards.
+        ``directory/shard-NN``.  ``None`` = volatile shards.  A root
+        holding a single engine's store raises
+        :class:`~repro.store.StoreLayoutError`.
     heartbeat_timeout / query_timeout:
         Watchdog deadline per shard request; how long a query waits for
         a shard's pipe before declaring the shard busy (503).
@@ -216,6 +178,8 @@ class ShardedDetectionService:
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.query_timeout = float(query_timeout)
         self.directory = Path(directory) if directory is not None else None
+        if self.directory is not None:
+            check_layout(self.directory, sharded=True)
         # Tier state (single producer, like the supervisors' queues): the
         # global watermark broadcast, and the long-lived cross-shard
         # aggregate with the ingest generation it reflects.
@@ -229,22 +193,22 @@ class ShardedDetectionService:
         self._shards: list[_Shard] = []
         try:
             for sid in range(self.n_shards):
-                shard_dir = (
-                    None
-                    if self.directory is None
-                    else self.directory / f"shard-{sid:02d}"
-                )
-                sup = _ShardSupervisor(
-                    sid,
-                    self.metrics,
+                sup = ServeSupervisor(
                     child_config,
-                    directory=shard_dir,
+                    directory=(
+                        None
+                        if self.directory is None
+                        else shard_root(self.directory, sid)
+                    ),
                     queue_capacity=queue_capacity,
                     queue_policy="reject",
                     forward_batch=forward_batch,
                     heartbeat_timeout=heartbeat_timeout,
                     **shard_kwargs,
                 )
+                up = self.metrics.gauge(f"sharded.shard{sid}.up")
+                up.set(1)
+                sup._on_up = partial(self._mirror_health, up)
                 self._shards.append(_Shard(sid, sup))
         except BaseException:
             self.close()
@@ -258,6 +222,12 @@ class ShardedDetectionService:
             "sharded.exchange_delta_entries",
         ):
             self.metrics.counter(name)
+
+    def _mirror_health(self, up: Gauge, ok: bool) -> None:
+        """A shard went down (``ok=False``) or a restart brought it back."""
+        up.set(int(ok))
+        if ok:
+            self.metrics.counter("sharded.restarts").inc()
 
     # -- ingest ------------------------------------------------------------
     def submit(self, event: Event) -> bool:
@@ -334,7 +304,6 @@ class ShardedDetectionService:
         eviction cutoff lands on the tier-wide final value.
         """
         for shard in self._shards:
-            shard.sup.await_restart(30.0)
             with shard.lock:
                 shard.sup.flush()  # a no-op on a shard that is still down
         self._broadcast_watermark()
@@ -468,24 +437,31 @@ class ShardedDetectionService:
             return core.page_counts()
 
     def status(self) -> dict:
-        """Tier health + per-shard status (degraded shards summarized)."""
+        """Tier health + per-shard status (down shards summarized).
+
+        A shard is ``up`` only when this call's probe reached its child;
+        every field is read after the probe, so a death the probe finds
+        shows in this very answer.
+        """
         shards = []
         for shard in self._shards:
             sup = shard.sup
+            probe = None
+            if not sup.down:
+                try:
+                    probe = self._query(shard.sid, lambda sup: sup.status())
+                except ShardUnavailableError:
+                    pass  # busy past the query timeout
+            up = probe is not None and probe["up"]
             entry: dict = {
                 "shard": shard.sid,
-                "up": not sup.down,
+                "up": up,
                 "failed": sup.degraded,
                 "restarting": sup.restarting,
                 "restarts": sup.restarts,
             }
-            if entry["up"]:
-                try:
-                    entry["status"] = self._query(
-                        shard.sid, lambda sup: sup.status()
-                    )
-                except ShardUnavailableError:
-                    entry["up"] = False
+            if up:
+                entry["status"] = probe
             shards.append(entry)
         return {
             "sharded": True,
@@ -498,7 +474,6 @@ class ShardedDetectionService:
     def close(self) -> None:
         """Stop every shard (waits out active restarts)."""
         for shard in self._shards:
-            shard.sup.await_restart(30.0)
             with shard.lock:
                 shard.sup.close()
 

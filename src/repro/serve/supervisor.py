@@ -18,24 +18,23 @@ in a child process and keeps detection available across crashes:
   start doubles the sleep (``backoff_base`` up to ``backoff_cap``).  A
   successful handshake resets the streak.
 - **graceful degradation** — more than ``max_restarts`` restarts inside
-  ``restart_window`` seconds flips the supervisor into *degraded* mode:
-  no more restart attempts, producer events shed per the parent queue's
-  policy, everything visible in :meth:`status` and
-  :class:`~repro.serve.metrics.ServiceMetrics`.  :meth:`restart` clears
-  it (an operator decision, not an automatic loop).
+  ``restart_window`` seconds flips the supervisor into *degraded* mode
+  for good: no more restart attempts, producer events shed per the
+  parent queue's policy, everything visible in :meth:`status` and
+  :class:`~repro.serve.metrics.ServiceMetrics`.  Restarting the serving
+  process is the only way out.
 
-This is the only restart policy in :mod:`repro.serve`.  The loop runs
-on the thread that noticed the death (:meth:`ServeSupervisor._recover`);
-the sharded tier overrides that one method to run the *same* loop on a
-background thread, so a query against a restarting shard fails fast
-instead of waiting out the backoff.  While a loop runs on another
-thread the supervisor is :attr:`~ServeSupervisor.restarting`: requests
-raise :class:`DegradedError` and producer events only buffer.
+This is the only restart policy in :mod:`repro.serve`, with one seam:
+the request that finds the child dead starts the loop on a background
+thread (:meth:`ServeSupervisor._recover`) and fails at once with
+:class:`DegradedError`.  While the loop runs the supervisor is
+:attr:`~ServeSupervisor.restarting`: requests fail the same way,
+producer events only buffer, and ``flush`` / ``close`` wait it out.
 
 The child's orphan guard (it exits once the parent is gone, even after
-a SIGKILL), its ``crash`` test hook and every teardown of it (join →
-terminate → kill) come from :mod:`repro.util.procs`, shared with the
-parallel executor's pool and the YGM multiprocessing backend.
+a SIGKILL) and every teardown of it (join → terminate → kill) come from
+:mod:`repro.util.procs`, shared with the parallel executor's pool and
+the YGM multiprocessing backend.
 
 The child never sheds: its queue uses the ``reject`` policy and the
 drive loop ticks until admission, so the journal holds an exact prefix
@@ -47,8 +46,8 @@ acked stream position is then the count of events the current
 incarnation received, so a restart resets it to zero and the parent
 resends its entire retained buffer — which is only the in-flight
 suffix the sharded tier keeps small by flushing.  The sharded serving
-tier (:mod:`repro.serve.shard`) uses this mode when no ``--durable``
-root is given.
+tier (:mod:`repro.serve.shard`), which runs every supervisor in the
+package, uses this mode when no ``--durable`` root is given.
 """
 
 from __future__ import annotations
@@ -56,12 +55,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from collections import deque
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, NoReturn
 
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.results import PipelineResult
@@ -70,8 +70,7 @@ from repro.serve.exchange import partial_bytes
 from repro.serve.ingest import Event, EventQueue
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.service import DetectionService
-from repro.util.procs import apply_fault, parent_gone, stop
-from repro.ygm.faults import FaultSpec
+from repro.util.procs import parent_gone, stop
 
 __all__ = ["DegradedError", "ServeSupervisor"]
 
@@ -190,12 +189,6 @@ def _child_main(
                     svc.tick()
                     blob = partial_bytes(svc.engine, shard_id, n_shards, epoch, since)
                     conn.send(("ok", (position(), blob)))
-                elif op == "sync":
-                    if durable:
-                        svc.wal.sync()
-                    conn.send(("ok", position()))
-                elif op == "crash":  # test hook: die exactly like a SIGKILL
-                    apply_fault(FaultSpec("crash", 0, 1))
                 elif op == "close":
                     svc.drain_all()
                     if durable:
@@ -287,11 +280,15 @@ class ServeSupervisor:
         self._conn: Connection | None = None
         self.child_pid: int | None = None
         self.degraded = False
-        #: A restart loop is running (on this or, for a sharded tier's
-        #: shard, a background thread); the pipe is that loop's alone.
+        #: A restart loop is running on its background thread; the pipe
+        #: and the retained deque are that loop's alone until it ends.
         self.restarting = False
         self.restarts = 0
         self.last_recovery: str | None = None
+        self._recovery: threading.Thread | None = None
+        #: Told ``False`` when a death starts a restart, ``True`` when one
+        #: brings a child back (the sharded tier mirrors shard health).
+        self._on_up: Callable[[bool], None] = lambda up: None
         #: Forwarded-but-not-yet-durable events: ``(stream_idx, event)``.
         self._retained: deque[tuple[int, Event]] = deque()
         self._stream_idx = 0  # events handed to the delivery layer so far
@@ -359,14 +356,26 @@ class ServeSupervisor:
         """No child to talk to: degraded for good, or mid-restart."""
         return self.degraded or self.restarting
 
-    def _recover(self) -> None:
-        """The child is dead: run the restart loop, here and now.
+    def _recover(self) -> NoReturn:
+        """The child is dead: restart it in the background, fail this request.
 
-        The one seam of the restart policy — *which thread* pays for the
-        backoff.  Returning means a child is back up; raising
-        :class:`DegradedError` fails the request that noticed the death.
+        The one seam of the restart policy.  The pipe is claimed for the
+        loop (:attr:`restarting`) *before* the noticing request fails, so
+        no other caller touches the dead pipe in between; the backoff is
+        slept on the loop's own thread.
         """
-        self._restart_loop()
+        self.restarting = True
+        self._on_up(False)
+        self._recovery = threading.Thread(target=self._restart_loop, daemon=True)
+        self._recovery.start()
+        raise DegradedError("child restarting")
+
+    def await_restart(self, timeout: float = 30.0) -> bool:
+        """Wait (bounded) for a running restart loop; ``True`` if a child is up."""
+        thread = self._recovery
+        if thread is not None:
+            thread.join(timeout)
+        return not self.down
 
     def _reap_child(self) -> None:
         if self._conn is not None:
@@ -378,8 +387,10 @@ class ServeSupervisor:
         self.child_pid = None
 
     def _restart_loop(self) -> None:
-        """Reap the dead child and restart it under backoff + budget."""
-        self.restarting = True
+        """Reap the dead child and restart it under backoff + budget.
+
+        A spent budget leaves the supervisor degraded for good.
+        """
         try:
             self._reap_child()
             failures = 0
@@ -393,10 +404,7 @@ class ServeSupervisor:
                 if len(self._restart_times) >= self.max_restarts:
                     self.degraded = True
                     self.metrics.gauge("supervisor.degraded").set(1)
-                    raise DegradedError(
-                        f"restart budget exhausted ({self.max_restarts} in "
-                        f"{self.restart_window:g}s); shedding load"
-                    )
+                    return
                 time.sleep(
                     min(self.backoff_cap, self.backoff_base * (2**failures))
                 )
@@ -405,53 +413,44 @@ class ServeSupervisor:
                 self.metrics.counter("supervisor.restarts").inc()
                 try:
                     self._start_child()
-                    return
+                    break
                 except (_ChildUnresponsive, EOFError, BrokenPipeError, OSError):
                     failures += 1
         finally:
             self.restarting = False
+        self._on_up(True)
 
     def _request(self, op: str, *payload: Any) -> Any:
-        """One request/response round with watchdog + restart semantics.
+        """One request/response round under the watchdog.
 
-        ``events`` payloads are already retained by the caller, so after
-        a crash-triggered restart (which resends the retained suffix)
-        the request is complete without a literal retry; queries retry
-        against the fresh child.
+        A dead child fails the request with :class:`DegradedError` and
+        starts the background restart.  ``events`` payloads are already
+        retained by the caller, so the restart's resend completes them.
         """
         if self.degraded:
             raise DegradedError("supervisor is degraded")
         if self.restarting:
             raise DegradedError("child is restarting")
-        msg = (op, *payload)
-        for _attempt in range(2 + self.max_restarts):
-            conn = self._conn
-            if conn is None:
-                raise DegradedError("supervisor is closed")
-            try:
-                conn.send(msg)
-                if not conn.poll(self.heartbeat_timeout):
-                    raise _ChildUnresponsive(f"child missed deadline on {op!r}")
-                tag, value = conn.recv()
-                if tag == "ok":
-                    if op in ("events", "drain", "sync", "close"):
-                        self._prune_retained(self._global_ack(int(value)))
-                    return value
-                raise RuntimeError(f"child error on {op!r}: {value}")
-            except (
-                _ChildUnresponsive,
-                EOFError,
-                BrokenPipeError,
-                ConnectionResetError,
-            ):
-                pass  # the child is gone
-            # Recover outside the handler: what _recover raises must not
-            # chain the failed send's traceback, whose frame holds the
-            # pickle buffer (freed out of order by the garbage collector).
-            self._recover()  # raises DegradedError when spent
-            if op == "events":
-                return self._acked  # restart resent the retained gap
-        raise _ChildUnresponsive(f"child kept dying while serving {op!r}")
+        conn = self._conn
+        if conn is None:
+            raise DegradedError("supervisor is closed")
+        try:
+            conn.send((op, *payload))
+            if not conn.poll(self.heartbeat_timeout):
+                raise _ChildUnresponsive(f"child missed deadline on {op!r}")
+            tag, value = conn.recv()
+        except (_ChildUnresponsive, EOFError, BrokenPipeError, ConnectionResetError):
+            pass  # the child is gone
+        else:
+            if tag == "ok":
+                if op in ("events", "drain", "close"):
+                    self._prune_retained(self._global_ack(int(value)))
+                return value
+            raise RuntimeError(f"child error on {op!r}: {value}")
+        # Recover outside the handler: what _recover raises must not
+        # chain the failed send's traceback, whose frame holds the
+        # pickle buffer (freed out of order by the garbage collector).
+        self._recover()
 
     # -- producer API ------------------------------------------------------
     def submit(self, event: Event) -> bool:
@@ -459,10 +458,10 @@ class ServeSupervisor:
 
         A healthy supervisor never sheds: a full parent queue forwards
         to the child first.  Only in degraded mode (or while a restart
-        is failing) does the queue fill and its policy decide what is
-        lost — visible as ``shed_events`` in :meth:`status`.  While a
-        restart loop runs on another thread events only buffer: the
-        retained deque and the pipe are that loop's until it finishes.
+        runs) does the queue fill and its policy decide what is lost —
+        visible as ``shed_events`` in :meth:`status`.  While a restart
+        loop runs events only buffer: the retained deque and the pipe
+        are that loop's until it finishes.
         """
         if not self.down and self.queue.is_full:
             self._forward()
@@ -504,8 +503,12 @@ class ServeSupervisor:
         return consumed
 
     def flush(self) -> None:
-        """Forward everything buffered and drain the child's queue."""
-        if self.down:
+        """Forward everything buffered and drain the child's queue.
+
+        Waits out a running restart first; a no-op on a degraded
+        supervisor.
+        """
+        if not self.await_restart():
             return
         try:
             self._forward()
@@ -577,14 +580,19 @@ class ServeSupervisor:
         return blob
 
     def status(self) -> dict:
-        """Child status (when reachable) + supervision counters."""
-        child_status: dict = {}
+        """Child status (when reachable) + supervision counters.
+
+        ``up`` says whether this very probe reached the child: a probe
+        that finds it dead starts the restart and reports ``False``.
+        """
         try:
             child_status = self._request("status")
+            up = True
         except DegradedError:
-            pass
+            child_status, up = {}, False
         child_status.update(
             supervised=True,
+            up=up,
             child_pid=self.child_pid,
             degraded=self.degraded,
             restarts=self.restarts,
@@ -597,39 +605,34 @@ class ServeSupervisor:
         )
         return child_status
 
-    # -- operator controls -------------------------------------------------
-    def restart(self) -> None:
-        """Clear degraded mode and bring a child back up (operator action)."""
-        self.degraded = False
-        self.metrics.gauge("supervisor.degraded").set(0)
-        self._restart_times.clear()
-        self._reap_child()
-        self.restarts += 1
-        self.metrics.counter("supervisor.restarts").inc()
-        self._start_child()
-        if not self.degraded:
-            self._forward()
-
+    # -- lifecycle ---------------------------------------------------------
     def kill_child(self) -> None:
         """SIGKILL the child without telling it (chaos / test hook)."""
-        if self.child_pid is not None:
+        pid, proc = self.child_pid, self._proc
+        if pid is not None:
             try:
-                os.kill(self.child_pid, signal.SIGKILL)
+                os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass  # already dead — the watchdog just hasn't noticed
-            if self._proc is not None:
-                self._proc.join()
+            if proc is not None:
+                proc.join()
 
     def close(self) -> None:
-        """Flush, persist, and shut the child down cleanly."""
+        """Flush, persist, and shut the child down cleanly.
+
+        Waits out a running restart first, and one that this call's own
+        requests start, so a restarted child is shut down too (it
+        persists on the pipe's EOF).
+        """
+        self.await_restart()
         if self._conn is None:
             return
         try:
             if not self.degraded:
                 self._forward()
                 self._request("close")
-        except (DegradedError, _ChildUnresponsive):
-            pass
+        except DegradedError:
+            self.await_restart()
         finally:
             if self._conn is not None:
                 self._conn.close()

@@ -18,7 +18,7 @@ can die at any instant and come back **bit-identical**:
   suffix replay, torn-tail tolerance);
 - :mod:`repro.store.errors` — the corruption taxonomy
   (:class:`TornWalError`, :class:`CorruptSnapshotError`,
-  :class:`StoreMismatchError`).
+  :class:`StoreMismatchError`, :class:`StoreLayoutError`).
 
 ``repro-botnets serve --durable DIR`` and the recovery chaos matrix
 (``repro.verify.chaos.run_recovery_chaos``) are the two drivers.
@@ -27,6 +27,7 @@ can die at any instant and come back **bit-identical**:
 from repro.store.errors import (
     CorruptSnapshotError,
     StoreError,
+    StoreLayoutError,
     StoreMismatchError,
     TornWalError,
 )
@@ -36,7 +37,7 @@ from repro.store.engine_state import (
     restore_engine_state,
 )
 from repro.store.snapshots import SnapshotStore
-from repro.store.store import DurableStore, RecoveryReport
+from repro.store.store import DurableStore, RecoveryReport, check_layout, shard_root
 
 __all__ = [
     "CorruptSnapshotError",
@@ -44,9 +45,12 @@ __all__ = [
     "RecoveryReport",
     "SnapshotStore",
     "StoreError",
+    "StoreLayoutError",
     "StoreMismatchError",
     "TornWalError",
+    "check_layout",
     "config_fingerprint",
     "engine_state_arrays",
     "restore_engine_state",
+    "shard_root",
 ]

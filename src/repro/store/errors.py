@@ -17,6 +17,8 @@ so recovery code (and the chaos matrix asserting on it) can distinguish
 - :class:`StoreMismatchError` — the data is intact but was written under
   a different configuration (or state format); restoring it would
   silently blend two runs, so it is refused instead.
+- :class:`StoreLayoutError` — the directory holds the other deployment's
+  layout (single engine vs page-hash tier), so it is refused.
 - :class:`StoreError` — base class, and the catch-all for structural
   problems with the store directory itself.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 __all__ = [
     "CorruptSnapshotError",
     "StoreError",
+    "StoreLayoutError",
     "StoreMismatchError",
     "TornWalError",
 ]
@@ -45,3 +48,7 @@ class CorruptSnapshotError(StoreError):
 
 class StoreMismatchError(StoreError):
     """A restore was attempted against state from a different config."""
+
+
+class StoreLayoutError(StoreError):
+    """A store root holds the other deployment's directory layout."""

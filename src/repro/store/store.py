@@ -6,9 +6,11 @@
         wal/         # repro.serve.wal segments (the event journal)
         snapshots/   # repro.store.snapshots generations
 
-and binds the convention that ties them together: **a snapshot
-generation's number is its WAL offset** — the sequence number of the
-first journal record *not* reflected in that snapshot.  Recovery loads
+(a page-hash tier keeps one per shard, at :func:`shard_root`;
+:func:`check_layout` tells the two apart), and binds the convention
+that ties them together: **a snapshot generation's number is its WAL
+offset** — the sequence number of the first journal record *not*
+reflected in that snapshot.  Recovery loads
 the newest valid generation ``S`` and replays journal records
 ``seq >= S``; retention prunes journal segments below the *oldest*
 retained generation, so every surviving snapshot keeps a complete replay
@@ -21,10 +23,39 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.store.engine_state import restore_engine_state
-from repro.store.errors import TornWalError
+from repro.store.errors import StoreLayoutError, TornWalError
 from repro.store.snapshots import SnapshotStore
 
-__all__ = ["DurableStore", "RecoveryReport"]
+__all__ = ["DurableStore", "RecoveryReport", "check_layout", "shard_root"]
+
+
+def shard_root(root: str | Path, shard_id: int) -> Path:
+    """Shard *shard_id*'s store under a page-hash tier's *root*."""
+    return Path(root) / f"shard-{shard_id:02d}"
+
+
+def check_layout(root: str | Path, *, sharded: bool) -> None:
+    """Refuse a root laid out for the other deployment (:class:`StoreLayoutError`).
+
+    A single engine keeps ``wal/`` + ``snapshots/`` at *root*; a page-hash
+    tier (*sharded*) keeps one such store per shard in ``shard-NN/``.
+    Opening either as the other would start empty beside the old state.
+    """
+    root = Path(root)
+    if sharded and ((root / "wal").is_dir() or (root / "snapshots").is_dir()):
+        raise StoreLayoutError(
+            f"{root} holds a single-engine store (wal/, snapshots/), but a "
+            "page-hash tier, serve --supervise included, keeps shard 0's in "
+            f"{shard_root(root, 0)}: serve {root} without --supervise or "
+            "--shards to read it, or start the tier in an empty directory"
+        )
+    shards = [] if sharded else sorted(root.glob("shard-[0-9]*"))
+    if shards:
+        flag = "--supervise" if len(shards) == 1 else f"--shards {len(shards)}"
+        raise StoreLayoutError(
+            f"{root} holds a page-hash tier's per-shard stores "
+            f"({', '.join(p.name for p in shards)}): serve it with {flag}"
+        )
 
 
 @dataclass
@@ -82,6 +113,7 @@ class DurableStore:
 
     def __init__(self, directory: str | Path, *, keep_snapshots: int = 3) -> None:
         self.directory = Path(directory)
+        check_layout(self.directory, sharded=False)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.wal_dir = self.directory / "wal"
         self.snapshots = SnapshotStore(

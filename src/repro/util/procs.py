@@ -2,11 +2,10 @@
 
 The YGM multiprocessing backend (whose worlds the parallel executor also
 runs on) and the serving supervisor's child both fork workers; they
-share one fault hook, one orphan guard and one teardown ladder from
-here:
+share one orphan guard and one teardown ladder from here:
 
 - :func:`apply_fault` manifests a :class:`~repro.ygm.faults.FaultSpec`
-  inside a worker;
+  inside a YGM worker;
 - :func:`parent_gone` is the orphan guard: a worker blocked on its input
   polls with a timeout and exits once its driver is gone, because
   ``daemon=True`` only reaps children on a *clean* driver exit;

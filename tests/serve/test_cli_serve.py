@@ -220,3 +220,68 @@ class TestShardedServeFlags:
         assert "shards: 2/2 up, restarts=0, shed=0" in out.getvalue()
         assert "a / b / c" in out.getvalue()
 
+
+
+def final_top_block(text: str) -> list[str]:
+    """The ``final top K by R:`` block of a serve run's output."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("final top "))
+    block = [lines[start]]
+    for line in lines[start + 1:]:
+        if not line.startswith("  "):
+            break
+        block.append(line)
+    return block
+
+
+class TestSupervisedServe:
+    """``serve --supervise`` is the page-hash tier with one shard."""
+
+    ARGS = ["--cutoff", "1", "--horizon", "100000", "--no-filter",
+            "--top", "5", "--metrics-every", "0"]
+
+    def serve(self, corpus, *flags):
+        out = io.StringIO()
+        code = main(["serve", "--input", str(corpus), *self.ARGS, *flags], out=out)
+        return code, out.getvalue()
+
+    def test_same_answer_as_in_process_and_resumes_from_shard_00(self, tmp_path):
+        corpus = tmp_path / "stream.ndjson"
+        write_corpus(
+            corpus,
+            [("u%d" % (i % 7), "p%d" % (i % 5), 3 * i) for i in range(300)],
+        )
+        d1, d2 = tmp_path / "d1", tmp_path / "d2"
+        code, supervised = self.serve(corpus, "--supervise", "--durable", str(d1))
+        assert code == 0, supervised
+        code, in_process = self.serve(corpus, "--durable", str(d2))
+        assert code == 0, in_process
+        block = final_top_block(supervised)
+        assert block == final_top_block(in_process)
+        assert len(block) == 6 and "w_xyz=" in block[1]
+        assert "sharded tier: 1 durable shard(s)" in supervised
+        assert "shard 0: child pid " in supervised
+        assert "shards: 1/1 up, restarts=0, shed=0" in supervised
+        assert (d1 / "shard-00" / "wal").is_dir()
+        assert not (d1 / "wal").exists()
+
+        empty = tmp_path / "empty.ndjson"
+        empty.write_text("", encoding="utf-8")
+        code, resumed = self.serve(empty, "--supervise", "--durable", str(d1))
+        assert code == 0, resumed
+        assert f"store {d1 / 'shard-00'}" in resumed
+        assert "  recovery: snapshot " in resumed
+        assert final_top_block(resumed) == block
+
+    def test_each_launch_path_refuses_the_others_store(self, tmp_path):
+        corpus = tmp_path / "stream.ndjson"
+        write_corpus(corpus, TRIANGLE_STREAM)
+        tier_root, engine_root = tmp_path / "tier", tmp_path / "engine"
+        assert self.serve(corpus, "--supervise", "--durable", str(tier_root))[0] == 0
+        assert self.serve(corpus, "--durable", str(engine_root))[0] == 0
+
+        code, text = self.serve(corpus, "--durable", str(tier_root))
+        assert code == 2 and "page-hash tier's per-shard stores" in text
+        code, text = self.serve(corpus, "--supervise", "--durable", str(engine_root))
+        assert code == 2 and "single-engine store" in text
+        assert not (engine_root / "shard-00").exists()

@@ -184,3 +184,39 @@ class TestSnapshotCadence:
             DurableDetectionService(
                 CONFIG, directory=tmp_path, snapshot_every=0, **KW
             )
+
+
+class TestStoreLayout:
+    """One durable layout per deployment, refused typed in both directions."""
+
+    @staticmethod
+    def tree(root):
+        return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+    def test_tier_refuses_a_single_engine_root(self, tmp_path):
+        from repro.serve import ShardedDetectionService
+        from repro.store import StoreLayoutError
+
+        with DurableDetectionService(CONFIG, directory=tmp_path, **KW) as svc:
+            drive(svc, stream(100))
+        before = self.tree(tmp_path)
+        with pytest.raises(StoreLayoutError, match="shard-00"):
+            ShardedDetectionService(CONFIG, n_shards=1, directory=tmp_path)
+        # Refused before anything is written: no empty tier beside it.
+        assert self.tree(tmp_path) == before
+        assert not (tmp_path / "shard-00").exists()
+
+    def test_single_engine_refuses_a_tier_root(self, tmp_path):
+        from repro.serve import ShardedDetectionService
+        from repro.store import StoreLayoutError
+
+        with ShardedDetectionService(
+            CONFIG, n_shards=2, directory=tmp_path, **KW
+        ) as tier:
+            tier.run_events(stream(100))
+        before = self.tree(tmp_path)
+        assert (tmp_path / "shard-00" / "wal").is_dir()
+        with pytest.raises(StoreLayoutError, match="--shards 2"):
+            DurableDetectionService(CONFIG, directory=tmp_path, **KW)
+        assert self.tree(tmp_path) == before
+        assert not (tmp_path / "wal").exists()

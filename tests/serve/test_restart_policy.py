@@ -1,10 +1,10 @@
 """The one restart policy, exercised where it is used.
 
-``max_restarts`` per ``restart_window`` means the same thing for a
-single :class:`ServeSupervisor` (``serve --supervise``) and for a shard
-of a :class:`ShardedDetectionService` (``serve --shards``), because the
-tier runs the supervisor's own loop.  Every test here runs against
-both.
+``max_restarts`` per ``restart_window`` means the same thing for a bare
+:class:`ServeSupervisor` and for a shard of a
+:class:`ShardedDetectionService` (``serve --supervise`` / ``--shards``),
+because the tier runs the supervisor's own background loop.  Every test
+here runs against both.
 """
 
 import time
@@ -38,7 +38,7 @@ VICTIM_PAGE = next(
 
 
 class _Single:
-    """``serve --supervise``: one supervisor, restart loop inline."""
+    """A bare supervisor: the restart loop on its background thread."""
 
     def __init__(self, tmp_path, **policy):
         self.sup = ServeSupervisor(
@@ -58,21 +58,19 @@ class _Single:
         return self.sup
 
     def notice(self):
-        """Touch the dead child; the loop runs before this returns."""
-        try:
+        """Touch the dead child: the request fails at once, typed."""
+        with pytest.raises(DegradedError):
             self.sup.results()
-        except DegradedError:
-            pass
 
     def settle(self):
-        return not self.sup.down
+        return self.sup.await_restart(timeout=30.0)
 
     def close(self):
         self.sup.close()
 
 
 class _Tier:
-    """``serve --shards 2``: the same loop, on a background thread."""
+    """``serve --shards 2``: the same loop, per shard."""
 
     def __init__(self, tmp_path, **policy):
         self.tier = ShardedDetectionService(
@@ -141,7 +139,15 @@ def test_budget_spent_inside_the_window_degrades_for_good(deployment):
         assert not d.victim.degraded
         d.victim.kill_child()
         d.notice()
-        d.settle()
+        if d.settle():
+            # A restart inside the budget loses nothing: every event the
+            # victim took is durably acked once it is flushed (none shed).
+            d.victim.flush()
+            status = d.victim.status()
+            assert status["acked_events"] == (
+                status["submitted_events"] - status["shed_events"]
+            )
+            assert status["submitted_events"] > 0
     assert d.victim.degraded
     assert d.victim.restarts == 2  # the budget, not the kill count
     assert d.settle() is False
@@ -154,6 +160,7 @@ def test_exhausted_supervisor_sheds_by_queue_policy(tmp_path):
     try:
         d.sup.kill_child()
         d.notice()
+        assert d.settle() is False
         for event in EVENTS:
             d.sup.submit(event)
         status = d.sup.status()

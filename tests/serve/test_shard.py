@@ -182,6 +182,29 @@ class TestShardFaults:
             assert tier.ci_edges() == oracle.engine.ci_edges()
             assert tier.status()["shards"][victim]["restarts"] == 1
 
+    def test_first_status_after_a_kill_reports_the_dead_shard(self, tmp_path):
+        # The probe that finds the child dead must say so in the same
+        # answer, not one call later.
+        with make_tier(
+            n_shards=2, directory=tmp_path, fsync="interval", backoff_base=0.5
+        ) as tier:
+            tier.run_events(stream(120))
+            victim = 1
+            tier._shards[victim].sup.kill_child()
+            status = tier.status()
+            assert status["healthy"] is False
+            entry = status["shards"][victim]
+            assert entry["up"] is False and "status" not in entry
+            assert entry["restarting"] and not entry["failed"]
+            assert status["shards"][0]["up"] is True
+            assert tier.metrics.gauge(f"sharded.shard{victim}.up").value == 0
+
+            assert tier.await_healthy(timeout=30.0)
+            status = tier.status()
+            assert status["healthy"] is True
+            assert status["shards"][victim]["restarts"] == 1
+            assert status["metrics"]["counters"]["sharded.restarts"] == 1
+
     def test_backpressure_retries_count_each_event_once(self, tmp_path):
         # A shard kept down by a long backoff fills its small parent
         # queue, so run_events retries the same event until the restart
