@@ -68,7 +68,7 @@ def _corpus(rng):
 
 
 def _set_dedup(pg, a, b):
-    """The dedup inside ``cooccur_pairs_reference``: a Python set, sorted."""
+    """A reference-style dedup: a Python set, sorted."""
     triples = sorted(set(zip(pg.tolist(), a.tolist(), b.tolist())))
     arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     return arr[:, 0], arr[:, 1], arr[:, 2]
@@ -109,7 +109,7 @@ def test_bench_kernels(report_sink):
     def _fast_pairs():
         parts = [
             (pg, a, b)
-            for pg, a, b, _raw in cooccur_pairs(
+            for pg, a, b, _n_obs in cooccur_pairs(
                 users, pages, times, window, 1_000_000
             )
         ]

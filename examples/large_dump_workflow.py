@@ -68,7 +68,7 @@ def main() -> None:
         print(
             f"  {result.stats['comments_scanned']:,} comments → "
             f"{result.ci.n_edges:,} CI edges "
-            f"(peak memory ≈ 1/{result.stats['partitions']} of the corpus)"
+            f"(one of {result.stats['partitions']} partitions' rows in memory at a time)"
         )
         print("  " + result.timings.format().replace("\n", "\n  "))
 

@@ -638,9 +638,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     return 0 if report.ok else 1
 
 
-def _print_top(
-    out, header: str, rows: list[dict], *, hypergraph: bool = True
-) -> None:
+def _print_top(out, header: str, rows: list[dict], *, hypergraph: bool) -> None:
     """One ranked-triplet block: *header*, then a line per row."""
     print(header, file=out)
     if not rows:
@@ -661,7 +659,7 @@ def _print_shutdown(
     detail: str,
     top_k=None,
     *,
-    hypergraph: bool = True,
+    hypergraph: bool,
 ) -> None:
     """The closing report of every serve variant: why, state, final top-k.
 
@@ -748,6 +746,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
                 out,
                 f"[tick {ticks}] top {args.top} by {args.rank_by}:",
                 svc.top_k_triplets(args.top, by=args.rank_by),
+                hypergraph=config.compute_hypergraph,
             )
 
     sink.bind(service.status)
@@ -770,6 +769,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             f"triangles={status['triangles']:,} "
             f"malformed={status['ingest_malformed']:,}",
             service.top_k_triplets,
+            hypergraph=config.compute_hypergraph,
         )
         print("", file=out)
         print(service.metrics.format(), file=out)

@@ -129,17 +129,19 @@ def project_shard(shard, context):
     ``shard`` is ``(users, pages, times)`` sorted by (page, time) with
     every page wholly contained; ``context`` carries ``delta1``,
     ``delta2``, and ``pair_batch``.  Returns ``(pg, a, b, raw)`` —
-    shard-deduplicated triples plus the raw in-window pair count.
+    shard-deduplicated triples plus the raw in-window pair count, the
+    sum of :func:`~repro.kernels.cooccur_pairs`' per-triple counts.
+    The out-of-core wrapper runs it on each spill partition.
     """
     users, pages, times = shard
     window = (int(context["delta1"]), int(context["delta2"]))
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     raw = 0
-    for pg, a, b, n_raw in cooccur_pairs(
+    for pg, a, b, n_obs in cooccur_pairs(
         users, pages, times, window, int(context["pair_batch"])
     ):
         parts.append((pg, a, b))
-        raw += n_raw
+        raw += int(n_obs.sum())
     pg, a, b = merge_triples(parts)
     return pg, a, b, raw
 

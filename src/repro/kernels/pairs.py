@@ -2,13 +2,18 @@
 
 :func:`cooccur_pairs` turns ``(page, time)``-sorted comment arrays into
 the distinct per-page author pairs ``(page, min(x,y), max(x,y))`` whose
-delay lies in the window — the quantity every projection variant reduces
-from.  :func:`cooccur_pairs_reference` is the paper's per-page double
-loop (the former body of ``project_reference``), kept as the
-obviously-correct twin.
+delay lies in the window, each with its number of in-window
+observations.  It is the one Step-1 counting core: the batch plan keeps
+the triples and sums the counts, the serve projector keeps the counts
+per triple, and the out-of-core wrapper runs the batch plan.
+:func:`cooccur_pairs_reference` is the paper's per-page double loop (the
+former body of ``project_reference``), kept as the obviously-correct
+twin.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -31,26 +36,30 @@ def dedup_triples(
     return unique_rows((pg, a, b))[0]
 
 
-def merge_triples(
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def merge_triples(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
     """Union sorted, distinct triple batches into one sorted dedup set.
 
-    Parts are sorted and distinct, as :func:`cooccur_pairs` yields.  If
-    each seam is strictly increasing (page-aligned shards) the union is
-    their concatenation; otherwise one :func:`dedup_triples`.
+    Parts are ``(pg, a, b)`` or ``(pg, a, b, n_obs)``, each sorted and
+    distinct, as :func:`cooccur_pairs` yields; the result has the parts'
+    columns, and with ``n_obs`` equal keys across seams add their
+    counts.  If each seam is strictly increasing (page-aligned shards)
+    the union is their concatenation; otherwise one row sort.
     """
-    parts = [tuple(p[:3]) for p in parts if p[0].shape[0]]
+    width = len(parts[0]) if parts else 3
+    parts = [p for p in parts if p[0].shape[0]]
     if len(parts) == 1:
-        return parts[0]
+        return tuple(parts[0])
     empty = [np.empty(0, dtype=np.int64)]
-    pg, a, b = (np.concatenate([p[i] for p in parts] or empty) for i in range(3))
+    cols = [np.concatenate([p[i] for p in parts] or empty) for i in range(width)]
     if all(
-        tuple(int(c[-1]) for c in p) < tuple(int(c[0]) for c in q)
+        tuple(int(c[-1]) for c in p[:3]) < tuple(int(c[0]) for c in q[:3])
         for p, q in zip(parts, parts[1:])
     ):
-        return pg, a, b
-    return dedup_triples(pg, a, b)
+        return tuple(cols)
+    rows, runs, order = unique_rows(tuple(cols[:3]), with_order=width > 3)
+    if width == 3:
+        return rows
+    return (*rows, np.add.reduceat(cols[3][order], runs[:-1]))
 
 
 def cooccur_pairs(
@@ -60,12 +69,16 @@ def cooccur_pairs(
     window,
     pair_batch: int,
 ):
-    """Yield deduplicated ``(page, lo, hi)`` triple batches plus raw counts.
+    """Yield distinct ``(page, lo, hi)`` triple batches with their counts.
 
-    Input arrays must be sorted by ``(page, time)``.  Yields tuples
-    ``(pg, a, b, n_raw_pairs)``; batches may repeat triples across batch
-    boundaries (the caller deduplicates globally, e.g. with
-    :func:`merge_triples`).
+    Input arrays must be sorted by ``(page, time)``.  Each row's window
+    is expanded at most *pair_batch* candidates at a time.  Yields
+    ``(pg, a, b, n_obs)``: sorted distinct triples and each one's number
+    of in-window observations (ordered comment pairs of two authors;
+    equal-time mates count twice when ``delta1 == 0``), so
+    ``n_obs.sum()`` is the batch's raw pair count.  A page may straddle
+    batches, so a triple may repeat across them; :func:`merge_triples`
+    unions the batches and adds such counts.
     """
     n = users.shape[0]
     if n == 0:
@@ -104,7 +117,8 @@ def cooccur_pairs(
         a = np.minimum(ux, uy)
         b = np.maximum(ux, uy, out=uy)
         del ux
-        yield (*unique_rows((pgc, a, b), sorted_first=True)[0], pgc.shape[0])
+        rows, runs, _ = unique_rows((pgc, a, b), sorted_first=True)
+        yield (*rows, np.diff(runs))
         start_row = stop_row
 
 
@@ -113,16 +127,15 @@ def cooccur_pairs_reference(
     pages: np.ndarray,
     times: np.ndarray,
     window,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-page double-loop twin of :func:`cooccur_pairs` (Algorithm 1).
 
     Same input contract (sorted by ``(page, time)``); returns the fully
-    deduplicated sorted triples plus the raw in-window pair count in one
-    shot instead of batches.
+    deduplicated sorted triples and their observation counts in one shot
+    instead of batches.
     """
     delta1, delta2 = window_deltas(window)
-    triples: set[tuple[int, int, int]] = set()
-    raw = 0
+    tally: Counter[tuple[int, int, int]] = Counter()
     bounds = group_boundaries(pages)
     for r in range(bounds.shape[0] - 1):
         start, stop = int(bounds[r]), int(bounds[r + 1])
@@ -136,10 +149,11 @@ def cooccur_pairs_reference(
                     continue
                 x, y = int(users[i]), int(users[j])
                 if delta1 <= dt <= delta2 and x != y:
-                    triples.add((page, min(x, y), max(x, y)))
-                    raw += 1
-    if not triples:
+                    tally[(page, min(x, y), max(x, y))] += 1
+    if not tally:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy(), raw
-    arr = np.asarray(sorted(triples), dtype=np.int64)
-    return arr[:, 0], arr[:, 1], arr[:, 2], raw
+        return empty, empty.copy(), empty.copy(), empty.copy()
+    keys = sorted(tally)
+    arr = np.asarray(keys, dtype=np.int64)
+    n_obs = np.asarray([tally[k] for k in keys], dtype=np.int64)
+    return arr[:, 0], arr[:, 1], arr[:, 2], n_obs

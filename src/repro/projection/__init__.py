@@ -22,9 +22,11 @@ Algorithm 1 has one oracle and one engine:
 Two memory workarounds compose with it: :mod:`~repro.projection.buckets`
 (paper §3: a wide window computed as a union of narrow disjoint
 sub-windows, each a ``project`` call) and
-:mod:`~repro.projection.streaming` (inputs larger than memory, through
-the :class:`~repro.projection.incremental.IncrementalProjector` that
-online serving also uses).
+:mod:`~repro.projection.streaming` (inputs larger than memory: the
+same plan's map per page-hash spill partition, then its reduce).
+:class:`~repro.projection.incremental.IncrementalProjector` is online
+serving's per-comment count store; its bulk recount runs the plan's
+kernel, :func:`repro.kernels.cooccur_pairs`.
 """
 
 from repro.projection.window import TimeWindow

@@ -27,11 +27,11 @@ projection over the live corpus is asserted in tests after every update
 pattern (appends, out-of-order arrivals, equal timestamps, evictions,
 compaction).
 
-Bulk loads — :meth:`~IncrementalProjector.ingest_dense` on pages with no
-live comment, :meth:`~IncrementalProjector.load` and the rebuild inside
-:meth:`~IncrementalProjector.compact` — fill the counts in one vectorized
-pass over :func:`~repro.kernels.window_bounds` and the run lengths of
-:func:`~repro.util.keys.unique_rows`.  Time-based eviction
+Bulk loads — :meth:`~IncrementalProjector.load` (a restore) and the
+rebuild inside :meth:`~IncrementalProjector.compact` — fill the counts
+in one vectorized pass through :func:`~repro.kernels.cooccur_pairs`, the
+batch plan's own counting kernel, merged across its batches by
+:func:`~repro.kernels.merge_triples`.  Time-based eviction
 (:meth:`~IncrementalProjector.evict_before`) finds its pages through a
 heap of page start times, and :meth:`~IncrementalProjector.compact`
 rebuilds the interners over the live corpus so steady-state memory
@@ -48,7 +48,7 @@ from itertools import chain
 import numpy as np
 
 from repro.graph.bipartite import BipartiteTemporalMultigraph
-from repro.kernels import pair_weights, window_bounds
+from repro.kernels import cooccur_pairs, merge_triples, pair_weights
 from repro.projection.ci_graph import CommonInteractionGraph
 from repro.projection.project import reduce_triples_to_ci
 from repro.projection.window import TimeWindow
@@ -175,22 +175,13 @@ class IncrementalProjector:
     ([(0, 1), (0, 2), (1, 2)], 3)
     """
 
-    def __init__(
-        self,
-        window: TimeWindow,
-        pair_batch: int = 4_000_000,
-        user_names: Interner | None = None,
-        page_names: Interner | None = None,
-    ) -> None:
+    def __init__(self, window: TimeWindow, pair_batch: int = 4_000_000) -> None:
         self.window = window
         self.pair_batch = int(pair_batch)
         self._d1 = int(window.delta1)
         self._d2 = int(window.delta2)
-        # Preassigned interners let a caller that already owns a global id
-        # space (e.g. the out-of-core wrapper's pass-1 interner) feed
-        # dense ids directly via ingest_dense.
-        self.user_names = user_names if user_names is not None else Interner()
-        self.page_names = page_names if page_names is not None else Interner()
+        self.user_names = Interner()
+        self.page_names = Interner()
         self._reset()
 
     def _reset(self) -> None:
@@ -314,38 +305,6 @@ class IncrementalProjector:
         else:
             del counts[uid]
 
-    def ingest_dense(
-        self, users: np.ndarray, pages: np.ndarray, times: np.ndarray
-    ) -> int:
-        """Ingest rows whose ids are *already dense* in this projector's
-        id spaces (e.g. re-read from a spill file written against the
-        same interners).  Rows of pages that hold no live comment are
-        counted in one vectorized pass; the rest are inserted one by one.
-        Returns the number of pages that received a comment."""
-        users = np.asarray(users, dtype=np.int64)
-        pages = np.asarray(pages, dtype=np.int64)
-        times = np.asarray(times, dtype=np.int64)
-        if not pages.shape[0]:
-            return 0
-        seen, first = np.unique(pages, return_index=True)
-        touched = seen[np.argsort(first, kind="stable")].tolist()
-        fresh = [
-            pid
-            for pid in touched
-            if pid not in self._pages or not self._pages[pid].times
-        ]
-        for pid in fresh:
-            self._pages.setdefault(pid, _Page())
-        bulk = np.isin(pages, fresh)
-        self._load_columns(users[bulk], pages[bulk], times[bulk])
-        rest = ~bulk
-        delta = ProjectionDelta()
-        for uid, pid, t in zip(
-            users[rest].tolist(), pages[rest].tolist(), times[rest].tolist()
-        ):
-            self.insert(uid, pid, t, delta)
-        return len(touched)
-
     def load(
         self,
         page_order,
@@ -364,18 +323,11 @@ class IncrementalProjector:
         self._reset()
         for pid in np.asarray(page_order, dtype=np.int64).tolist():
             self._pages[pid] = _Page()
-        self._load_columns(
-            np.asarray(users, dtype=np.int64),
-            np.asarray(pages, dtype=np.int64),
-            np.asarray(times, dtype=np.int64),
-        )
-
-    def _load_columns(
-        self, users: np.ndarray, pages: np.ndarray, times: np.ndarray
-    ) -> None:
-        """Fill the empty columns of existing page records from rows."""
+        users = np.asarray(users, dtype=np.int64)
         if not users.shape[0]:
             return
+        pages = np.asarray(pages, dtype=np.int64)
+        times = np.asarray(times, dtype=np.int64)
         order = np.lexsort((times, pages))
         users, pages, times = users[order], pages[order], times[order]
         user_list, time_list = users.tolist(), times.tolist()
@@ -394,9 +346,12 @@ class IncrementalProjector:
     ) -> None:
         """Set the counts of pages whose whole columns are the given rows
         (sorted by ``(page, time)``) and which hold no counts yet."""
-        tp, ta, tb, n_obs = _observation_counts(
-            users, pages, times, self.window, self.pair_batch
+        batches = list(
+            cooccur_pairs(users, pages, times, self.window, self.pair_batch)
         )
+        if not batches:
+            return
+        tp, ta, tb, n_obs = merge_triples(batches)
         if not tp.shape[0]:
             return
         keys = list(zip(ta.tolist(), tb.tolist()))
@@ -421,27 +376,6 @@ class IncrementalProjector:
         _add_counts(
             self.page_counts, zip(users_with_partners.tolist(), n_pages.tolist())
         )
-
-    def release_comments(self, pids) -> int:
-        """Drop the comment columns of *pids*, keeping their counts.
-
-        For pages guaranteed to receive no further comments (e.g. the
-        page-disjoint partitions of the out-of-core wrapper) the columns
-        are only needed to count future mates, so releasing them caps
-        memory at the count store.  A later append to a released page, or
-        an eviction or compaction after a release, sees only the
-        surviving rows and is the caller's bug, not this method's.
-        Returns rows dropped.
-        """
-        dropped = 0
-        for pid in pids:
-            page = self._pages.get(pid)
-            if page is not None and page.users:
-                dropped += len(page.users)
-                self._drop_live(page.users)
-                page.times = []
-                page.users = []
-        return dropped
 
     def _drop_live(self, users: list[int]) -> None:
         _add_counts(self._user_live, ((uid, -1) for uid in users))
@@ -661,55 +595,3 @@ def _runs(keys: np.ndarray):
     bounds = group_boundaries(keys).tolist()
     return zip(keys[bounds[:-1]].tolist(), bounds, bounds[1:])
 
-
-def _observation_counts(
-    users: np.ndarray,
-    pages: np.ndarray,
-    times: np.ndarray,
-    window,
-    pair_batch: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct ``(page, a, b)`` triples of rows sorted by ``(page, time)``
-    with their in-window observation counts, sorted by triple.
-
-    Expands each row's :func:`~repro.kernels.window_bounds` range as
-    :func:`~repro.kernels.cooccur_pairs` does, at most *pair_batch*
-    candidates at a time, and counts each triple by its
-    :func:`~repro.util.keys.unique_rows` run length.
-    """
-    empty = np.empty(0, dtype=np.int64)
-    n = users.shape[0]
-    if not n:
-        return empty, empty, empty, empty
-    lo, hi = window_bounds(pages, times, window)
-    counts = hi - lo
-    cum = np.concatenate(([0], np.cumsum(counts)))
-    parts = []
-    start = 0
-    while start < n:
-        stop = int(np.searchsorted(cum, cum[start] + max(pair_batch, 1), side="left"))
-        stop = min(max(stop, start + 1), n)
-        total = int(cum[stop] - cum[start])
-        if total:
-            batch = counts[start:stop]
-            rows = np.repeat(np.arange(start, stop, dtype=np.int64), batch)
-            cols = np.arange(total, dtype=np.int64)
-            cols -= np.repeat(cum[start:stop] - cum[start], batch)
-            cols += lo[rows]
-            ux, uy = users[rows], users[cols]
-            keep = (cols != rows) & (ux != uy)
-            ux, uy = ux[keep], uy[keep]
-            if ux.shape[0]:
-                (tp, ta, tb), runs, _ = unique_rows(
-                    (pages[rows[keep]], np.minimum(ux, uy), np.maximum(ux, uy)),
-                    sorted_first=True,
-                )
-                parts.append((tp, ta, tb, np.diff(runs)))
-        start = stop
-    if not parts:
-        return empty, empty, empty, empty
-    if len(parts) == 1:
-        return parts[0]
-    tp, ta, tb, n_obs = (np.concatenate(col) for col in zip(*parts))
-    (tp, ta, tb), runs, order = unique_rows((tp, ta, tb), with_order=True)
-    return tp, ta, tb, np.add.reduceat(n_obs[order], runs[:-1])

@@ -103,9 +103,7 @@ def project_reference(
 ) -> ProjectionResult:
     """Algorithm 1 through the slow, obviously correct kernel twins."""
     users, pages, times, _bounds = btm.page_sorted_view()
-    pg, a, b, pair_observations = cooccur_pairs_reference(
-        users, pages, times, window
-    )
+    pg, a, b, n_obs = cooccur_pairs_reference(users, pages, times, window)
     n_users = btm.user_id_space
     ua, ub, w = pair_weights_reference(a, b)
     page_counts = pair_ledger_reference(pg, a, b, n_users)
@@ -120,7 +118,7 @@ def project_reference(
         stats={
             "comments_scanned": btm.n_comments,
             "pages_visited": int(np.unique(pages).shape[0]),
-            "pair_observations": pair_observations,
+            "pair_observations": int(n_obs.sum()),
             # Each unit of weight is one distinct (page, pair) observation.
             "distinct_page_pairs": int(pg.shape[0]),
             "ci_edges": ci.edges.n_edges,

@@ -11,20 +11,17 @@ executor, here across disk-backed partitions:
 1. **Pass 1** stream the ndjson once, interning author names into one
    global id space and appending ``(user, page, time)`` rows to
    ``n_partitions`` spill files by page hash;
-2. **Pass 2** feed one partition at a time into an
-   :class:`~repro.projection.incremental.IncrementalProjector` sharing
-   the pass-1 interners (:meth:`~IncrementalProjector.ingest_dense`,
-   which counts a partition's fresh pages in one vectorized pass), then
-   :meth:`~IncrementalProjector.release_comments` the partition's raw
-   rows — partitions are page-disjoint, so released pages never receive
-   another comment and peak memory stays at one partition plus the
-   projector's per-page pair counts.
+2. **Pass 2** read one partition at a time, sort it by ``(page, time)``
+   and run :data:`~repro.exec.plans.PROJECTION_PLAN`'s map
+   (:func:`~repro.exec.plans.project_shard`) on it — partitions are
+   page-disjoint, so each is one page-aligned shard;
+3. **Merge** one :func:`~repro.exec.plans.project_reduce` over the
+   partitions' triples builds ``C`` and ``P'``.
 
-The final CI graph is the projector's
-(:meth:`~IncrementalProjector.ci_graph` reduces the distinct
-``(page, a, b)`` triples of those counts through the same
-:mod:`repro.kernels` reductions every other engine uses); equality with
-the in-memory engine is asserted in tests.
+Pass 2 holds one partition's rows, the author interner and the distinct
+``(page, a, b)`` triples of the partitions done so far as int64 columns,
+which the merge then reduces.  Equality with the in-memory engine is
+asserted in tests.
 """
 
 from __future__ import annotations
@@ -35,9 +32,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.exec.plans import project_reduce, project_shard
 from repro.graph.io import _page_triples
-from repro.projection.incremental import IncrementalProjector
-from repro.projection.project import ProjectionResult
+from repro.projection.ci_graph import CommonInteractionGraph
+from repro.projection.project import ProjectionResult, _edges_from_arrays
 from repro.projection.window import TimeWindow
 from repro.util.ids import Interner
 from repro.util.timers import StageTimings
@@ -52,8 +50,9 @@ def _spill_records(
     comments: Iterable[tuple[str, str, int]],
     spill_dir: Path,
     n_partitions: int,
-) -> tuple[Interner, Interner, list[Path], int]:
-    """Pass 1: hash-partition comments by page into binary spill files."""
+) -> tuple[Interner, list[Path], int]:
+    """Pass 1: hash-partition comments by page into binary spill files;
+    returns the author interner, the spill paths and the row count."""
     user_names = Interner()
     page_names = Interner()
     part = HashPartitioner(n_partitions)
@@ -69,16 +68,14 @@ def _spill_records(
     finally:
         for fh in handles:
             fh.close()
-    return user_names, page_names, paths, n_rows
+    return user_names, paths, n_rows
 
 
 def _load_partition(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read one spill file back as (users, pages, times) arrays."""
-    raw = np.fromfile(path, dtype=np.int64)
-    if raw.size == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), e.copy()
-    rows = raw.reshape(-1, 3)
+    """Read one spill file back as (users, pages, times) arrays sorted by
+    (page, time) — one page-aligned shard, since partitions own whole pages."""
+    rows = np.fromfile(path, dtype=np.int64).reshape(-1, 3)
+    rows = rows[np.lexsort((rows[:, 2], rows[:, 1]))]
     return rows[:, 0].copy(), rows[:, 1].copy(), rows[:, 2].copy()
 
 
@@ -102,7 +99,8 @@ def project_streaming(
     spill_dir:
         Scratch directory for partition files (created if missing).
     n_partitions:
-        Page-hash partition count; peak memory ~ corpus size / partitions.
+        Page-hash partition count; pass 2 holds ~ corpus rows / partitions
+        at a time.
     keep_spill:
         Leave the spill files on disk for inspection.
 
@@ -122,41 +120,45 @@ def project_streaming(
     timings = StageTimings()
 
     with timings.stage("pass1.spill"):
-        user_names, page_names, paths, n_rows = _spill_records(
+        user_names, paths, n_rows = _spill_records(
             comments, spill_dir, n_partitions
         )
 
-    proj = IncrementalProjector(
-        window,
-        pair_batch=pair_batch,
-        user_names=user_names,
-        page_names=page_names,
-    )
+    context = {
+        "delta1": window.delta1,
+        "delta2": window.delta2,
+        "pair_batch": int(pair_batch),
+        "n_users": len(user_names),
+    }
+    partials = []
     pages_visited = 0
     try:
         for path in paths:
             with timings.stage("pass2.project"):
-                users, pages, times = _load_partition(path)
-                if users.shape[0] == 0:
-                    continue
-                pages_visited += proj.ingest_dense(users, pages, times)
-                # Partitions are page-disjoint: rows of a finished
-                # partition are never needed again, only its counts.
-                proj.release_comments(np.unique(pages).tolist())
+                shard = _load_partition(path)
+                pages_visited += int(np.unique(shard[1]).shape[0])
+                partials.append(project_shard(shard, context))
+                del shard  # before the next partition is read
     finally:
         if not keep_spill:
             for path in paths:
                 path.unlink(missing_ok=True)
 
     with timings.stage("merge"):
-        ci = proj.ci_graph()
+        red = project_reduce(partials, context)
+        ci = CommonInteractionGraph(
+            edges=_edges_from_arrays(red["ua"], red["ub"], red["w"]),
+            page_counts=red["page_counts"],
+            window=window,
+            user_names=user_names,
+        )
 
     return ProjectionResult(
         ci=ci,
         stats={
             "comments_scanned": n_rows,
             "pages_visited": pages_visited,
-            "pair_observations": proj.raw_pair_observations(),
+            "pair_observations": red["pair_observations"],
             "ci_edges": ci.edges.n_edges,
             "partitions": n_partitions,
         },

@@ -19,7 +19,8 @@ state —
 
 Rehydration reloads the projector from those
 (:meth:`~repro.projection.incremental.IncrementalProjector.load`, which
-recounts every page's co-occurrences in one vectorized pass) and then
+recounts every page's co-occurrences in one pass of
+:func:`repro.kernels.cooccur_pairs`) and then
 reuses the engine's own compaction rebuild path
 (:meth:`DetectionEngine._rebuild_from_projector`), which the online
 parity tests already pin as query-identical to incrementally maintained

@@ -72,20 +72,23 @@ class TestCooccurPairs:
         window = random_window(rng)
         # Tiny pair_batch forces many batches with cross-batch repeats.
         pair_batch = int(rng.integers(1, 50))
-        parts, raw = [], 0
-        for pg, a, b, n_raw in cooccur_pairs(
-            users, pages, times, window, pair_batch
-        ):
-            parts.append((pg, a, b))
-            raw += n_raw
-        pg, a, b = merge_triples(parts)
-        pg_r, a_r, b_r, raw_r = cooccur_pairs_reference(
+        batches = list(cooccur_pairs(users, pages, times, window, pair_batch))
+        pg, a, b = merge_triples([t[:3] for t in batches])
+        pg_r, a_r, b_r, n_obs_r = cooccur_pairs_reference(
             users, pages, times, window
         )
         assert np.array_equal(pg, pg_r)
         assert np.array_equal(a, a_r)
         assert np.array_equal(b, b_r)
-        assert raw == raw_r
+        # Each triple's count, summed across batch seams, is its tally
+        # (no batch at all when no row has a candidate mate).
+        if batches:
+            counted = merge_triples(batches)
+            for got, want in zip(counted, (pg_r, a_r, b_r, n_obs_r), strict=True):
+                assert np.array_equal(got, want)
+        else:
+            assert not n_obs_r.shape[0]
+        assert sum(int(t[3].sum()) for t in batches) == int(n_obs_r.sum())
 
 
 class TestLedger:

@@ -100,11 +100,14 @@ class TestBothPaths:
         with pack_from(PATHS[path]):
             batches = list(cooccur_pairs(users, pages, times, window, pair_batch))
             pg, a, b = merge_triples([t[:3] for t in batches])
+            counted = merge_triples(batches or [columns([], width=4)])
             ua, ub, w = pair_weights(a, b)
             ledger = pair_ledger(pg, a, b, N_USERS)
-        pg_r, a_r, b_r, raw_r = cooccur_pairs_reference(users, pages, times, window)
+        pg_r, a_r, b_r, n_obs_r = cooccur_pairs_reference(users, pages, times, window)
         assert_same((pg, a, b), (pg_r, a_r, b_r))
-        assert sum(t[3] for t in batches) == raw_r
+        # Counts of a triple split across batch seams add up to its tally.
+        assert_same(counted, (pg_r, a_r, b_r, n_obs_r))
+        assert sum(int(t[3].sum()) for t in batches) == int(n_obs_r.sum())
         assert_same((ua, ub, w), pair_weights_reference(a_r, b_r))
         assert_same((ledger,), (pair_ledger_reference(pg_r, a_r, b_r, N_USERS),))
 
@@ -118,13 +121,21 @@ class TestBothPaths:
     ):
         pg, a, b = columns(rows)
         parts = []
-        for pick in picks:  # each part: a sorted, distinct subset
+        for k, pick in enumerate(picks):  # each part: a sorted, distinct subset
             idx = np.asarray([i for i in pick if i < pg.shape[0]], dtype=np.int64)
-            parts.append(dedup_triples(pg[idx], a[idx], b[idx]))
+            triples = dedup_triples(pg[idx], a[idx], b[idx])
+            # Counts 1, 2, 4, ... per part, so every sum names its parts.
+            parts.append((*triples, np.full(triples[0].shape[0], 1 << k)))
         with pack_from(PATHS[path]):
-            got = merge_triples(parts)
-        union = sorted({t for p in parts for t in zip(*(c.tolist() for c in p))})
+            got = merge_triples([p[:3] for p in parts])
+            counted = merge_triples(parts or [columns([], width=4)])
+        tally: dict[tuple, int] = {}
+        for p in parts:
+            for t, n in zip(zip(*(c.tolist() for c in p[:3])), p[3].tolist()):
+                tally[t] = tally.get(t, 0) + n
+        union = sorted(tally)
         assert_same(got, columns(union))
+        assert_same(counted, columns([(*t, tally[t]) for t in union], width=4))
 
     def test_tie_at_a_seam_is_deduplicated(self, path):
         first = (np.array([1, 2]), np.array([0, 3]), np.array([4, 5]))

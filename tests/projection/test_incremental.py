@@ -319,20 +319,6 @@ class TestPerCommentCounts:
         assert proj.evict_before(65).touched_pages == frozenset({pid})
         assert_counts_match_full(proj)
 
-    def test_ingest_dense_counts_fresh_pages_and_inserts_the_rest(self):
-        proj = IncrementalProjector(TimeWindow(0, 30))
-        proj.add_comments([("a", "p", 0), ("b", "p", 10)])
-        c = proj.user_names.intern("c")
-        q = proj.page_names.intern("q")
-        # Page 0 (p) is live, page q is fresh; rows arrive out of order.
-        n = proj.ingest_dense(
-            np.array([c, 0, c, 1, 0]),
-            np.array([0, q, q, q, 0]),
-            np.array([5, 20, 0, 20, 35]),
-        )
-        assert n == 2
-        assert_counts_match_full(proj)
-
     def test_delta_names_exactly_what_moved(self):
         from repro.projection.incremental import ProjectionDelta
 
@@ -374,9 +360,13 @@ class TestPerCommentCounts:
             min_size=1,
             max_size=12,
         ),
+        pair_batch=st.sampled_from([1, 7, 4_000_000]),
     )
-    def test_property_every_add_and_evict_matches_full(self, window, steps):
-        proj = IncrementalProjector(TimeWindow(*window))
+    def test_property_every_add_and_evict_matches_full(
+        self, window, steps, pair_batch
+    ):
+        # compact() recounts the live corpus in pair_batch-sized batches.
+        proj = IncrementalProjector(TimeWindow(*window), pair_batch=pair_batch)
         for step in steps:
             if isinstance(step, list):
                 for u, p, t in step:
@@ -387,6 +377,10 @@ class TestPerCommentCounts:
                 assert_counts_match_full(proj)
         proj.compact()
         assert_counts_match_full(proj)
+        # Evicting the rest subtracts every recounted per-triple count.
+        proj.evict_before(10**6)
+        assert_counts_match_full(proj)
+        assert proj.memory_stats()["triple_rows"] == 0
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -54,6 +54,22 @@ class TestServeCommand:
         assert "a / b / c" in text
         assert "counters:" in text and "engine.update" in text
 
+    def test_no_hypergraph_prints_no_step3_columns(self, tmp_path):
+        corpus = tmp_path / "tri.ndjson"
+        write_corpus(corpus, TRIANGLE_STREAM[:3])
+        out = io.StringIO()
+        code = main(
+            [
+                "serve", "--input", str(corpus), "--cutoff", "1",
+                "--no-filter", "--no-hypergraph", "--metrics-every", "1",
+            ],
+            out=out,
+        )
+        text = out.getvalue()
+        assert code == 0
+        assert "a / b / c  min_w'=1 T=1.0000\n" in text
+        assert "w_xyz" not in text and " C=" not in text
+
     def test_status_json_snapshot(self, tmp_path):
         corpus = tmp_path / "stream.ndjson"
         write_corpus(corpus, TRIANGLE_STREAM)
